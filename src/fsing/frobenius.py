@@ -11,11 +11,12 @@ is cut out by tau otherwise.
 from __future__ import annotations
 
 import enum
+import functools
 
 from dataclasses import dataclass, field
 
 from .errors import RegularSequenceError, RingMismatch
-from .groebner import Ideal
+from .groebner import GroebnerBasis, Ideal
 from .linalg import as_matrix, rank
 from .ring import (
     Monomial,
@@ -42,11 +43,14 @@ def bracket_power(I: Ideal, q: int) -> Ideal:
     """I^[q]: the ideal generated by g^q over generators g of I.
 
     Because q-th power is a ring endomorphism in characteristic p, the result
-    does not depend on the chosen generating set.
+    does not depend on the chosen generating set.  It is also flat (Kunz), and
+    it sends leads and S-polynomials to their q-th powers, so the q-th powers
+    of the reduced basis of I are the reduced basis of I^[q].
     """
     if not is_power_of(q, I.ring.p):
         raise ValueError(f"{q} is not a power of {I.ring.p}")
-    return Ideal(I.ring, tuple(g**q for g in I.generators))
+    powers = tuple(g.frobenius_power(q) for g in I.groebner())
+    return Ideal._with_basis(I.ring, GroebnerBasis(I.ring, powers))
 
 
 def frobenius_root_principal(h: Polynomial) -> Ideal:
@@ -67,15 +71,6 @@ def frobenius_root_principal(h: Polynomial) -> Ideal:
     return Ideal(ring, tuple(Polynomial._raw(ring, d) for d in groups.values()))
 
 
-def frobenius_root_ideal(I: Ideal) -> Ideal:
-    """Smallest K with I contained in K^[p].  Auxiliary; tau only needs the
-    principal case.  Equals the sum of the roots of any generating set."""
-    out = Ideal.zero(I.ring)
-    for g in I.generators:
-        out = out + frobenius_root_principal(g)
-    return out
-
-
 class TauClass(enum.Enum):
     EVERYWHERE_F_PURE = "everywhere_f_pure"
     ISOLATED_NON_F_PURE_POINT = "isolated_non_f_pure_point"
@@ -90,7 +85,8 @@ class CompleteIntersection:
     positive degree) and that the forms are a regular sequence, the latter by
     comparing quotient dimensions degree by degree against the expected
     series prod(1 - t^(d_j)) / (1 - t)^(n+1) up to degree d = sum d_j.
-    Derived fields: degrees d_j, their sum d, and the product form f.
+    Derived fields: degrees d_j, their sum d, and the product form f;
+    fpow = f^(p-1) is computed on first use.
     """
 
     ring: RingDescriptor
@@ -122,6 +118,10 @@ class CompleteIntersection:
         object.__setattr__(self, "d", sum(degrees))
         object.__setattr__(self, "f", product)
         _check_regular_sequence(self.ring, forms, degrees)
+
+    @functools.cached_property
+    def fpow(self) -> Polynomial:
+        return self.f ** (self.ring.p - 1)
 
     @property
     def c(self) -> int:
@@ -213,8 +213,7 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
     """The smallest ideal containing the forms whose p-th bracket power
     contains f^(p-1): the defining forms plus the Frobenius root of f^(p-1).
     """
-    p = ci.ring.p
-    fpow = ci.f ** (p - 1)
+    fpow = ci.fpow
     root = frobenius_root_principal(fpow)
     tau = Ideal(ci.ring, ci.forms + root.generators)
     unit = tau.is_unit()
@@ -224,14 +223,13 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
         ell = max(mono_degree(m) for m in tau.standard_monomials())
     # re-check the two defining conditions on the constructed ideal
     assert all(tau.contains(g) for g in ci.forms)
-    assert bracket_power(tau, p).contains(fpow)
+    assert bracket_power(tau, ci.ring.p).contains(fpow)
     return TauResult(tau=tau, is_unit=unit, is_m_primary=m_primary, ell=ell)
 
 
 def fedder_test_at_m(ci: CompleteIntersection) -> bool:
     """F-purity at the maximal ideal: f^(p-1) outside (x_0^p, ..., x_n^p)."""
-    p = ci.ring.p
-    return not m_bracket(ci.ring, p).contains(ci.f ** (p - 1))
+    return not m_bracket(ci.ring, ci.ring.p).contains(ci.fpow)
 
 
 def classify_tau(result: TauResult) -> TauClass:

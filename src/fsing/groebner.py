@@ -189,12 +189,11 @@ def _minimal_monomials(monos) -> list[Monomial]:
 class GroebnerBasis:
     """The unique reduced Groebner basis: monic elements, leads descending."""
 
-    __slots__ = ("ring", "elements", "order", "_leads", "_dicts")
+    __slots__ = ("ring", "elements", "_leads", "_dicts")
 
     def __init__(self, ring: RingDescriptor, elements: tuple[Polynomial, ...]):
         self.ring = ring
         self.elements = tuple(elements)
-        self.order = "grevlex"
         self._leads = None
         self._dicts = None
 

@@ -187,8 +187,9 @@ class AnalysisReport:
     """Every invariant the library computes for one complete intersection.
 
     The three optional fields are present exactly when tau is m-primary and
-    proper; reg_s_mod_tau and ell always agree, they are kept separate
-    because they are computed along different routes.
+    proper.  reg_s_mod_tau and ell are one value, the top degree of S/tau,
+    computed once by compute_tau; both keys stay in the report schema, and
+    reports read back with from_json_dict are checked to agree.
     """
 
     a_invariant: int
@@ -234,12 +235,11 @@ def analyze(ci: CompleteIntersection) -> AnalysisReport:
     # Fedder's test and the unit-tau verdict are independent computations
     # of the same fact
     assert fpure == tau_result.is_unit
-    applicable = tau_result.is_m_primary
     return AnalysisReport(
         a_invariant=a_invariant(ci),
-        reg_s_mod_tau=regularity_artinian(tau_result.tau) if applicable else None,
+        reg_s_mod_tau=tau_result.ell,
         ell=tau_result.ell,
-        thmA_bound=thmA_bound(ci, tau_result) if applicable else None,
+        thmA_bound=thmA_bound(ci, tau_result) if tau_result.is_m_primary else None,
         cor_bound=cor_bound(ci.ring.n, ci.c, ci.d),
         thmB_threshold=thmB_threshold(ci.ring.n, ci.c, ci.d),
         fpure_at_m=fpure,

@@ -15,6 +15,14 @@ def as_matrix(rows, ncols) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def from_sparse(rows, ncols) -> np.ndarray:
+    """Dense matrix from rows given as {column: entry} dicts."""
+    m = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        m[i, list(row)] = list(row.values())
+    return m
+
+
 def rref(matrix, p):
     """Reduced row echelon form over F_p.
 
@@ -69,11 +77,3 @@ def nullspace(matrix, p):
         basis.append(v)
     return basis
 
-
-def in_row_space(matrix, vector, p) -> bool:
-    """True when vector lies in the row space of matrix."""
-    m = np.asarray(matrix, dtype=np.int64)
-    v = np.asarray(vector, dtype=np.int64).reshape(1, -1)
-    if m.shape[0] == 0:
-        return not np.any(v % p)
-    return rank(m, p) == rank(np.vstack([m, v]), p)

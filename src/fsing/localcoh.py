@@ -6,9 +6,11 @@ exactly when g itself lies in m^[q], and Frobenius sends [g/x^q] to
 [f^(p-1)g^p/x^(pq)].  Since m^[q] is a monomial ideal, all membership here
 is per-monomial divisibility, never a basis computation.
 
-Graded pieces are enumerated as nullspaces of the annihilation constraints
-over F_p, which is what lets injectivity of Frobenius be verified degree by
-degree by plain rank computations.
+In degree t the numerators are spans of coordinate monomials below q, and
+the annihilation constraints are a matrix A over F_p on them: the graded
+piece is the kernel of A.  Frobenius is F_p-linear on numerators, since
+c^p = c, so it is a matrix Phi on the same coordinates, and injectivity in
+degree t comes down to two ranks, of A and of A stacked on Phi.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from dataclasses import dataclass
 from .errors import ResourceLimit
 from .frobenius import CompleteIntersection, TauResult, m_bracket
 from .invariants import a_invariant, find_stable_q, jacobian_ideal
-from .linalg import as_matrix, rank
+from .linalg import from_sparse, nullspace, rank
 from .ring import (
     EXPONENT_CAP,
     Monomial,
     Polynomial,
     is_power_of,
+    mono_mul,
     monomials_of_degree,
 )
 
@@ -104,8 +107,7 @@ def frobenius_action(alpha: CohClass) -> CohClass:
     p = ci.ring.p
     if alpha.q * p > EXPONENT_CAP:
         raise OverflowError("denominator exponent exceeds the cap")
-    fpow = ci.f ** (p - 1)
-    image = make_class(fpow * alpha.numerator**p, alpha.q * p, ci)
+    image = make_class(ci.fpow * alpha.numerator**p, alpha.q * p, ci)
     assert image.degree == p * alpha.degree
     return image
 
@@ -177,16 +179,12 @@ def _admissible(q: int, t: int, ci: CompleteIntersection) -> bool:
     return nv * q + t - ci.d >= 0 and q >= ci.d - t - ci.ring.n
 
 
-def graded_piece_basis(
-    ci: CompleteIntersection,
-    t: int,
-    q: int | None = None,
-    max_cols: int = DEFAULT_MAX_COLUMNS,
-) -> GradedPieceBasis:
-    """Solve the annihilation constraints for internal degree t.
+def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
+    """(q, coordinates, annihilation rows) for internal degree t.
 
-    q defaults to the smallest admissible power of p; any admissible power
-    gives the same dimension.
+    q defaults to the smallest admissible power of p.  Each row is one
+    monomial below q of one form times the coordinates, as a
+    {column: coefficient} dict.
     """
     ring = ci.ring
     p = ring.p
@@ -202,32 +200,36 @@ def graded_piece_basis(
         if not _admissible(q, t, ci):
             raise ValueError(f"q = {q} cannot represent degree {t}")
     s = t - ci.d + ring.nvars * q
-    coords = [m for m in monomials_of_degree(ring, s) if max(m) < q]
+    coords = monomials_of_degree(ring, s, below=q)
     if len(coords) > max_cols:
         raise ResourceLimit(
             f"{len(coords)} coordinate monomials exceed the cap {max_cols}"
         )
-    if not coords:
-        return GradedPieceBasis(t, q, (), (), ci)
-    index = {m: i for i, m in enumerate(coords)}
-    rows: dict[tuple, list] = {}
+    rows: dict[tuple, dict] = {}
     for j, form in enumerate(ci.forms):
-        for mu in coords:
-            shifted = form * Polynomial.monomial(ring, mu)
-            for m, c in shifted.terms.items():
+        for col, mu in enumerate(coords):
+            for m, c in form.terms.items():
+                m = mono_mul(m, mu)
                 if max(m) < q:
-                    row = rows.get((j, m))
-                    if row is None:
-                        row = rows[(j, m)] = [0] * len(coords)
-                    row[index[mu]] = c
-    kernel = _nullspace_vectors(list(rows.values()), len(coords), p)
-    return GradedPieceBasis(t, q, tuple(coords), kernel, ci)
+                    rows.setdefault((j, m), {})[col] = c
+    return q, coords, list(rows.values())
 
 
-def _nullspace_vectors(rows, ncols, p):
-    from .linalg import nullspace
+def graded_piece_basis(
+    ci: CompleteIntersection,
+    t: int,
+    q: int | None = None,
+    max_cols: int = DEFAULT_MAX_COLUMNS,
+) -> GradedPieceBasis:
+    """Solve the annihilation constraints for internal degree t.
 
-    return tuple(tuple(int(x) for x in v) for v in nullspace(as_matrix(rows, ncols), p))
+    q defaults to the smallest admissible power of p; any admissible power
+    gives the same dimension.
+    """
+    q, coords, rows = _piece(ci, t, q, max_cols)
+    kernel = nullspace(from_sparse(rows, len(coords)), ci.ring.p)
+    vectors = tuple(tuple(int(x) for x in v) for v in kernel)
+    return GradedPieceBasis(t, q, tuple(coords), vectors, ci)
 
 
 @dataclass(frozen=True)
@@ -251,40 +253,36 @@ class InjectivityResult:
 def verify_injectivity(
     ci: CompleteIntersection, t: int, max_cols: int = DEFAULT_MAX_COLUMNS
 ) -> InjectivityResult:
-    """Kernel dimension of Frobenius on the degree-t piece, by brute force.
+    """Kernel dimension of Frobenius on the degree-t piece, by two ranks.
 
-    Images f^(p-1)g^p are reduced modulo m^[pq]; the kernel of the resulting
-    coefficient matrix is exactly the kernel of Frobenius on the piece.
+    The piece is the kernel of the annihilation rows A on the coordinate
+    monomials, so dim = ncols - rank(A).  Frobenius sends a coordinate mu to
+    f^(p-1) mu^p modulo m^[pq]; Phi has one row per image monomial below pq
+    and one column per coordinate.  A class is killed exactly when its
+    vector is also in the kernel of Phi: kernel_dim = ncols - rank([A; Phi]).
     """
-    basis = graded_piece_basis(ci, t, max_cols=max_cols)
-    if basis.dim == 0:
+    q, coords, rows = _piece(ci, t, None, max_cols)
+    ncols = len(coords)
+    p = ci.ring.p
+    dim = ncols - rank(from_sparse(rows, ncols), p)
+    if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
-    ring = ci.ring
-    p = ring.p
-    target_q = basis.q * p
-    fpow = ci.f ** (p - 1)
-    columns: dict[Monomial, int] = {}
-    sparse_rows = []
-    for v in basis.vectors:
-        image = fpow * basis.polynomial(v) ** p
-        entries = {}
-        for m, c in image.terms.items():
+    target_q = q * p
+    fpow = ci.fpow.terms.items()
+    images: dict[Monomial, dict] = {}
+    for col, mu in enumerate(coords):
+        mu_p = tuple(e * p for e in mu)
+        for m, c in fpow:
+            m = mono_mul(m, mu_p)
             if max(m) < target_q:
-                entries[columns.setdefault(m, len(columns))] = c
-        sparse_rows.append(entries)
-        if len(columns) > max_cols:
+                images.setdefault(m, {})[col] = c
+        if len(images) > max_cols:
             raise ResourceLimit(
-                f"{len(columns)} image monomials exceed the cap {max_cols}"
+                f"{len(images)} image monomials exceed the cap {max_cols}"
             )
-    dense = []
-    for entries in sparse_rows:
-        row = [0] * len(columns)
-        for col, c in entries.items():
-            row[col] = c
-        dense.append(row)
-    matrix_rank = rank(as_matrix(dense, len(columns)), p)
+    stacked = from_sparse(rows + list(images.values()), ncols)
     return InjectivityResult(
-        degree=t, dim_source=basis.dim, dim_kernel=basis.dim - matrix_rank
+        degree=t, dim_source=dim, dim_kernel=ncols - rank(stacked, p)
     )
 
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: prime fields, monomials as exponent tuples, sparse
+"""Exact arithmetic layer: the ambient ring, monomials as exponent tuples, sparse
 multivariate polynomials over F_p, and the polynomial text format.
 
 Monomial orders are realized as sort keys on exponent tuples.  Everything in
@@ -36,34 +36,6 @@ def is_power_of(value: int, base: int) -> bool:
 
 
 @dataclass(frozen=True)
-class PrimeField:
-    """F_p with canonical representatives in [0, p)."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, -1, self.p)
-
-
-@dataclass(frozen=True)
 class RingDescriptor:
     """Ambient graded polynomial ring: characteristic p and variable names.
 
@@ -96,10 +68,6 @@ class RingDescriptor:
     def n(self) -> int:
         # projective convention: nvars = n + 1
         return len(self.variables) - 1
-
-    @property
-    def field(self) -> PrimeField:
-        return PrimeField(self.p)
 
     def variable_index(self, name: str) -> int:
         return self.variables.index(name)
@@ -149,21 +117,30 @@ def grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def monomials_of_degree(ring: RingDescriptor, s: int) -> list[Monomial]:
-    """All monomials of total degree s, largest first; empty for s < 0."""
+def monomials_of_degree(
+    ring: RingDescriptor, s: int, below: int | None = None
+) -> list[Monomial]:
+    """All monomials of total degree s, largest first; empty for s < 0.
+
+    With `below`, only those whose exponents are all below it.
+    """
     if s < 0:
         return []
-    out = list(_compositions(s, ring.nvars))
+    out = list(_compositions(s, ring.nvars, s + 1 if below is None else below))
     out.sort(key=grevlex_key, reverse=True)
     return out
 
 
-def _compositions(total, parts):
+def _compositions(total, parts, bound):
+    # heads are kept where the remaining parts, each below bound, can still
+    # make up the rest of the total
     if parts == 1:
-        yield (total,)
+        if total < bound:
+            yield (total,)
         return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
+    low = max(0, total - (parts - 1) * (bound - 1))
+    for head in range(low, min(total, bound - 1) + 1):
+        for tail in _compositions(total - head, parts - 1, bound):
             yield (head,) + tail
 
 

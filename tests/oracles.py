@@ -8,8 +8,17 @@ of rowspace constraints.  Slow and obviously correct, which is the point.
 
 import numpy as np
 
-from fsing.linalg import as_matrix, in_row_space, nullspace, rank
+from fsing.linalg import as_matrix, nullspace, rank
 from fsing.ring import Polynomial, mono_mul, monomials_of_degree
+
+
+def in_row_space(matrix, vector, p) -> bool:
+    """True when vector lies in the row space of matrix."""
+    m = np.asarray(matrix, dtype=np.int64)
+    v = np.asarray(vector, dtype=np.int64).reshape(1, -1)
+    if m.shape[0] == 0:
+        return not np.any(v % p)
+    return rank(m, p) == rank(np.vstack([m, v]), p)
 
 
 def poly_vector(g, index):

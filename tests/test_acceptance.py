@@ -13,6 +13,7 @@ from oracles import (
     colon_piece_kernel,
     degree_index,
     ideal_piece_matrix,
+    in_row_space,
     oracle_m_q,
     oracle_membership,
     random_homogeneous,
@@ -38,7 +39,7 @@ from fsing.invariants import (
     thmA_bound,
     thmB_threshold,
 )
-from fsing.linalg import in_row_space, rank
+from fsing.linalg import rank
 from fsing.localcoh import (
     frobenius_action,
     graded_piece_basis,

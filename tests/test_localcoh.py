@@ -3,10 +3,13 @@ import itertools
 import pytest
 
 from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
+from oracles import random_homogeneous
 
-from fsing.errors import ResourceLimit
+from fsing.cli import main
+from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, compute_tau, m_bracket
 from fsing.invariants import a_invariant, jacobian_ideal, thmA_bound
+from fsing.linalg import as_matrix, rank
 from fsing.localcoh import (
     CohClass,
     classes_equal,
@@ -311,6 +314,57 @@ def test_sharpness_for_two_variable_cubic():
 def test_injectivity_column_cap():
     with pytest.raises(ResourceLimit):
         verify_injectivity(SQUARES3, -8, max_cols=40)
+
+
+def test_injectivity_image_cap(capsys):
+    # 15 coordinates fit under the cap, their Frobenius images do not
+    assert len(graded_piece_basis(SQUARES3, -3, max_cols=20).coordinates) == 15
+    with pytest.raises(ResourceLimit, match="image monomials exceed the cap 20"):
+        verify_injectivity(SQUARES3, -3, max_cols=20)
+    code = main(["verify", "problems/squares_p3.ci", "--from", "-3", "--to", "-3",
+                 "--max-cols", "20", "--json"])
+    assert code == 4
+    assert "image monomials" in capsys.readouterr().out
+
+
+def per_class_injectivity(ci, t):
+    """Reference route: Frobenius class by class on a basis of the piece,
+    then the rank of the image numerators reduced modulo m^[pq]."""
+    basis = graded_piece_basis(ci, t)
+    columns, rows = {}, []
+    for v in basis.vectors:
+        image = frobenius_action(basis.class_for(v))
+        rows.append({
+            columns.setdefault(m, len(columns)): c
+            for m, c in image.numerator.terms.items()
+            if max(m) < image.q
+        })
+    dense = [[row.get(i, 0) for i in range(len(columns))] for row in rows]
+    return basis.dim, basis.dim - rank(as_matrix(dense, len(columns)), ci.ring.p)
+
+
+def small_cis(rng, count):
+    out = []
+    while len(out) < count:
+        r = ring(rng.choice((2, 3, 5)), "xyzw"[: rng.randint(2, 4)])
+        c = rng.randint(1, 2)
+        forms = tuple(random_homogeneous(rng, r, rng.randint(2, 3)) for _ in range(c))
+        try:
+            out.append(CompleteIntersection(r, forms))
+        except RegularSequenceError:
+            continue
+    return out
+
+
+def test_two_ranks_match_the_per_class_route(rng):
+    kernels = 0
+    for ci in small_cis(rng, 12):
+        top = a_invariant(ci)
+        for t in range(top - 3, top + 1):
+            result = verify_injectivity(ci, t)
+            assert (result.dim_source, result.dim_kernel) == per_class_injectivity(ci, t)
+            kernels += result.dim_kernel > 0
+    assert kernels > 0
 
 
 # ---------------------------------------------------------------------------

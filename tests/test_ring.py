@@ -9,7 +9,6 @@ from fsing.errors import ParseError, RingMismatch
 from fsing.ring import (
     EXPONENT_CAP,
     Polynomial,
-    PrimeField,
     RingDescriptor,
     grevlex_key,
     is_power_of,
@@ -275,6 +274,16 @@ def test_monomials_of_degree_counts(nvars):
         assert len(monomials_of_degree(ring, s)) == expected
 
 
+def test_monomials_of_degree_below():
+    for nvars in (1, 2, 3, 4):
+        ring = RingDescriptor(2, tuple(f"v{i}" for i in range(nvars)))
+        for s in range(9):
+            every = monomials_of_degree(ring, s)
+            for below in range(5):
+                expected = [m for m in every if max(m) < below]
+                assert monomials_of_degree(ring, s, below=below) == expected
+
+
 def test_monomials_sorted_descending():
     for s in (2, 3, 5):
         monos = monomials_of_degree(R3, s)
@@ -314,19 +323,6 @@ def test_mono_helpers():
 # field and descriptor validation
 
 
-def test_prime_field_ops():
-    F = PrimeField(7)
-    assert F.normalize(-1) == 6
-    assert F.add(4, 5) == 2
-    assert F.mul(3, 5) == 1
-    assert F.neg(2) == 5
-    assert F.inv(3) == 5
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
-    with pytest.raises(ValueError):
-        PrimeField(6)
-
-
 @pytest.mark.parametrize("p", [0, 1, 4, 9, 15, -3])
 def test_composite_characteristic_rejected(p):
     with pytest.raises(ValueError):
@@ -344,7 +340,6 @@ def test_bad_variable_names_rejected(names):
 def test_descriptor_properties():
     assert R3.nvars == 3
     assert R3.n == 2
-    assert R3.field == PrimeField(3)
     assert repr(R3) == "F_3[x, y, z]"
     assert R3.variable_index("z") == 2
 
