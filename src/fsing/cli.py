@@ -4,7 +4,7 @@ Problem files are flat key = value text: required keys p, vars, gens, with
 gens a comma-separated list of polynomial expressions; optional keys max_q,
 t_min, t_max.  '#' starts a comment.  Exit codes: 0 success, 2 malformed
 input, 3 not a complete intersection, 4 resource cap exceeded, 5 witness
-preconditions unmet.
+preconditions unmet, 6 an internal self-check failed (a bug).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, RegularSequenceError, ResourceLimit
+from .errors import InternalError, ParseError, RegularSequenceError, ResourceLimit
 from .frobenius import CompleteIntersection, TauClass, classify_tau, compute_tau
 from .invariants import analyze
 from .localcoh import DEFAULT_MAX_COLUMNS, kernel_witness, verify_injectivity
@@ -27,6 +27,7 @@ EXIT_BAD_INPUT = 2
 EXIT_NOT_CI = 3
 EXIT_RESOURCE = 4
 EXIT_NO_WITNESS = 5
+EXIT_INTERNAL = 6
 
 _KNOWN_KEYS = ("p", "vars", "gens", "max_q", "t_min", "t_max")
 _MAX_WINDOW = 20
@@ -224,7 +225,7 @@ def cmd_batch(args) -> int:
         try:
             report = analyze(load_problem(str(f)).ci)
             record = {"file": f.name, "ok": True, "report": report.to_json_dict()}
-        except (ParseError, RegularSequenceError, ResourceLimit, ValueError, OSError) as e:
+        except (InternalError, ValueError, ResourceLimit, OSError) as e:
             failures += 1
             record = {
                 "file": f.name,
@@ -238,6 +239,8 @@ def cmd_batch(args) -> int:
 
 
 def _exit_code_for(exc) -> int:
+    if isinstance(exc, InternalError):
+        return EXIT_INTERNAL
     if isinstance(exc, RegularSequenceError):
         return EXIT_NOT_CI
     if isinstance(exc, ResourceLimit):
@@ -293,6 +296,9 @@ def main(argv=None) -> int:
     except ResourceLimit as e:
         print(f"resource cap exceeded: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -24,3 +24,7 @@ class RegularSequenceError(ValueError):
 
 class ResourceLimit(RuntimeError):
     """A configured cap (denominator exponent, matrix width) was exceeded."""
+
+
+class InternalError(AssertionError):
+    """A self-check failed (a bug, not bad input); raised, so it survives -O."""

@@ -15,15 +15,16 @@ import functools
 
 from dataclasses import dataclass, field
 
-from .errors import RegularSequenceError, RingMismatch
+from .errors import InternalError, RegularSequenceError, RingMismatch
 from .groebner import GroebnerBasis, Ideal
-from .linalg import as_matrix, rank
+from .linalg import rank
 from .ring import (
     Monomial,
     Polynomial,
     RingDescriptor,
     is_power_of,
     mono_degree,
+    mono_mul,
     monomials_of_degree,
 )
 
@@ -173,12 +174,8 @@ def _check_regular_sequence(ring, forms, degrees):
         rows = []
         for g, dg in zip(forms, degrees):
             for mu in monomials_of_degree(ring, s - dg):
-                shifted = g * Polynomial.monomial(ring, mu)
-                row = [0] * len(basis)
-                for m, c in shifted.terms.items():
-                    row[index[m]] = c
-                rows.append(row)
-        dim = len(basis) - rank(as_matrix(rows, len(basis)), ring.p)
+                rows.append({index[mono_mul(m, mu)]: c for m, c in g.terms.items()})
+        dim = len(basis) - rank(rows, ring.p)
         if dim != expected[s]:
             raise RegularSequenceError(
                 f"not a regular sequence: quotient dimension {dim} in degree {s}, "
@@ -222,8 +219,10 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
     if m_primary:
         ell = max(mono_degree(m) for m in tau.standard_monomials())
     # re-check the two defining conditions on the constructed ideal
-    assert all(tau.contains(g) for g in ci.forms)
-    assert bracket_power(tau, ci.ring.p).contains(fpow)
+    if not all(tau.contains(g) for g in ci.forms):
+        raise InternalError("tau misses a defining form")
+    if not bracket_power(tau, ci.ring.p).contains(fpow):
+        raise InternalError("tau^[p] misses f^(p-1)")
     return TauResult(tau=tau, is_unit=unit, is_m_primary=m_primary, ell=ell)
 
 

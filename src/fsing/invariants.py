@@ -13,7 +13,7 @@ import itertools
 
 from dataclasses import dataclass
 
-from .errors import ResourceLimit
+from .errors import InternalError, ResourceLimit
 from .frobenius import (
     CompleteIntersection,
     TauClass,
@@ -70,7 +70,7 @@ def m_q(I: Ideal, q: int) -> int:
                 best = deg
     if best is None:
         # the colon always contains the socle generator (x_0...x_n)^(q-1)
-        raise RuntimeError("internal: colon collapsed to the bracket power")
+        raise InternalError("colon collapsed to the bracket power")
     return best
 
 
@@ -203,10 +203,10 @@ class AnalysisReport:
     isolated_singularity: bool
 
     def __post_init__(self):
-        if self.reg_s_mod_tau is not None and self.ell is not None:
-            assert self.reg_s_mod_tau == self.ell
-        if self.thmA_bound is not None:
-            assert self.thmA_bound >= self.cor_bound
+        if None not in (self.reg_s_mod_tau, self.ell) and self.reg_s_mod_tau != self.ell:
+            raise InternalError("reg(S/tau) and ell disagree")
+        if self.thmA_bound is not None and self.thmA_bound < self.cor_bound:
+            raise InternalError("Theorem A bound below the corollary bound")
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,7 +234,8 @@ def analyze(ci: CompleteIntersection) -> AnalysisReport:
     fpure = fedder_test_at_m(ci)
     # Fedder's test and the unit-tau verdict are independent computations
     # of the same fact
-    assert fpure == tau_result.is_unit
+    if fpure != tau_result.is_unit:
+        raise InternalError("Fedder's test and the unit-tau verdict disagree")
     return AnalysisReport(
         a_invariant=a_invariant(ci),
         reg_s_mod_tau=tau_result.ell,

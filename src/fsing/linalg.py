@@ -1,18 +1,11 @@
-"""Dense linear algebra over F_p on numpy integer matrices.
+"""Linear algebra over F_p: rank is sparse, on {column: entry} dict rows.
 
-Entries stay in [0, p) with p word-sized, so int64 arithmetic never
-overflows before the reductions mod p.
+rref and nullspace are dense, on numpy integer matrices; entries stay in
+[0, p) with p word-sized, so int64 arithmetic never overflows before the
+reductions mod p.
 """
 
 import numpy as np
-
-
-def as_matrix(rows, ncols) -> np.ndarray:
-    """Stack an iterable of length-ncols vectors; empty input is (0, ncols)."""
-    rows = list(rows)
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
 
 
 def from_sparse(rows, ncols) -> np.ndarray:
@@ -51,11 +44,25 @@ def rref(matrix, p):
     return m, pivots
 
 
-def rank(matrix, p) -> int:
-    m = np.asarray(matrix)
-    if m.size == 0:
-        return 0
-    return len(rref(m, p)[1])
+def rank(rows, p) -> int:
+    """Rank over F_p of {column: entry} rows.  Shortest rows first, each row is
+    reduced by its least column against the monic pivots found so far, and
+    what is left becomes a new pivot."""
+    pivots: dict[int, dict] = {}
+    for row in sorted(rows, key=len):
+        row = {c: e % p for c, e in row.items() if e % p}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: e * inv % p for c, e in row.items()}
+                break
+            factor = row[col]
+            for c, e in pivots[col].items():
+                row[c] = e = (row.get(c, 0) - factor * e) % p
+                if not e:
+                    del row[c]
+    return len(pivots)
 
 
 def nullspace(matrix, p):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceLimit
+from .errors import InternalError, ResourceLimit
 from .frobenius import CompleteIntersection, TauResult, m_bracket
 from .invariants import a_invariant, find_stable_q, jacobian_ideal
 from .linalg import from_sparse, nullspace, rank
@@ -89,7 +89,8 @@ def rescale(alpha: CohClass, q_new: int) -> CohClass:
     ring = alpha.ci.ring
     shift = Polynomial.monomial(ring, (q_new - alpha.q,) * ring.nvars)
     out = make_class(alpha.numerator * shift, q_new, alpha.ci)
-    assert out.degree == alpha.degree
+    if out.degree != alpha.degree:
+        raise InternalError("rescaling changed the degree")
     return out
 
 
@@ -108,7 +109,8 @@ def frobenius_action(alpha: CohClass) -> CohClass:
     if alpha.q * p > EXPONENT_CAP:
         raise OverflowError("denominator exponent exceeds the cap")
     image = make_class(ci.fpow * alpha.numerator**p, alpha.q * p, ci)
-    assert image.degree == p * alpha.degree
+    if image.degree != p * alpha.degree:
+        raise InternalError("Frobenius did not multiply the degree by p")
     return image
 
 
@@ -132,14 +134,17 @@ def kernel_witness(
             if pick is None or g.degree() < pick.degree():
                 pick = g
     if pick is None:
-        raise RuntimeError("internal: colon collapsed to the bracket power")
+        raise InternalError("colon collapsed to the bracket power")
     numerator = Polynomial._raw(
         ring, {m: c for m, c in pick.terms.items() if max(m) < q}
     )
     witness = make_class(numerator, q, ci)
-    assert not is_zero(witness)
-    assert witness.degree == a_invariant(ci) - tau_result.ell
-    assert is_zero(frobenius_action(witness))
+    if is_zero(witness):
+        raise InternalError("the witness class is zero")
+    if witness.degree != a_invariant(ci) - tau_result.ell:
+        raise InternalError("the witness is not in degree a(R) - ell")
+    if not is_zero(frobenius_action(witness)):
+        raise InternalError("Frobenius does not kill the witness")
     return witness
 
 
@@ -264,7 +269,7 @@ def verify_injectivity(
     q, coords, rows = _piece(ci, t, None, max_cols)
     ncols = len(coords)
     p = ci.ring.p
-    dim = ncols - rank(from_sparse(rows, ncols), p)
+    dim = ncols - rank(rows, p)
     if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
     target_q = q * p
@@ -280,10 +285,8 @@ def verify_injectivity(
             raise ResourceLimit(
                 f"{len(images)} image monomials exceed the cap {max_cols}"
             )
-    stacked = from_sparse(rows + list(images.values()), ncols)
-    return InjectivityResult(
-        degree=t, dim_source=dim, dim_kernel=ncols - rank(stacked, p)
-    )
+    kernel = ncols - rank(rows + list(images.values()), p)
+    return InjectivityResult(degree=t, dim_source=dim, dim_kernel=kernel)
 
 
 def minimal_t_vector(g: Polynomial, q: int, ci: CompleteIntersection):

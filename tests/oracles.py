@@ -8,8 +8,24 @@ of rowspace constraints.  Slow and obviously correct, which is the point.
 
 import numpy as np
 
-from fsing.linalg import as_matrix, nullspace, rank
+from fsing.linalg import nullspace, rref
 from fsing.ring import Polynomial, mono_mul, monomials_of_degree
+
+
+def as_matrix(rows, ncols):
+    """Stack an iterable of length-ncols vectors; empty input is (0, ncols)."""
+    rows = list(rows)
+    if not rows:
+        return np.zeros((0, ncols), dtype=np.int64)
+    return np.array(rows, dtype=np.int64)
+
+
+def rank(matrix, p) -> int:
+    """Dense rank by rref, the reference for the sparse fsing.linalg.rank."""
+    m = np.asarray(matrix)
+    if m.size == 0:
+        return 0
+    return len(rref(m, p)[1])
 
 
 def in_row_space(matrix, vector, p) -> bool:

@@ -19,6 +19,7 @@ from oracles import (
     random_homogeneous,
     random_ideal_gens,
     random_m_primary_gens,
+    rank,
 )
 
 from cases import diagonal_ci, ring, squares_ci
@@ -39,7 +40,6 @@ from fsing.invariants import (
     thmA_bound,
     thmB_threshold,
 )
-from fsing.linalg import rank
 from fsing.localcoh import (
     frobenius_action,
     graded_piece_basis,

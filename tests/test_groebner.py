@@ -7,11 +7,11 @@ from oracles import (
     random_ideal_gens,
     ideal_piece_matrix,
     degree_index,
+    rank,
 )
 
 from fsing.errors import RingMismatch
 from fsing.groebner import GroebnerBasis, Ideal, maximal_ideal, normal_form
-from fsing.linalg import rank
 from fsing.ring import (
     Polynomial,
     RingDescriptor,

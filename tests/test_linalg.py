@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import in_row_space
+from oracles import as_matrix, in_row_space, rank
 
-from fsing.linalg import as_matrix, nullspace, rank, rref
+from fsing import linalg
+from fsing.linalg import nullspace, rref
 
 
 def random_matrix(rng, p, nrows, ncols):
@@ -24,6 +25,32 @@ def test_rank_examples():
     assert rank(as_matrix([[2, 4], [1, 2]], 3), 3) == 1
     assert rank(as_matrix([], 3), 3) == 0
     assert rank(as_matrix([[0, 0, 0]], 3), 5) == 0
+
+
+def random_sparse_rows(rng, p, nrows, ncols):
+    """{column: entry} rows with zero, negative and >= p entries, empty
+    rows, and duplicate or scaled copies of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            scale = rng.choice((1, -1, p + 1, rng.randrange(1, p)))
+            rows.append({c: e * scale for c, e in rng.choice(rows).items()})
+            continue
+        cols = rng.sample(range(ncols), rng.randint(0, ncols))
+        rows.append({c: rng.choice((0, p, rng.randrange(-2 * p, 2 * p))) for c in cols})
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_sparse_rank_matches_dense_rref(rng, p):
+    assert linalg.rank([], p) == 0
+    assert linalg.rank([{}, {0: p}, {1: 0}], p) == 0
+    for _ in range(200):
+        ncols = rng.randint(1, 10)
+        rows = random_sparse_rows(rng, p, rng.randint(0, 12), ncols)
+        # reduced first: scaled entries can overflow int64 at p = 2^31 - 1
+        dense = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+        assert linalg.rank(rows, p) == len(rref(as_matrix(dense, ncols), p)[1])
 
 
 def test_rref_known_cases():

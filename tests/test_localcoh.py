@@ -3,13 +3,12 @@ import itertools
 import pytest
 
 from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
-from oracles import random_homogeneous
+from oracles import as_matrix, random_homogeneous, rank
 
 from fsing.cli import main
 from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, compute_tau, m_bracket
 from fsing.invariants import a_invariant, jacobian_ideal, thmA_bound
-from fsing.linalg import as_matrix, rank
 from fsing.localcoh import (
     CohClass,
     classes_equal,
@@ -423,7 +422,7 @@ def test_minimal_t_vector_matches_brute_force(rng):
         r = ci.ring
         for _ in range(8):
             degree = rng.randint(1, 4)
-            from oracles import random_homogeneous
+            from oracles import as_matrix, random_homogeneous, rank
 
             g = random_homogeneous(rng, r, degree)
             for Q in (2, 4):
@@ -457,7 +456,7 @@ def test_jacobian_claim_needs_something_to_lower():
 def test_jacobian_claim_agrees_with_ideal_membership(rng):
     # dual route: recompute the product and test membership through the
     # Groebner engine instead of per-monomial divisibility
-    from oracles import random_homogeneous
+    from oracles import as_matrix, random_homogeneous, rank
 
     compared = 0
     for ci in codim2_p2_instances(rng):
