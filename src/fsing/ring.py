@@ -18,9 +18,6 @@ from .errors import ParseError, RingMismatch
 # pack them into fixed-width arrays.
 EXPONENT_CAP = 2**31 - 1
 
-# the parser recurses once per open parenthesis
-MAX_NESTING = 100
-
 
 def is_prime(p: int) -> bool:
     """Trial division, adequate for word-sized characteristics."""
@@ -444,7 +441,6 @@ class _Parser:
         self.pos = 0
         self.ring = ring
         self.index = {name: i for i, name in enumerate(ring.variables)}
-        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -508,12 +504,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r} at position {pos}", position=pos)
             return Polynomial.variable(self.ring, self.index[value])
         if kind == "(":
-            if self.depth == MAX_NESTING:
-                msg = f"parentheses nested deeper than {MAX_NESTING} at position {pos}"
-                raise ParseError(msg, position=pos)
-            self.depth += 1
             inner = self.expression()
-            self.depth -= 1
             kind2, _, pos2 = self.advance()
             if kind2 != ")":
                 raise ParseError(f"expected ')' at position {pos2}", position=pos2)

@@ -114,23 +114,18 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     assert ":3:14: unknown variable 'w'" in capsys.readouterr().err
 
 
-def test_analyze_deep_nesting_exit_code(tmp_path, capsys):
-    deep = "(" * 3000 + "x" + ")" * 3000
-    path = write(tmp_path, "deep.ci", f"p = 3\nvars = x\ngens = {deep}\n")
-    assert main(["analyze", path]) == 2
-    assert "parentheses nested deeper than 100" in capsys.readouterr().err
-
-
-def test_internal_error_exit_code(monkeypatch, capsys):
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     def broken(ci):
         raise InternalError("self-check failed")
 
     monkeypatch.setattr(cli, "analyze", broken)
-    assert main(["analyze", f"{PROBLEMS}/squares_p3.ci"]) == 6
+    path = write(tmp_path, "a.ci", "p = 2\nvars = x, y\ngens = x^3 + y^3\n")
+    write(tmp_path, "b.ci", "p = 3\nvars = x, y\ngens = x^2 + y^2\n")
+    assert main(["analyze", path]) == 6
     assert capsys.readouterr().err == "internal error: self-check failed\n"
-    assert main(["batch", PROBLEMS]) == 1
+    assert main(["batch", str(tmp_path)]) == 1
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(records) == 7
+    assert [r["file"] for r in records] == ["a.ci", "b.ci"]
     assert all(r["error"]["exit_code"] == 6 for r in records)
 
 
@@ -289,17 +284,6 @@ def test_batch_isolates_failures(tmp_path, capsys):
     assert [r["ok"] for r in records] == [True, False, False]
     assert records[1]["error"]["exit_code"] == 3
     assert records[2]["error"]["exit_code"] == 2
-
-
-def test_batch_survives_deep_nesting(tmp_path, capsys):
-    write(tmp_path, "1_deep.ci", "p = 3\nvars = x\ngens = " + "(" * 3000 + "x" + ")" * 3000)
-    write(tmp_path, "2_good.ci", "p = 2\nvars = x, y\ngens = x^3 + y^3\n")
-    write(tmp_path, "3_good.ci", "p = 3\nvars = x, y\ngens = x^2 + y^2\n")
-    assert main(["batch", str(tmp_path)]) == 0
-    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["file"] for r in records] == ["1_deep.ci", "2_good.ci", "3_good.ci"]
-    assert records[0]["error"]["exit_code"] == 2
-    assert records[1]["ok"] and records[2]["ok"]
 
 
 def test_batch_all_failures_exit_code(tmp_path, capsys):

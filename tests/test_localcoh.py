@@ -422,8 +422,6 @@ def test_minimal_t_vector_matches_brute_force(rng):
         r = ci.ring
         for _ in range(8):
             degree = rng.randint(1, 4)
-            from oracles import as_matrix, random_homogeneous, rank
-
             g = random_homogeneous(rng, r, degree)
             for Q in (2, 4):
                 feasible, minimal = brute_force_minimal(g, Q, ci)
@@ -456,8 +454,6 @@ def test_jacobian_claim_needs_something_to_lower():
 def test_jacobian_claim_agrees_with_ideal_membership(rng):
     # dual route: recompute the product and test membership through the
     # Groebner engine instead of per-monomial divisibility
-    from oracles import as_matrix, random_homogeneous, rank
-
     compared = 0
     for ci in codim2_p2_instances(rng):
         r = ci.ring

@@ -93,14 +93,6 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_parse_nesting_cap():
-    assert parse_polynomial("(" * 50 + "x + y" + ")" * 50, R3) == parse_polynomial(
-        "x + y", R3
-    )
-    with pytest.raises(ParseError, match="nested deeper than 100 at position 100"):
-        parse_polynomial("(" * 3000 + "x" + ")" * 3000, R3)
-
-
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x + qq", R3)
