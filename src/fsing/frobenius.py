@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 
 from dataclasses import dataclass, field
 
-from .errors import InternalError, RegularSequenceError, RingMismatch
+from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
 from .groebner import GroebnerBasis, Ideal
-from .linalg import rank
+from .linalg import echelon, rank
 from .ring import (
     Monomial,
     Polynomial,
@@ -27,6 +28,8 @@ from .ring import (
     mono_mul,
     monomials_of_degree,
 )
+
+REGULAR_CHECK_CAP = 10**6  # monomials of degree <= sum d_j the check may walk
 
 
 def m_bracket(ring: RingDescriptor, q: int) -> Ideal:
@@ -60,7 +63,9 @@ def frobenius_root_principal(h: Polynomial) -> Ideal:
     Write each exponent vector as p*floor + eps with eps in {0..p-1}^(n+1)
     and group terms by eps; then h = sum over eps of (g_eps)^p * x^eps, and
     the g_eps generate K.  Coefficients carry over unchanged since c^p = c
-    on F_p.
+    on F_p.  The generators returned are an echelon basis of the F_p-span of
+    the g_eps; forms of different degrees share no monomial, so the one
+    elimination reduces each degree on its own.
     """
     ring = h.ring
     p = ring.p
@@ -69,7 +74,7 @@ def frobenius_root_principal(h: Polynomial) -> Ideal:
         eps = tuple(e % p for e in m)
         # (eps, floor) determines m, so no accumulation is needed
         groups.setdefault(eps, {})[tuple(e // p for e in m)] = c
-    return Ideal(ring, tuple(Polynomial._raw(ring, d) for d in groups.values()))
+    return Ideal(ring, tuple(Polynomial._raw(ring, r) for r in echelon(groups.values(), p)))
 
 
 class TauClass(enum.Enum):
@@ -112,13 +117,13 @@ class CompleteIntersection:
                     f"form {g} is not homogeneous of positive degree"
                 )
         degrees = tuple(g.degree() for g in forms)
+        _check_regular_sequence(self.ring, forms, degrees)
         product = forms[0]
         for g in forms[1:]:
             product = product * g
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "d", sum(degrees))
         object.__setattr__(self, "f", product)
-        _check_regular_sequence(self.ring, forms, degrees)
 
     @functools.cached_property
     def fpow(self) -> Polynomial:
@@ -149,6 +154,9 @@ def _expected_quotient_dims(degrees, nvars: int, top: int) -> list[int]:
 def _check_regular_sequence(ring, forms, degrees):
     nv = ring.nvars
     top = sum(degrees)
+    size = math.comb(top + nv, nv)  # monomials of degree <= top
+    if size > REGULAR_CHECK_CAP:
+        raise ResourceLimit(f"regular-sequence check spans {size} monomials, cap {REGULAR_CHECK_CAP}")
     expected = _expected_quotient_dims(degrees, nv, top)
     if len(forms) == nv:
         # expected-Artinian case: count standard monomials degree by degree

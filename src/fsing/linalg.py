@@ -1,4 +1,4 @@
-"""Linear algebra over F_p: rank is sparse, on {column: entry} dict rows.
+"""Linear algebra over F_p: echelon and rank are sparse, on {column: entry} rows.
 
 rref and nullspace are dense, on numpy integer matrices; entries stay in
 [0, p) with p word-sized, so int64 arithmetic never overflows before the
@@ -44,11 +44,12 @@ def rref(matrix, p):
     return m, pivots
 
 
-def rank(rows, p) -> int:
-    """Rank over F_p of {column: entry} rows.  Shortest rows first, each row is
-    reduced by its least column against the monic pivots found so far, and
-    what is left becomes a new pivot."""
-    pivots: dict[int, dict] = {}
+def echelon(rows, p) -> list[dict]:
+    """Monic pivot rows, at distinct least columns, spanning the F_p-space of
+    the {column: entry} rows; columns may be any totally ordered keys.
+    Shortest rows first, each row is reduced by its least column against the
+    pivots found so far, and what is left becomes a new pivot."""
+    pivots: dict = {}
     for row in sorted(rows, key=len):
         row = {c: e % p for c, e in row.items() if e % p}
         while row:
@@ -62,7 +63,12 @@ def rank(rows, p) -> int:
                 row[c] = e = (row.get(c, 0) - factor * e) % p
                 if not e:
                     del row[c]
-    return len(pivots)
+    return list(pivots.values())
+
+
+def rank(rows, p) -> int:
+    """Rank over F_p of {column: entry} rows."""
+    return len(echelon(rows, p))
 
 
 def nullspace(matrix, p):

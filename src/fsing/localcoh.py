@@ -198,7 +198,7 @@ def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
         while not _admissible(q, t, ci):
             q *= p
             if q > EXPONENT_CAP:
-                raise OverflowError("no admissible q below the exponent cap")
+                raise ResourceLimit("no admissible q below the exponent cap")
     else:
         if not is_power_of(q, p):
             raise ValueError(f"{q} is not a power of {p}")

@@ -128,6 +128,17 @@ def oracle_quotient_dim(gens, s, ring):
     return len(basis) - rank(ideal_piece_matrix(gens, s, ring), ring.p)
 
 
+def per_eps_root(h):
+    """The Frobenius root of h as the raw g_eps, one per residue class eps of
+    the exponents mod p, with h = sum of g_eps^p * x^eps: a generating set of
+    the root, not reduced to a basis of its span."""
+    p = h.ring.p
+    groups = {}
+    for m, c in h.terms.items():
+        groups.setdefault(tuple(e % p for e in m), {})[tuple(e // p for e in m)] = c
+    return tuple(Polynomial(h.ring, terms) for terms in groups.values())
+
+
 # ---------------------------------------------------------------------------
 # seeded instance samplers shared by property suites
 

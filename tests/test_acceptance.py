@@ -33,6 +33,7 @@ from fsing.frobenius import (
 from fsing.groebner import Ideal, maximal_ideal
 from fsing.invariants import (
     a_invariant,
+    analyze,
     find_stable_q,
     isolated_singularity_test,
     m_q,
@@ -322,3 +323,26 @@ def test_criterion_10_degree_law(capsys):
             assert frobenius_action(witness).degree == ci.ring.p * witness.degree
             surveyed += 1
         assert surveyed >= 100
+
+
+# frozen from the per-class Frobenius root (one generator per residue class,
+# about 24 s at p = 41); the span basis must give the same report
+SQUARES_P41_REPORT = {
+    "a_invariant": 1,
+    "reg_s_mod_tau": 0,
+    "ell": 0,
+    "thmA_bound": 1,
+    "cor_bound": -8,
+    "thmB_threshold": 6,
+    "fpure_at_m": False,
+    "tau_class": "isolated_non_f_pure_point",
+    "isolated_singularity": False,
+}
+
+
+def test_squares_quartic_at_large_primes():
+    assert analyze(squares_ci(41)).to_json_dict() == SQUARES_P41_REPORT
+    # analyze raises InternalError if either of tau's self-checks fails;
+    # an m-primary tau with ell = 0 is m itself
+    report = analyze(squares_ci(61))
+    assert (report.tau_class.value, report.ell) == ("isolated_non_f_pure_point", 0)

@@ -129,6 +129,22 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert all(r["error"]["exit_code"] == 6 for r in records)
 
 
+def test_regular_sequence_check_cap(tmp_path, capsys):
+    # degree 2,000,000,001 is inside the exponent cap, but the check would
+    # walk about 2e18 monomials: refused before anything is allocated, also
+    # when the product of two such forms would overflow the exponent cap
+    write(tmp_path, "a.ci", "p = 3\nvars = x, y\ngens = x^2000000000*y\n")
+    write(tmp_path, "b.ci", "p = 3\nvars = x, y\ngens = x^2000000000*y, y^2000000000*x\n")
+    for name in ("a.ci", "b.ci"):
+        assert main(["analyze", str(tmp_path / name)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap exceeded: regular-sequence check spans")
+    assert main(["batch", str(tmp_path)]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["file"] for r in records] == ["a.ci", "b.ci"]
+    assert all(r["error"]["exit_code"] == 4 for r in records)
+
+
 def test_analyze_missing_file_exit_code(capsys):
     assert main(["analyze", "no/such/file.ci"]) == 2
     assert capsys.readouterr().err
@@ -257,6 +273,21 @@ def test_verify_resource_cap(capsys):
     assert payload["rows"] == []
     assert "exceed the cap 40" in payload["capped"]
     assert captured.err.startswith("stopped early:")
+
+
+def test_verify_far_below_any_admissible_q(capsys):
+    # no power of p up to the exponent cap represents this degree: a capped
+    # scan with exit 4, not an OverflowError traceback
+    code = main(
+        ["verify", f"{PROBLEMS}/squares_p3.ci", "--from", "-100000000000",
+         "--to", "-100000000000", "--json"]
+    )
+    assert code == 4
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["rows"] == []
+    assert payload["capped"] == "no admissible q below the exponent cap"
+    assert captured.err == "stopped early: no admissible q below the exponent cap\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,14 @@ import dataclasses
 
 import pytest
 
-from oracles import random_homogeneous, random_ideal_gens
+from oracles import (
+    degree_index,
+    per_eps_root,
+    poly_vector,
+    random_homogeneous,
+    random_ideal_gens,
+    rank,
+)
 
 from cases import SQUARES_QUARTIC, diagonal_ci, hypersurface, poly, ring, squares_ci
 
@@ -119,6 +126,35 @@ def test_root_is_minimal_over_constructed_memberships(rng):
         if not h:
             continue
         assert Ideal(r, gens).contains_ideal(frobenius_root_principal(h))
+
+
+def test_span_root_matches_the_per_eps_root(rng):
+    # the span basis and the raw per-class roots give tau the same reduced
+    # basis, and in each degree the basis has as many elements as the raw
+    # roots have rank
+    checked = 0
+    while checked < 16:
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        r = ring(p, "xyzw"[: rng.randint(2, 4)])
+        c = rng.randint(1, 2)
+        forms = tuple(random_homogeneous(rng, r, rng.randint(2, 3)) for _ in range(c))
+        if (p - 1) * sum(g.degree() for g in forms) * r.nvars > 100:
+            continue  # keep f^(p-1) and the raw Buchberger small
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        raw = per_eps_root(ci.fpow)
+        span = frobenius_root_principal(ci.fpow).generators
+        assert (
+            Ideal(r, ci.forms + span).groebner().elements
+            == Ideal(r, ci.forms + raw).groebner().elements
+        )
+        for s in {g.degree() for g in raw}:
+            _, index = degree_index(r, s)
+            rows = [poly_vector(g, index) for g in raw if g.degree() == s]
+            assert sum(g.degree() == s for g in span) == rank(rows, p)
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,26 @@ def random_sparse_rows(rng, p, nrows, ncols):
 def test_sparse_rank_matches_dense_rref(rng, p):
     assert linalg.rank([], p) == 0
     assert linalg.rank([{}, {0: p}, {1: 0}], p) == 0
+    assert linalg.echelon([{}, {0: p}], p) == []
     for _ in range(200):
         ncols = rng.randint(1, 10)
         rows = random_sparse_rows(rng, p, rng.randint(0, 12), ncols)
         # reduced first: scaled entries can overflow int64 at p = 2^31 - 1
         dense = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
-        assert linalg.rank(rows, p) == len(rref(as_matrix(dense, ncols), p)[1])
+        expected = len(rref(as_matrix(dense, ncols), p)[1])
+        assert linalg.rank(rows, p) == expected
+        pivots = linalg.echelon(rows, p)
+        assert len(pivots) == expected
+        # monic at distinct least columns, entries reduced and nonzero
+        leads = [min(row) for row in pivots]
+        assert len(set(leads)) == len(leads)
+        assert all(row[lead] == 1 for row, lead in zip(pivots, leads))
+        assert all(0 < e < p for row in pivots for e in row.values())
+        # same row space: the pivots are independent, and stacking them on
+        # the input adds no rank
+        echelon_dense = [[row.get(c, 0) for c in range(ncols)] for row in pivots]
+        assert rank(as_matrix(echelon_dense, ncols), p) == expected
+        assert rank(as_matrix(dense + echelon_dense, ncols), p) == expected
 
 
 def test_rref_known_cases():
