@@ -4,7 +4,8 @@ Problem files are flat key = value text: required keys p, vars, gens, with
 gens a comma-separated list of polynomial expressions; optional keys max_q,
 t_min, t_max.  '#' starts a comment.  Exit codes: 0 success, 2 malformed
 input, 3 not a complete intersection, 4 resource cap exceeded, 5 witness
-preconditions unmet, 6 an internal self-check failed (a bug).
+preconditions unmet, 6 an internal self-check failed (a bug).  A batch record
+also gives 6 for any other unforeseen error, so one file never stops a batch.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,10 +93,13 @@ def load_problem(path: str) -> ProblemFile:
                 f"{path}:{gens_line}:{col}: {e}", position=e.position, line=gens_line
             ) from None
         offset += len(chunk) + 1
-    ci = CompleteIntersection(ring, tuple(forms))
+    max_q = int_entry("max_q") if "max_q" in entries else None
+    if max_q is not None and max_q < 1:
+        line_no = entries["max_q"][1]
+        raise ParseError(f"{path}:{line_no}: max_q must be positive, got {max_q}", line=line_no)
     return ProblemFile(
-        ci=ci,
-        max_q=int_entry("max_q") if "max_q" in entries else None,
+        ci=CompleteIntersection(ring, tuple(forms)),
+        max_q=max_q,
         t_min=int_entry("t_min") if "t_min" in entries else None,
         t_max=int_entry("t_max") if "t_max" in entries else None,
     )
@@ -225,12 +230,15 @@ def cmd_batch(args) -> int:
         try:
             report = analyze(load_problem(str(f)).ci)
             record = {"file": f.name, "ok": True, "report": report.to_json_dict()}
-        except (InternalError, ValueError, ResourceLimit, OSError) as e:
+        except Exception as e:  # one record per file, whatever the file does
             failures += 1
+            code = _exit_code_for(e)
+            if code == EXIT_INTERNAL:
+                traceback.print_exc()  # a bug: keep where it happened
             record = {
                 "file": f.name,
                 "ok": False,
-                "error": {"exit_code": _exit_code_for(e), "message": str(e)},
+                "error": {"exit_code": code, "message": str(e)},
             }
         print(json.dumps(record))
     if files and failures == len(files):
@@ -245,15 +253,29 @@ def _exit_code_for(exc) -> int:
         return EXIT_NOT_CI
     if isinstance(exc, ResourceLimit):
         return EXIT_RESOURCE
-    return EXIT_BAD_INPUT
+    if isinstance(exc, (ValueError, OSError)):
+        return EXIT_BAD_INPUT
+    return EXIT_INTERNAL
+
+
+def _positive_int(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
-    common.add_argument("--max-q", type=int, default=None, help="cap on denominators q")
     common.add_argument(
-        "--max-cols", type=int, default=None, help="cap on matrix columns"
+        "--max-q", type=_positive_int, default=None, help="cap on denominators q"
+    )
+    common.add_argument(
+        "--max-cols", type=_positive_int, default=None, help="cap on matrix columns"
     )
     parser = argparse.ArgumentParser(
         prog="fsing",

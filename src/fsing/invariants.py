@@ -21,6 +21,7 @@ from .frobenius import (
     classify_tau,
     compute_tau,
     fedder_test_at_m,
+    hilbert_coefficients,
     m_bracket,
 )
 from .groebner import Ideal
@@ -135,16 +136,10 @@ def hilbert_series_ci(degrees, aux_degrees, n: int) -> list[int]:
             f"series with {len(all_degrees)} factors over {n + 1} variables "
             "is not a polynomial"
         )
-    coeffs = [1]
     for e in all_degrees:
         if e < 1:
             raise ValueError(f"factor degree {e} must be positive")
-        box = [1] * e
-        coeffs = [
-            sum(coeffs[i] * box[s - i] for i in range(len(coeffs)) if 0 <= s - i < e)
-            for s in range(len(coeffs) + e - 1)
-        ]
-    return coeffs
+    return hilbert_coefficients(all_degrees, n + 1, sum(all_degrees) - (n + 1))
 
 
 def jacobian_ideal(ci: CompleteIntersection) -> Ideal:

@@ -1,47 +1,8 @@
-"""Linear algebra over F_p: echelon and rank are sparse, on {column: entry} rows.
+"""Linear algebra over F_p on sparse {column: entry} rows.
 
-rref and nullspace are dense, on numpy integer matrices; entries stay in
-[0, p) with p word-sized, so int64 arithmetic never overflows before the
-reductions mod p.
+`echelon` is the one elimination: `rank` counts its pivot rows, and
+`nullspace` back-substitutes them into the reduced echelon form.
 """
-
-import numpy as np
-
-
-def from_sparse(rows, ncols) -> np.ndarray:
-    """Dense matrix from rows given as {column: entry} dicts."""
-    m = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        m[i, list(row)] = list(row.values())
-    return m
-
-
-def rref(matrix, p):
-    """Reduced row echelon form over F_p.
-
-    Returns (rref_matrix, pivot_columns); the input is not modified.
-    """
-    m = np.array(matrix, dtype=np.int64) % p
-    nrows, ncols = m.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
 
 
 def echelon(rows, p) -> list[dict]:
@@ -71,22 +32,27 @@ def rank(rows, p) -> int:
     return len(echelon(rows, p))
 
 
-def nullspace(matrix, p):
-    """Basis of the right kernel as int64 vectors, free columns ascending."""
-    m = np.array(matrix, dtype=np.int64)
-    ncols = m.shape[1]
-    if m.shape[0] == 0:
-        return [np.eye(ncols, dtype=np.int64)[i] for i in range(ncols)]
-    reduced, pivots = rref(m, p)
-    pivot_set = set(pivots)
+def nullspace(rows, ncols, p) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of {column: entry} rows on columns
+    0..ncols-1: one vector per free column, ascending, with 1 there, 0 at the
+    other free columns and minus that column of the reduced echelon form at
+    each pivot column."""
+    reduced: dict = {}
+    # largest pivot first, so the pivot rows to the right are already reduced
+    for row in sorted(echelon(rows, p), key=min, reverse=True):
+        lead = min(row)
+        for col in [c for c in row if c in reduced]:
+            factor = row[col]
+            for c, e in reduced[col].items():
+                row[c] = (row.get(c, 0) - factor * e) % p
+        reduced[lead] = row
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
+    for free in range(ncols):
+        if free in reduced:
             continue
-        v = np.zeros(ncols, dtype=np.int64)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-reduced[r, fc]) % p
-        basis.append(v)
+        v = [0] * ncols
+        v[free] = 1
+        for col, row in reduced.items():
+            v[col] = -row.get(free, 0) % p
+        basis.append(tuple(v))
     return basis
-

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import InternalError, ResourceLimit
 from .frobenius import CompleteIntersection, TauResult, m_bracket
 from .invariants import a_invariant, find_stable_q, jacobian_ideal
-from .linalg import from_sparse, nullspace, rank
+from .linalg import nullspace, rank
 from .ring import (
     EXPONENT_CAP,
     Monomial,
@@ -170,7 +170,7 @@ class GradedPieceBasis:
     def polynomial(self, vector) -> Polynomial:
         ring = self.ci.ring
         return Polynomial._raw(
-            ring, {m: int(c) for m, c in zip(self.coordinates, vector) if c}
+            ring, {m: c for m, c in zip(self.coordinates, vector) if c}
         )
 
     def class_for(self, vector) -> CohClass:
@@ -232,8 +232,7 @@ def graded_piece_basis(
     gives the same dimension.
     """
     q, coords, rows = _piece(ci, t, q, max_cols)
-    kernel = nullspace(from_sparse(rows, len(coords)), ci.ring.p)
-    vectors = tuple(tuple(int(x) for x in v) for v in kernel)
+    vectors = tuple(nullspace(rows, len(coords), ci.ring.p))
     return GradedPieceBasis(t, q, tuple(coords), vectors, ci)
 
 

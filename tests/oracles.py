@@ -8,7 +8,6 @@ of rowspace constraints.  Slow and obviously correct, which is the point.
 
 import numpy as np
 
-from fsing.linalg import nullspace, rref
 from fsing.ring import Polynomial, mono_mul, monomials_of_degree
 
 
@@ -18,6 +17,57 @@ def as_matrix(rows, ncols):
     if not rows:
         return np.zeros((0, ncols), dtype=np.int64)
     return np.array(rows, dtype=np.int64)
+
+
+def rref(matrix, p):
+    """Dense reduced row echelon form over F_p, on numpy int64 matrices.
+
+    Returns (rref_matrix, pivot_columns); the input is not modified.  Entries
+    stay in [0, p) with p word-sized, so int64 never overflows before the
+    reductions mod p.
+    """
+    m = np.array(matrix, dtype=np.int64) % p
+    nrows, ncols = m.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        others = np.nonzero(m[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def nullspace(matrix, p):
+    """Dense basis of the right kernel as int64 vectors, free columns
+    ascending, the reference for the sparse fsing.linalg.nullspace."""
+    m = np.array(matrix, dtype=np.int64)
+    ncols = m.shape[1]
+    if m.shape[0] == 0:
+        return [np.eye(ncols, dtype=np.int64)[i] for i in range(ncols)]
+    reduced, pivots = rref(m, p)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = np.zeros(ncols, dtype=np.int64)
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-reduced[r, fc]) % p
+        basis.append(v)
+    return basis
 
 
 def rank(matrix, p) -> int:

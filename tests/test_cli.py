@@ -1,4 +1,10 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +76,33 @@ def test_load_problem_errors(tmp_path, text, fragment):
     path = write(tmp_path, "bad.ci", text)
     with pytest.raises(ParseError, match=fragment):
         load_problem(path)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_load_problem_rejects_non_positive_max_q(tmp_path, value, capsys):
+    path = write(tmp_path, "a.ci", f"p = 3\nvars = x, y\ngens = x^2 + y^2\nmax_q = {value}\n")
+    assert main(["witness", path]) == 2
+    assert capsys.readouterr().err == f"{path}:4: max_q must be positive, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("flag", ["--max-q", "--max-cols"])
+def test_non_positive_cap_flags_are_malformed_input(flag, value, capsys):
+    # they used to fall back to the defaults (0) or fail as a cap (negative)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", f"{PROBLEMS}/squares_p3.ci", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be positive, got {value}" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fsing.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_load_problem_points_at_the_broken_generator(tmp_path):
@@ -315,6 +348,22 @@ def test_batch_isolates_failures(tmp_path, capsys):
     assert [r["ok"] for r in records] == [True, False, False]
     assert records[1]["error"]["exit_code"] == 3
     assert records[2]["error"]["exit_code"] == 2
+
+
+def test_batch_survives_an_unforeseen_error(tmp_path, capsys):
+    # 3,000 nested parentheses exhaust the parser's recursion: that file gets
+    # an internal-error record, and the file after it still gets its report
+    depth = 3000
+    write(tmp_path, "deep.ci", "p = 3\nvars = x, y\ngens = " + "(" * depth + "x" + ")" * depth + "\n")
+    shutil.copy(f"{PROBLEMS}/squares_p3.ci", tmp_path)
+    assert main(["batch", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "RecursionError" in captured.err
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["file"] for r in records] == ["deep.ci", "squares_p3.ci"]
+    assert records[0]["ok"] is False
+    assert records[0]["error"]["exit_code"] == 6
+    assert records[1] == {"file": "squares_p3.ci", "ok": True, "report": SQUARES_P3_REPORT}
 
 
 def test_batch_all_failures_exit_code(tmp_path, capsys):

@@ -205,7 +205,7 @@ def test_ci_rejects_repeated_form():
 
 
 def test_ci_rejects_non_artinian_full_length():
-    with pytest.raises(RegularSequenceError, match="not Artinian"):
+    with pytest.raises(RegularSequenceError, match="not a regular sequence"):
         CompleteIntersection(
             ring(5, "xy"), (poly("x^2", R5_2), poly("x*y", R5_2))
         )
@@ -228,6 +228,26 @@ def test_artinian_ci_accepted_with_matching_histogram():
     # (x^2, y^3): quotient dimensions 1, 2, 2, 1 over degrees 0..3
     ci = CompleteIntersection(R5_2, (poly("x^2", R5_2), poly("y^3", R5_2)))
     assert ci.d == 5
+
+
+def test_full_length_ci_check_matches_groebner_artinian_test(rng):
+    # n+1 forms are a regular sequence exactly when the quotient is Artinian;
+    # the Groebner test is a route independent of the rank comparison
+    verdicts = []
+    for _ in range(60):
+        r = ring(rng.choice((2, 3, 5)), rng.choice(("xy", "xyz")))
+        forms = tuple(
+            random_homogeneous(rng, r, rng.randint(1, 2), density=rng.choice((0.3, 0.6)))
+            for _ in range(r.nvars)
+        )
+        try:
+            CompleteIntersection(r, forms)
+            accepted = True
+        except RegularSequenceError:
+            accepted = False
+        assert accepted == Ideal(r, forms).is_zero_dimensional()
+        verdicts.append(accepted)
+    assert 10 <= sum(verdicts) <= 50
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
-from oracles import as_matrix, in_row_space, rank
+import oracles
+
+from oracles import as_matrix, in_row_space, rank, rref
 
 from fsing import linalg
-from fsing.linalg import nullspace, rref
+from fsing.linalg import nullspace
 
 
 def random_matrix(rng, p, nrows, ncols):
     return as_matrix(
         [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols
     )
+
+
+def sparse(matrix):
+    """{column: entry} rows of a dense matrix."""
+    return [{c: int(e) for c, e in enumerate(row) if e} for row in matrix]
 
 
 def test_as_matrix_shapes():
@@ -67,6 +74,18 @@ def test_sparse_rank_matches_dense_rref(rng, p):
         assert rank(as_matrix(dense + echelon_dense, ncols), p) == expected
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_sparse_nullspace_matches_dense_oracle(rng, p):
+    # the reduced echelon form is unique, so the vectors agree one for one
+    for _ in range(200):
+        ncols = rng.randint(1, 10)
+        rows = random_sparse_rows(rng, p, rng.randint(0, 12), ncols)
+        dense = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+        expected = [tuple(int(x) for x in v)
+                    for v in oracles.nullspace(as_matrix(dense, ncols), p)]
+        assert linalg.nullspace(rows, ncols, p) == expected
+
+
 def test_rref_known_cases():
     # det([[2,1],[1,4]]) = 7 = 2 mod 5: invertible
     R, pivots = rref(as_matrix([[2, 1], [1, 4]], 2), 5)
@@ -117,10 +136,10 @@ def test_nullspace_random(rng, p):
     for _ in range(25):
         ncols = rng.randint(1, 8)
         A = random_matrix(rng, p, rng.randint(0, 6), ncols)
-        kernel = nullspace(A, p)
+        kernel = nullspace(sparse(A), ncols, p)
         assert len(kernel) == ncols - rank(A, p)
         for v in kernel:
-            assert not ((A @ v) % p).any()
+            assert not ((A @ np.array(v)) % p).any()
         # kernel vectors are independent: each has 1 at its own free column
         # and 0 at the free columns of the others
         if kernel:
@@ -130,13 +149,13 @@ def test_nullspace_random(rng, p):
 
 def test_nullspace_deterministic(rng):
     A = random_matrix(rng, 3, 4, 6)
-    first = [tuple(v) for v in nullspace(A, 3)]
-    second = [tuple(v) for v in nullspace(A, 3)]
+    first = [tuple(v) for v in nullspace(sparse(A), 6, 3)]
+    second = [tuple(v) for v in nullspace(sparse(A), 6, 3)]
     assert first == second
 
 
 def test_nullspace_of_zero_matrix():
-    kernel = nullspace(as_matrix([[0, 0, 0]], 3), 5)
+    kernel = nullspace([{0: 0, 1: 0, 2: 0}], 3, 5)
     assert len(kernel) == 3
     assert sorted(tuple(v) for v in kernel) == [
         (0, 0, 1),
