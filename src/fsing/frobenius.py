@@ -15,6 +15,7 @@ import functools
 import math
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
 from .groebner import GroebnerBasis, Ideal
@@ -25,11 +26,13 @@ from .ring import (
     RingDescriptor,
     is_power_of,
     mono_degree,
-    mono_mul,
     monomials_of_degree,
 )
 
 REGULAR_CHECK_CAP = 10**6  # monomials of degree <= sum d_j the check may walk
+# monomials of degree d(p-1) that f^(p-1) may span; the squares quartic at
+# p = 101 spans 80,601
+FPOW_TERM_CAP = 10**5
 
 
 def m_bracket(ring: RingDescriptor, q: int) -> Ideal:
@@ -127,7 +130,14 @@ class CompleteIntersection:
 
     @functools.cached_property
     def fpow(self) -> Polynomial:
-        return self.f ** (self.ring.p - 1)
+        ring = self.ring
+        size = math.comb(self.d * (ring.p - 1) + ring.n, ring.n)
+        if size > FPOW_TERM_CAP:
+            raise ResourceLimit(
+                f"f^(p-1) spans {size} monomials of degree {self.d * (ring.p - 1)}, "
+                f"cap {FPOW_TERM_CAP}"
+            )
+        return self.f ** (ring.p - 1)
 
     @property
     def c(self) -> int:
@@ -165,8 +175,9 @@ def _check_regular_sequence(ring, forms, degrees):
         index = {m: i for i, m in enumerate(basis)}
         rows = []
         for g, dg in zip(forms, degrees):
+            terms = g.terms.items()
             for mu in monomials_of_degree(ring, s - dg):
-                rows.append({index[mono_mul(m, mu)]: c for m, c in g.terms.items()})
+                rows.append({index[tuple(map(add, m, mu))]: c for m, c in terms})
         dim = len(basis) - rank(rows, ring.p)
         if dim != expected[s]:
             raise RegularSequenceError(

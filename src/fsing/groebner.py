@@ -13,74 +13,78 @@ from __future__ import annotations
 
 import heapq
 
+from bisect import insort
+from operator import add, le, sub
+
 from .errors import RingMismatch
 from .ring import (
     Monomial,
     Polynomial,
     RingDescriptor,
-    grevlex_key,
-    mono_degree,
     mono_divides,
     mono_gcd,
     mono_lcm,
-    mono_mul,
     mono_quotient,
     monomials_of_degree,
 )
 
 # ---------------------------------------------------------------------------
-# engine: polynomials as raw term dicts, orders as sort keys
+# engine: polynomials as raw term dicts, each order as one descending key
+#
+# A descending key sorts monomials largest first: the largest monomial has
+# the least key, so `min` finds leads and a min-heap pops the largest term.
 
 
-def _neg_key(k):
-    # order-reversing transform of a nested int/tuple sort key, for min-heaps
-    if isinstance(k, tuple):
-        return tuple(_neg_key(x) for x in k)
-    return -k
+def _grevlex_desc(m: Monomial):
+    # ring.grevlex_key with its order reversed: higher degree first, then
+    # the smaller reversed exponent tuple
+    return (-sum(m), m[::-1])
 
 
-def _lead(terms: dict, key) -> Monomial:
-    return max(terms, key=key)
+def _lead(terms: dict, desc) -> Monomial:
+    return min(terms, key=desc)
 
 
-def _monic(terms: dict, p: int, key) -> dict:
-    lc = terms[_lead(terms, key)]
+def _monic(terms: dict, p: int, desc) -> dict:
+    lc = terms[_lead(terms, desc)]
     if lc == 1:
         return terms
     inv = pow(lc, -1, p)
     return {m: (c * inv) % p for m, c in terms.items()}
 
 
-def _normal_form_dict(target: dict, leads: list, polys: list, key, p: int) -> dict:
+def _normal_form_dict(target: dict, leads: list, polys: list, desc, p: int) -> dict:
     """Full normal form of target against monic divisors with cached leads."""
     if not leads or not target:
         return dict(target)
     if all(len(t) == 1 for t in polys):
         # monomial divisors only delete monomials, never create them
         return {
-            m: c for m, c in target.items() if not any(mono_divides(l, m) for l in leads)
+            m: c for m, c in target.items() if not any(all(map(le, l, m)) for l in leads)
         }
+    divisors = list(zip(leads, polys))
     work = dict(target)
-    heap = [(_neg_key(key(m)), m) for m in work]
+    get, pop, push, heappop = work.get, work.pop, heapq.heappush, heapq.heappop
+    heap = [(desc(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict[Monomial, int] = {}
     while heap:
-        _, m = heapq.heappop(heap)
-        c = work.get(m)
+        _, m = heappop(heap)
+        c = get(m)
         if not c:
             continue  # stale heap entry
-        for lm, terms in zip(leads, polys):
-            if mono_divides(lm, m):
-                shift = mono_quotient(m, lm)
+        for lm, terms in divisors:
+            if all(map(le, lm, m)):
+                shift = tuple(map(sub, m, lm))
                 for bm, bc in terms.items():
-                    mm = mono_mul(bm, shift)
-                    nv = (work.get(mm, 0) - c * bc) % p
+                    mm = tuple(map(add, bm, shift))
+                    nv = (get(mm, 0) - c * bc) % p
                     if nv:
                         if mm not in work:
-                            heapq.heappush(heap, (_neg_key(key(mm)), mm))
+                            push(heap, (desc(mm), mm))
                         work[mm] = nv
                     else:
-                        work.pop(mm, None)
+                        pop(mm, None)
                 break
         else:
             # irreducible; all later monomials are strictly smaller
@@ -89,9 +93,10 @@ def _normal_form_dict(target: dict, leads: list, polys: list, key, p: int) -> di
     return remainder
 
 
-def _interreduce(terms_list: list, leads: list, key, p: int) -> list:
+def _interreduce(terms_list: list, leads: list, desc, p: int) -> list:
     """Minimalize leads, tail-reduce, and sort lead-descending."""
-    order = sorted(range(len(terms_list)), key=lambda i: key(leads[i]))
+    # smallest lead first; a stable reverse sort keeps equal leads in order
+    order = sorted(range(len(terms_list)), key=lambda i: desc(leads[i]), reverse=True)
     kept: list[int] = []
     for i in order:
         if not any(mono_divides(leads[k], leads[i]) for k in kept):
@@ -100,13 +105,13 @@ def _interreduce(terms_list: list, leads: list, key, p: int) -> list:
     for i in kept:
         other_leads = [leads[k] for k in kept if k != i]
         other_terms = [terms_list[k] for k in kept if k != i]
-        reduced = _normal_form_dict(terms_list[i], other_leads, other_terms, key, p)
-        out.append(_monic(reduced, p, key))
-    out.sort(key=lambda d: key(_lead(d, key)), reverse=True)
+        reduced = _normal_form_dict(terms_list[i], other_leads, other_terms, desc, p)
+        out.append(_monic(reduced, p, desc))
+    out.sort(key=lambda d: desc(_lead(d, desc)))
     return out
 
 
-def _buchberger(inputs: list, key, p: int) -> list:
+def _buchberger(inputs: list, desc, p: int) -> list:
     """Reduced Groebner basis of the ideal spanned by `inputs` (term dicts)."""
     seeds = [t for t in inputs if t]
     if not seeds:
@@ -114,37 +119,40 @@ def _buchberger(inputs: list, key, p: int) -> list:
     basis_terms: list[dict] = []
     basis_leads: list[Monomial] = []
     pending: set[tuple[int, int]] = set()
-    heap: list = []
+    # pairs ascending by (desc(lcm), -i, -j): the last one has the lowest
+    # lcm, and among equal lcms the lowest i, then the lowest j
+    queue: list = []
 
     def insert(terms: dict):
-        terms = _monic(terms, p, key)
+        terms = _monic(terms, p, desc)
         j = len(basis_terms)
         basis_terms.append(terms)
-        lmj = _lead(terms, key)
+        lmj = _lead(terms, desc)
         basis_leads.append(lmj)
         for i in range(j):
             lmi = basis_leads[i]
-            lcm = mono_lcm(lmi, lmj)
-            if lcm == mono_mul(lmi, lmj):
+            lcm = tuple(map(max, lmi, lmj))
+            if lcm == tuple(map(add, lmi, lmj)):
                 continue  # coprime leads: S-polynomial reduces to zero
             pending.add((i, j))
-            heapq.heappush(heap, (key(lcm), i, j))
+            insort(queue, (desc(lcm), -i, -j))
 
     for t in seeds:
         insert(dict(t))
 
-    while heap:
-        _, i, j = heapq.heappop(heap)
+    while queue:
+        _, i, j = queue.pop()
+        i, j = -i, -j
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
         lmi, lmj = basis_leads[i], basis_leads[j]
-        lcm = mono_lcm(lmi, lmj)
+        lcm = tuple(map(max, lmi, lmj))
         # chain criterion: a third lead dividing the lcm whose pairs with i
         # and j are both already handled makes this pair redundant
         redundant = False
         for k, lmk in enumerate(basis_leads):
-            if k == i or k == j or not mono_divides(lmk, lcm):
+            if k == i or k == j or not all(map(le, lmk, lcm)):
                 continue
             if (min(i, k), max(i, k)) not in pending and (
                 min(j, k),
@@ -154,31 +162,32 @@ def _buchberger(inputs: list, key, p: int) -> list:
                 break
         if redundant:
             continue
-        si = mono_quotient(lcm, lmi)
-        sj = mono_quotient(lcm, lmj)
+        si = tuple(map(sub, lcm, lmi))
+        sj = tuple(map(sub, lcm, lmj))
         spoly: dict[Monomial, int] = {}
+        get = spoly.get
         for m, c in basis_terms[i].items():
-            mm = mono_mul(m, si)
-            spoly[mm] = (spoly.get(mm, 0) + c) % p
+            mm = tuple(map(add, m, si))
+            spoly[mm] = (get(mm, 0) + c) % p
         for m, c in basis_terms[j].items():
-            mm = mono_mul(m, sj)
-            spoly[mm] = (spoly.get(mm, 0) - c) % p
+            mm = tuple(map(add, m, sj))
+            spoly[mm] = (get(mm, 0) - c) % p
         spoly = {m: c for m, c in spoly.items() if c}
-        h = _normal_form_dict(spoly, basis_leads, basis_terms, key, p)
+        h = _normal_form_dict(spoly, basis_leads, basis_terms, desc, p)
         if h:
             insert(h)
 
-    return _interreduce(basis_terms, basis_leads, key, p)
+    return _interreduce(basis_terms, basis_leads, desc, p)
 
 
 def _minimal_monomials(monos) -> list[Monomial]:
     """Divisibility-minimal elements, deduplicated, lead-descending."""
-    unique = sorted(set(monos), key=grevlex_key)
+    unique = sorted(set(monos), key=_grevlex_desc, reverse=True)
     kept: list[Monomial] = []
     for m in unique:
         if not any(mono_divides(k, m) for k in kept):
             kept.append(m)
-    kept.sort(key=grevlex_key, reverse=True)
+    kept.sort(key=_grevlex_desc)
     return kept
 
 
@@ -226,7 +235,7 @@ def normal_form(g: Polynomial, basis: GroebnerBasis) -> Polynomial:
     if g.ring != basis.ring:
         raise RingMismatch(f"{g.ring} vs {basis.ring}")
     reduced = _normal_form_dict(
-        g.terms, basis.leading_monomials(), basis._term_dicts(), grevlex_key, basis.ring.p
+        g.terms, basis.leading_monomials(), basis._term_dicts(), _grevlex_desc, basis.ring.p
     )
     return Polynomial._raw(basis.ring, reduced)
 
@@ -239,7 +248,9 @@ class Ideal:
     comparing reduced bases, so Ideal is deliberately unhashable.
     """
 
-    __slots__ = ("ring", "generators", "_gb")
+    # _colons holds (m^[q] : self) by q, filled by
+    # invariants.least_surviving_generator
+    __slots__ = ("ring", "generators", "_gb", "_colons")
 
     def __init__(self, ring: RingDescriptor, generators=()):
         gens = []
@@ -254,6 +265,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = None
+        self._colons = {}
 
     @classmethod
     def zero(cls, ring) -> "Ideal":
@@ -278,7 +290,7 @@ class Ideal:
                 elements = tuple(Polynomial._raw(self.ring, {m: 1}) for m in minimal)
             else:
                 dicts = _buchberger(
-                    [dict(g.terms) for g in self.generators], grevlex_key, self.ring.p
+                    [dict(g.terms) for g in self.generators], _grevlex_desc, self.ring.p
                 )
                 elements = tuple(Polynomial._raw(self.ring, d) for d in dicts)
             self._gb = GroebnerBasis(self.ring, elements)
@@ -432,9 +444,10 @@ def _elimination_ring(ring: RingDescriptor) -> RingDescriptor:
     return RingDescriptor(ring.p, (name,) + ring.variables)
 
 
-def _block_key(e: Monomial):
-    # auxiliary variable first: any monomial containing it beats any without
-    return (e[0], grevlex_key(e[1:]))
+def _block_desc(e: Monomial):
+    # auxiliary variable first: any monomial containing it beats any without;
+    # ties go to grevlex on the rest
+    return (-e[0], -sum(e[1:]), e[:0:-1])
 
 
 def _lift(terms: dict, t_exp: int) -> dict:
@@ -451,7 +464,7 @@ def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
             d[m] = -c % p
         inputs.append(d)
     gens: list[Polynomial] = []
-    for d in _buchberger(inputs, _block_key, p):
+    for d in _buchberger(inputs, _block_desc, p):
         if any(m[0] for m in d):
             continue
         projected = Polynomial._raw(ring, {m[1:]: c for m, c in d.items()})
@@ -467,19 +480,20 @@ def _exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
     glm = g.leading_monomial()
     ginv = pow(g.leading_coefficient(), -1, p)
     work = dict(h.terms)
+    get, pop = work.get, work.pop
     quotient: dict[Monomial, int] = {}
     while work:
-        m = max(work, key=grevlex_key)
-        if not mono_divides(glm, m):
+        m = min(work, key=_grevlex_desc)
+        if not all(map(le, glm, m)):
             raise ArithmeticError(f"{h} is not divisible by {g}")
         c = (work[m] * ginv) % p
-        shift = mono_quotient(m, glm)
+        shift = tuple(map(sub, m, glm))
         quotient[shift] = c
         for bm, bc in g.terms.items():
-            mm = mono_mul(bm, shift)
-            nv = (work.get(mm, 0) - c * bc) % p
+            mm = tuple(map(add, bm, shift))
+            nv = (get(mm, 0) - c * bc) % p
             if nv:
                 work[mm] = nv
             else:
-                work.pop(mm, None)
+                pop(mm, None)
     return Polynomial._raw(ring, quotient)

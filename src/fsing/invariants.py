@@ -62,13 +62,24 @@ def m_q(I: Ideal, q: int) -> int:
         raise ValueError("M_q needs a proper ideal")
     if not is_power_of(q, I.ring.p):
         raise ValueError(f"{q} is not a power of {I.ring.p}")
-    colon = m_bracket(I.ring, q).colon(I)
+    return least_surviving_generator(I, q).degree()
+
+
+def least_surviving_generator(I: Ideal, q: int) -> Polynomial:
+    """The first least-degree reduced-basis generator of (m^[q] : I) with a
+    monomial outside m^[q].
+
+    The colon is kept on I, as its basis is, so the stable-q search and the
+    witness at the stable q compute it once.
+    """
+    colon = I._colons.get(q)
+    if colon is None:
+        colon = I._colons[q] = m_bracket(I.ring, q).colon(I)
     best = None
     for g in colon.groebner():
         if any(max(m) < q for m in g.terms):
-            deg = g.degree()
-            if best is None or deg < best:
-                best = deg
+            if best is None or g.degree() < best.degree():
+                best = g
     if best is None:
         # the colon always contains the socle generator (x_0...x_n)^(q-1)
         raise InternalError("colon collapsed to the bracket power")

@@ -16,17 +16,22 @@ degree t comes down to two ranks, of A and of A stacked on Phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import InternalError, ResourceLimit
-from .frobenius import CompleteIntersection, TauResult, m_bracket
-from .invariants import a_invariant, find_stable_q, jacobian_ideal
+from .frobenius import CompleteIntersection, TauResult
+from .invariants import (
+    a_invariant,
+    find_stable_q,
+    jacobian_ideal,
+    least_surviving_generator,
+)
 from .linalg import nullspace, rank
 from .ring import (
     EXPONENT_CAP,
     Monomial,
     Polynomial,
     is_power_of,
-    mono_mul,
     monomials_of_degree,
 )
 
@@ -127,14 +132,7 @@ def kernel_witness(
         raise ValueError("kernel witness needs m-primary proper tau")
     ring = ci.ring
     q = find_stable_q(tau_result.tau, max_q)
-    colon = m_bracket(ring, q).colon(tau_result.tau)
-    pick = None
-    for g in colon.groebner():
-        if any(max(m) < q for m in g.terms):
-            if pick is None or g.degree() < pick.degree():
-                pick = g
-    if pick is None:
-        raise InternalError("colon collapsed to the bracket power")
+    pick = least_surviving_generator(tau_result.tau, q)
     numerator = Polynomial._raw(
         ring, {m: c for m, c in pick.terms.items() if max(m) < q}
     )
@@ -211,12 +209,14 @@ def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
             f"{len(coords)} coordinate monomials exceed the cap {max_cols}"
         )
     rows: dict[tuple, dict] = {}
+    setdefault = rows.setdefault
     for j, form in enumerate(ci.forms):
+        terms = form.terms.items()
         for col, mu in enumerate(coords):
-            for m, c in form.terms.items():
-                m = mono_mul(m, mu)
+            for m, c in terms:
+                m = tuple(map(add, m, mu))
                 if max(m) < q:
-                    rows.setdefault((j, m), {})[col] = c
+                    setdefault((j, m), {})[col] = c
     return q, coords, list(rows.values())
 
 
@@ -274,12 +274,13 @@ def verify_injectivity(
     target_q = q * p
     fpow = ci.fpow.terms.items()
     images: dict[Monomial, dict] = {}
+    setdefault = images.setdefault
     for col, mu in enumerate(coords):
         mu_p = tuple(e * p for e in mu)
         for m, c in fpow:
-            m = mono_mul(m, mu_p)
+            m = tuple(map(add, m, mu_p))
             if max(m) < target_q:
-                images.setdefault(m, {})[col] = c
+                setdefault(m, {})[col] = c
         if len(images) > max_cols:
             raise ResourceLimit(
                 f"{len(images)} image monomials exceed the cap {max_cols}"

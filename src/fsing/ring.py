@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
+from operator import add, le, neg, sub
 
 from .errors import ParseError, RingMismatch
 
@@ -87,25 +88,25 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b, i.e. componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_quotient(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grevlex_key(m: Monomial):
@@ -114,7 +115,7 @@ def grevlex_key(m: Monomial):
     Compare total degree first; ties are broken by the reversed, negated
     exponent tuple, so the monomial with the smaller last exponent wins.
     """
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 def monomials_of_degree(
@@ -126,22 +127,21 @@ def monomials_of_degree(
     """
     if s < 0:
         return []
-    out = list(_compositions(s, ring.nvars, s + 1 if below is None else below))
-    out.sort(key=grevlex_key, reverse=True)
-    return out
+    return list(_compositions(s, ring.nvars, s + 1 if below is None else below))
 
 
 def _compositions(total, parts, bound):
-    # heads are kept where the remaining parts, each below bound, can still
-    # make up the rest of the total
+    # grevlex-descending within one degree is ascending in the reversed
+    # tuple, so the last part runs upward outermost; it is kept where the
+    # other parts, each below bound, can still make up the rest of the total
     if parts == 1:
         if total < bound:
             yield (total,)
         return
     low = max(0, total - (parts - 1) * (bound - 1))
-    for head in range(low, min(total, bound - 1) + 1):
-        for tail in _compositions(total - head, parts - 1, bound):
-            yield (head,) + tail
+    for last in range(low, min(total, bound - 1) + 1):
+        for head in _compositions(total - last, parts - 1, bound):
+            yield head + (last,)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +303,12 @@ class Polynomial:
             raise OverflowError("product degree exceeds the exponent cap")
         p = self.ring.p
         acc: dict[Monomial, int] = {}
+        get = acc.get
+        right = other.terms.items()
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mm = mono_mul(ma, mb)
-                acc[mm] = acc.get(mm, 0) + ca * cb
+            for mb, cb in right:
+                mm = tuple(map(add, ma, mb))
+                acc[mm] = get(mm, 0) + ca * cb
         return Polynomial._raw(self.ring, {m: v % p for m, v in acc.items() if v % p})
 
     __rmul__ = __mul__

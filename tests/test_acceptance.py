@@ -7,8 +7,6 @@ emitted outside capture so they always show.
 import random
 import time
 
-import pytest
-
 from oracles import (
     colon_piece_kernel,
     degree_index,

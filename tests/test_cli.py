@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import time
 
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 from fsing import cli
 from fsing.cli import load_problem, main
 from fsing.errors import InternalError, ParseError
+from fsing.frobenius import FPOW_TERM_CAP
 from fsing.invariants import AnalysisReport, analyze
 
 PROBLEMS = "problems"
@@ -176,6 +179,22 @@ def test_regular_sequence_check_cap(tmp_path, capsys):
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["file"] for r in records] == ["a.ci", "b.ci"]
     assert all(r["error"]["exit_code"] == 4 for r in records)
+
+
+def test_fpow_term_cap(tmp_path, capsys):
+    # f^(p-1) of a plane cubic at p = 10007 would span 450,585,190 monomials:
+    # refused before any multiplication; the squares quartic at p = 101
+    # (80,601 monomials) stays under the cap
+    assert math.comb(4 * 100 + 2, 2) <= FPOW_TERM_CAP
+    path = write(tmp_path, "cubic.ci", "p = 10007\nvars = x, y, z\ngens = x^3 + y^3 + z^3\n")
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 4
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("resource cap exceeded: f^(p-1) spans")
+    assert main(["batch", str(tmp_path)]) == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record["file"] == "cubic.ci"
+    assert record["error"]["exit_code"] == 4
 
 
 def test_analyze_missing_file_exit_code(capsys):

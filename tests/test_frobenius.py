@@ -26,7 +26,7 @@ from fsing.frobenius import (
     m_bracket,
 )
 from fsing.groebner import Ideal, maximal_ideal
-from fsing.ring import Polynomial, RingDescriptor, monomials_of_degree
+from fsing.ring import Polynomial, monomials_of_degree
 
 R3 = ring(3)
 R5_2 = ring(5, "xy")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from oracles import (
@@ -10,8 +12,16 @@ from oracles import (
     rank,
 )
 
-from fsing.errors import RingMismatch
-from fsing.groebner import GroebnerBasis, Ideal, maximal_ideal, normal_form
+from fsing.errors import RegularSequenceError, RingMismatch
+from fsing.frobenius import CompleteIntersection, compute_tau
+from fsing.groebner import (
+    GroebnerBasis,
+    Ideal,
+    _block_desc,
+    _grevlex_desc,
+    maximal_ideal,
+    normal_form,
+)
 from fsing.ring import (
     Polynomial,
     RingDescriptor,
@@ -114,6 +124,58 @@ def test_buchberger_criterion_on_random_ideals(rng, p):
             I = Ideal(ring, random_ideal_gens(rng, ring, 3, 4))
             assert_buchberger_criterion(I)
             assert_reduced_basis(I.groebner())
+
+
+def sympy_reduced_basis(sympy, gens, ring):
+    """sympy's reduced grevlex basis mod p, made monic, as term dicts."""
+    p = ring.p
+    symbols = sympy.symbols(ring.variables)
+    polys = [sympy.Poly.from_dict(g.terms, *symbols, modulus=p) for g in gens]
+    out = []
+    for g in sympy.groebner(polys, *symbols, modulus=p, order="grevlex").polys:
+        terms = {m: int(c) % p for m, c in g.terms() if int(c) % p}
+        inv = pow(terms[max(terms, key=grevlex_key)], -1, p)
+        out.append({m: c * inv % p for m, c in terms.items()})
+    return sorted(out, key=lambda t: grevlex_key(max(t, key=grevlex_key)), reverse=True)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_reduced_basis_matches_sympy(rng, p):
+    sympy = pytest.importorskip("sympy")
+    for nv in (2, 3, 4):
+        ring = RingDescriptor(p, tuple("xyzw"[:nv]))
+        for _ in range(4):
+            gens = random_ideal_gens(rng, ring, 3, 3)
+            ours = [g.terms for g in Ideal(ring, gens).groebner()]
+            assert ours == sympy_reduced_basis(sympy, gens, ring)
+        # tau of generated complete intersections: the forms plus the
+        # Frobenius root of f^(p-1)
+        checked = 0
+        while checked < 3:
+            forms = tuple(
+                random_homogeneous(rng, ring, rng.randint(2, 3))
+                for _ in range(rng.randint(1, 2))
+            )
+            try:
+                ci = CompleteIntersection(ring, forms)
+            except RegularSequenceError:
+                continue
+            tau = compute_tau(ci).tau
+            ours = [g.terms for g in tau.groebner()]
+            assert ours == sympy_reduced_basis(sympy, tau.generators, ring)
+            checked += 1
+
+
+def block_key(e):
+    # the elimination block order's ascending key, as a reference
+    return (e[0], grevlex_key(e[1:]))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_descending_keys_reverse_the_ascending_keys(nvars):
+    monos = [m for m in itertools.product(range(5), repeat=nvars) if sum(m) <= 4]
+    assert sorted(monos, key=_grevlex_desc) == sorted(monos, key=grevlex_key, reverse=True)
+    assert sorted(monos, key=_block_desc) == sorted(monos, key=block_key, reverse=True)
 
 
 # ---------------------------------------------------------------------------

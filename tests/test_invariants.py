@@ -23,7 +23,7 @@ from fsing.invariants import (
     thmA_bound,
     thmB_threshold,
 )
-from fsing.ring import Polynomial, RingDescriptor, monomials_of_degree
+from fsing.ring import Polynomial, monomials_of_degree
 
 R3 = ring(3)
 

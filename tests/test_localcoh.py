@@ -8,6 +8,7 @@ from oracles import as_matrix, random_homogeneous, rank
 from fsing.cli import main
 from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, compute_tau, m_bracket
+from fsing.groebner import Ideal
 from fsing.invariants import a_invariant, jacobian_ideal, thmA_bound
 from fsing.localcoh import (
     CohClass,
@@ -182,6 +183,15 @@ def test_kernel_witness_for_squares_quartic():
     assert witness.degree == thmA_bound(SQUARES3, result) == 1
     assert not is_zero(witness)
     assert is_zero(frobenius_action(witness))
+
+
+def test_kernel_witness_computes_one_colon(monkeypatch):
+    # the stable-q search and the witness share the colon at the stable q
+    calls = []
+    colon = Ideal.colon
+    monkeypatch.setattr(Ideal, "colon", lambda I, J: calls.append(I) or colon(I, J))
+    kernel_witness(SQUARES3, compute_tau(SQUARES3))
+    assert len(calls) == 1
 
 
 def test_kernel_witness_for_two_variable_cubic():
