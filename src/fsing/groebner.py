@@ -143,8 +143,6 @@ def _buchberger(inputs: list, desc, p: int) -> list:
     while queue:
         _, i, j = queue.pop()
         i, j = -i, -j
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         lmi, lmj = basis_leads[i], basis_leads[j]
         lcm = tuple(map(max, lmi, lmj))
