@@ -162,6 +162,9 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_BAD_INPUT
+    if t_max < t_min:
+        print(f"empty degree window: from {t_min} to {t_max}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if t_max - t_min + 1 > _MAX_WINDOW:
         print(f"degree window is capped at {_MAX_WINDOW} degrees", file=sys.stderr)
         return EXIT_BAD_INPUT

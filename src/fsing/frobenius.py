@@ -21,6 +21,7 @@ from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMism
 from .groebner import GroebnerBasis, Ideal
 from .linalg import echelon, rank
 from .ring import (
+    REGULAR_CHECK_CAP,
     Monomial,
     Polynomial,
     RingDescriptor,
@@ -29,7 +30,6 @@ from .ring import (
     monomials_of_degree,
 )
 
-REGULAR_CHECK_CAP = 10**6  # monomials of degree <= sum d_j the check may walk
 # monomials of degree d(p-1) that f^(p-1) may span; the squares quartic at
 # p = 101 spans 80,601
 FPOW_TERM_CAP = 10**5
@@ -44,6 +44,21 @@ def m_bracket(ring: RingDescriptor, q: int) -> Ideal:
         exps = tuple(q if j == i else 0 for j in range(ring.nvars))
         gens.append(Polynomial._raw(ring, {exps: 1}))
     return Ideal(ring, gens)
+
+
+def annihilation_rows(gens, coords, q: int) -> list[dict]:
+    """h -> (h*g modulo m^[q] for g in gens) on the span of coords: one
+    {column: coefficient} row per generator and product monomial below q, so
+    the kernel is (m^[q] : gens) modulo m^[q] in that span."""
+    rows: dict[tuple, dict] = {}
+    setdefault = rows.setdefault
+    for j, g in enumerate(gens):
+        for col, mu in enumerate(coords):
+            for m, c in g.terms.items():
+                m = tuple(map(add, m, mu))
+                if max(m) < q:
+                    setdefault((j, m), {})[col] = c
+    return list(rows.values())
 
 
 def bracket_power(I: Ideal, q: int) -> Ideal:

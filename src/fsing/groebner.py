@@ -246,9 +246,7 @@ class Ideal:
     comparing reduced bases, so Ideal is deliberately unhashable.
     """
 
-    # _colons holds (m^[q] : self) by q, filled by
-    # invariants.least_surviving_generator
-    __slots__ = ("ring", "generators", "_gb", "_colons")
+    __slots__ = ("ring", "generators", "_gb")
 
     def __init__(self, ring: RingDescriptor, generators=()):
         gens = []
@@ -263,7 +261,6 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = None
-        self._colons = {}
 
     @classmethod
     def zero(cls, ring) -> "Ideal":

@@ -1,10 +1,10 @@
 """Numeric invariants and degree bounds for graded complete intersections.
 
 The central quantity is M_q(I), the largest ell with (m^[q] : I) contained in
-m^[q] + m^ell.  For m-primary I it stabilizes: (n+1)q - M_q(I) equals
-reg(S/I) + (n+1) once q is large enough, and `stabilization_check` certifies
-that identity at a concrete q, which is how "q large enough" is made
-effective throughout.
+m^[q] + m^ell, found by linear algebra: modulo m^[q] the colon is a kernel.
+For m-primary I it stabilizes: (n+1)q - M_q(I) equals reg(S/I) + (n+1) once
+q is large enough, and `stabilization_check` certifies that identity at a
+concrete q, which is how "q large enough" is made effective throughout.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from .frobenius import (
     CompleteIntersection,
     TauClass,
     TauResult,
+    annihilation_rows,
     classify_tau,
     compute_tau,
     fedder_test_at_m,
     hilbert_coefficients,
-    m_bracket,
 )
 from .groebner import Ideal
+from .linalg import nullspace
 from .ring import Polynomial, is_power_of, mono_degree, monomials_of_degree
 
 DEFAULT_MAX_Q_EXPONENT = 6
@@ -53,8 +54,8 @@ def m_q(I: Ideal, q: int) -> int:
     """M_q(I) = max{ell : (m^[q] : I) inside m^[q] + m^ell}.
 
     Membership in m^[q] + m^ell is monomial-by-monomial, so the maximum is
-    the least degree of a reduced-basis generator of the colon that has a
-    monomial with all exponents below q; 0 when the colon is the unit ideal.
+    the least degree in which the colon has an element outside m^[q]; 0
+    when the colon is the unit ideal.
     """
     if I.is_zero():
         raise ValueError("M_q of the zero ideal is undefined")
@@ -66,24 +67,24 @@ def m_q(I: Ideal, q: int) -> int:
 
 
 def least_surviving_generator(I: Ideal, q: int) -> Polynomial:
-    """The first least-degree reduced-basis generator of (m^[q] : I) with a
-    monomial outside m^[q].
-
-    The colon is kept on I, as its basis is, so the stable-q search and the
-    witness at the stable q compute it once.
-    """
-    colon = I._colons.get(q)
-    if colon is None:
-        colon = I._colons[q] = m_bracket(I.ring, q).colon(I)
-    best = None
-    for g in colon.groebner():
-        if any(max(m) < q for m in g.terms):
-            if best is None or g.degree() < best.degree():
-                best = g
-    if best is None:
-        # the colon always contains the socle generator (x_0...x_n)^(q-1)
+    """The first least-degree reduced-basis generator of (m^[q] : I) outside
+    m^[q].  Modulo m^[q] the colon in degree s is the kernel of I's
+    annihilation rows on the degree-s monomials below q; it is nonzero from
+    M_q(I) up to the socle degree (n+1)(q-1), as below that some x_i*g stays
+    outside m^[q], so the scan walks down from there.  On ascending
+    coordinates the last nullspace vector is the reduced-basis element with
+    the largest lead, the one the basis lists first."""
+    ring, pick = I.ring, None
+    for s in range(ring.nvars * (q - 1), -1, -1):
+        coords = monomials_of_degree(ring, s, below=q)[::-1]
+        kernel = nullspace(annihilation_rows(I.generators, coords, q), len(coords), ring.p)
+        if not kernel:
+            break
+        pick = Polynomial._raw(ring, {m: c for m, c in zip(coords, kernel[-1]) if c})
+    if pick is None:
+        # the socle monomial (x_0...x_n)^(q-1) kills every form of positive degree
         raise InternalError("colon collapsed to the bracket power")
-    return best
+    return pick
 
 
 def stabilization_check(I: Ideal, q: int) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import InternalError, ResourceLimit
-from .frobenius import CompleteIntersection, TauResult
+from .frobenius import CompleteIntersection, TauResult, annihilation_rows
 from .invariants import (
     a_invariant,
     find_stable_q,
@@ -124,19 +124,14 @@ def kernel_witness(
 ) -> CohClass:
     """A nonzero class of degree a(R) - ell killed by Frobenius.
 
-    Works at a q certified stable for tau and picks a least-degree generator
-    of (m^[q] : tau) that survives outside m^[q]; monomials inside m^[q] are
-    stripped since they stay in the colon without affecting the class.
+    Works at a q certified stable for tau, with the numerator that
+    least_surviving_generator finds by linear algebra.  The degree check
+    compares that M_q with ell from tau's Groebner basis.
     """
     if tau_result.is_unit or not tau_result.is_m_primary:
         raise ValueError("kernel witness needs m-primary proper tau")
-    ring = ci.ring
     q = find_stable_q(tau_result.tau, max_q)
-    pick = least_surviving_generator(tau_result.tau, q)
-    numerator = Polynomial._raw(
-        ring, {m: c for m, c in pick.terms.items() if max(m) < q}
-    )
-    witness = make_class(numerator, q, ci)
+    witness = make_class(least_surviving_generator(tau_result.tau, q), q, ci)
     if is_zero(witness):
         raise InternalError("the witness class is zero")
     if witness.degree != a_invariant(ci) - tau_result.ell:
@@ -208,16 +203,7 @@ def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
         raise ResourceLimit(
             f"{len(coords)} coordinate monomials exceed the cap {max_cols}"
         )
-    rows: dict[tuple, dict] = {}
-    setdefault = rows.setdefault
-    for j, form in enumerate(ci.forms):
-        terms = form.terms.items()
-        for col, mu in enumerate(coords):
-            for m, c in terms:
-                m = tuple(map(add, m, mu))
-                if max(m) < q:
-                    setdefault((j, m), {})[col] = c
-    return q, coords, list(rows.values())
+    return q, coords, annihilation_rows(ci.forms, coords, q)
 
 
 def graded_piece_basis(

@@ -13,11 +13,14 @@ import math
 from dataclasses import dataclass
 from operator import add, le, neg, sub
 
-from .errors import ParseError, RingMismatch
+from .errors import ParseError, ResourceLimit, RingMismatch
 
 # Exponents are kept within machine-int range so downstream consumers can
 # pack them into fixed-width arrays.
 EXPONENT_CAP = 2**31 - 1
+# monomials of degree <= d that a form of degree d may span, for the
+# regular-sequence check and for products the parser builds
+REGULAR_CHECK_CAP = 10**6
 
 
 def is_prime(p: int) -> bool:
@@ -478,8 +481,18 @@ class _Parser:
         result = self.power()
         while self.peek()[0] == "*":
             self.advance()
-            result = result * self.power()
+            factor = self.power()
+            if len(result.terms) > 1 and len(factor.terms) > 1:
+                self.check_size(result.degree() + factor.degree())
+            result = result * factor
         return result
+
+    def check_size(self, degree):
+        # called for multi-term factors only, before multiplying: no form of
+        # this degree would pass the regular-sequence check
+        size = math.comb(degree + self.ring.nvars, self.ring.nvars)
+        if size > REGULAR_CHECK_CAP:
+            raise ResourceLimit(f"a product of degree {degree} spans {size} monomials, cap {REGULAR_CHECK_CAP}")
 
     def power(self):
         base = self.atom()
@@ -492,6 +505,8 @@ class _Parser:
         self.advance()
         if value > EXPONENT_CAP:
             raise ParseError(f"exponent overflow at position {pos}", position=pos)
+        if value > 1 and len(base.terms) > 1:
+            self.check_size(base.degree() * value)
         try:
             return base**value
         except OverflowError:

@@ -12,9 +12,10 @@ import pytest
 
 from fsing import cli
 from fsing.cli import load_problem, main
-from fsing.errors import InternalError, ParseError
+from fsing.errors import InternalError, ParseError, ResourceLimit
 from fsing.frobenius import FPOW_TERM_CAP
 from fsing.invariants import AnalysisReport, analyze
+from fsing.ring import REGULAR_CHECK_CAP, RingDescriptor, parse_polynomial
 
 PROBLEMS = "problems"
 
@@ -181,6 +182,31 @@ def test_regular_sequence_check_cap(tmp_path, capsys):
     assert all(r["error"]["exit_code"] == 4 for r in records)
 
 
+def test_power_of_a_sum_is_capped_before_it_is_built(tmp_path, capsys):
+    # (x+y+z)^400 would span comb(403, 3) = 10,827,401 monomials, more than
+    # the regular-sequence check accepts: refused before multiplying, while
+    # a single-term factor keeps its later refusal
+    path = write(tmp_path, "power.ci", "p = 10007\nvars = x, y, z\ngens = (x+y+z)^400\n")
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 4
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == (
+        "resource cap exceeded: a product of degree 400 spans 10827401 monomials, "
+        f"cap {REGULAR_CHECK_CAP}\n"
+    )
+    start = time.perf_counter()
+    assert main(["batch", str(tmp_path)]) == 1
+    assert time.perf_counter() - start < 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record["file"] == "power.ci"
+    assert record["error"]["exit_code"] == 4
+    ring = RingDescriptor(3, ("x", "y", "z"))
+    with pytest.raises(ResourceLimit, match="degree 200"):
+        parse_polynomial("(x+y+z)^100 * (x+y+z)^100", ring)
+    assert parse_polynomial("(x+y+z)^100 * x^100", ring).degree() == 200
+
+
 def test_fpow_term_cap(tmp_path, capsys):
     # f^(p-1) of a plane cubic at p = 10007 would span 450,585,190 monomials:
     # refused before any multiplication; the squares quartic at p = 101
@@ -287,10 +313,19 @@ def test_verify_flags_override_file_window(capsys):
     assert lines[1].split() == ["1", "1", "1"]
 
 
-def test_verify_empty_window_is_fine(capsys):
-    assert main(["verify", f"{PROBLEMS}/squares_p3.ci", "--from", "2", "--to", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == ["degree  dim  kernel_dim", "consistency: PASS (thmA)"]
+def test_verify_refuses_an_empty_window(tmp_path, capsys):
+    # a reversed window checks nothing, so it must not report a PASS
+    text = "p = 3\nvars = x, y, z\ngens = x^2*y^2 + y^2*z^2 + z^2*x^2\nt_min = 1\nt_max = 0\n"
+    reversed_file = write(tmp_path, "reversed.ci", text)
+    for args, window in (
+        ([f"{PROBLEMS}/squares_p3.ci", "--from", "2", "--to", "-3"], "from 2 to -3"),
+        ([reversed_file], "from 1 to 0"),
+    ):
+        for json_flag in ([], ["--json"]):
+            assert main(["verify", *args, *json_flag]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"empty degree window: {window}\n"
 
 
 def test_verify_needs_a_window(capsys):

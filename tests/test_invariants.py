@@ -1,10 +1,15 @@
 import pytest
 
-from oracles import oracle_m_q, random_m_primary_gens
+from oracles import (
+    oracle_m_q,
+    random_homogeneous,
+    random_ideal_gens,
+    random_m_primary_gens,
+)
 
 from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
 
-from fsing.errors import ResourceLimit
+from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, TauClass, compute_tau, m_bracket
 from fsing.groebner import Ideal, maximal_ideal
 from fsing.invariants import (
@@ -16,6 +21,7 @@ from fsing.invariants import (
     hilbert_series_ci,
     isolated_singularity_test,
     jacobian_ideal,
+    least_surviving_generator,
     m_q,
     power_containment,
     regularity_artinian,
@@ -126,6 +132,44 @@ def test_m_q_matches_oracle(rng):
         gens = random_m_primary_gens(rng, r, 4)
         q = p if (nv == 3 or p == 5) else p ** rng.choice((1, 2))
         assert m_q(Ideal(r, gens), q) == oracle_m_q(gens, q, r)
+
+
+def groebner_colon_pick(I, q):
+    """The first least-degree reduced-basis generator of the Groebner colon
+    (m^[q] : I) with a monomial below q, stripped to those monomials."""
+    best = None
+    for g in m_bracket(I.ring, q).colon(I).groebner():
+        if any(max(m) < q for m in g.terms):
+            if best is None or g.degree() < best.degree():
+                best = g
+    return {m: c for m, c in best.terms.items() if max(m) < q}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_least_generator_matches_groebner_colon(rng, p):
+    # the kernel scan against the Groebner colon, on forms plus pure powers,
+    # forms alone (often not m-primary) and tau of seeded CIs; without
+    # m-primary I both routes walk every degree, so q^nv stays small there
+    qs = [q for q in (p, p**2, p**3) if q <= 27]
+    for nv in (2, 3, 4):
+        r = ring(p, "xyzw"[:nv])
+        ideals = [Ideal(r, random_m_primary_gens(rng, r, 3)) for _ in range(3)]
+        ideals += [Ideal(r, random_ideal_gens(rng, r, 3, 3)) for _ in range(2)]
+        while len(ideals) < 7:
+            forms = tuple(
+                random_homogeneous(rng, r, rng.randint(2, 3))
+                for _ in range(rng.randint(1, 2))
+            )
+            try:
+                ideals.append(compute_tau(CompleteIntersection(r, forms)).tau)
+            except RegularSequenceError:
+                continue
+        for I in ideals:
+            if I.is_unit():
+                continue
+            small = [q for q in qs if q == p or q**nv <= 729]
+            q = rng.choice(qs if I.is_zero_dimensional() else small)
+            assert least_surviving_generator(I, q).terms == groebner_colon_pick(I, q), (I, q)
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,13 @@ def test_kernel_witness_for_squares_quartic():
     assert is_zero(frobenius_action(witness))
 
 
-def test_kernel_witness_computes_one_colon(monkeypatch):
-    # the stable-q search and the witness share the colon at the stable q
+def test_kernel_witness_computes_no_colon(monkeypatch):
+    # M_q and the witness come from kernels modulo m^[q], not a Groebner colon
     calls = []
     colon = Ideal.colon
     monkeypatch.setattr(Ideal, "colon", lambda I, J: calls.append(I) or colon(I, J))
     kernel_witness(SQUARES3, compute_tau(SQUARES3))
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_kernel_witness_for_two_variable_cubic():
