@@ -3,113 +3,3 @@ over prime fields: Fedder's test, the minimal ideal tau, sharp injectivity
 degree bounds for the Frobenius action on top local cohomology, and explicit
 degreewise verification of those bounds by linear algebra over F_p.
 """
-
-from .errors import ParseError, RegularSequenceError, ResourceLimit, RingMismatch
-from .frobenius import (
-    CompleteIntersection,
-    TauClass,
-    TauResult,
-    bracket_power,
-    classify_tau,
-    compute_tau,
-    fedder_test_at_m,
-    frobenius_root_principal,
-    isolated_non_f_pure_test,
-    m_bracket,
-)
-from .groebner import GroebnerBasis, Ideal, maximal_ideal, normal_form
-from .invariants import (
-    AnalysisReport,
-    a_invariant,
-    analyze,
-    cor_bound,
-    find_stable_q,
-    hilbert_series_ci,
-    isolated_singularity_test,
-    jacobian_ideal,
-    m_q,
-    power_containment,
-    regularity_artinian,
-    stabilization_check,
-    thmA_bound,
-    thmB_threshold,
-)
-from .localcoh import (
-    CohClass,
-    GradedPieceBasis,
-    InjectivityResult,
-    classes_equal,
-    frobenius_action,
-    graded_piece_basis,
-    is_zero,
-    jacobian_annihilation_check,
-    kernel_witness,
-    make_class,
-    minimal_t_vector,
-    rescale,
-    verify_injectivity,
-)
-from .ring import (
-    Monomial,
-    Polynomial,
-    RingDescriptor,
-    grevlex_key,
-    monomials_of_degree,
-    parse_polynomial,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisReport",
-    "CohClass",
-    "CompleteIntersection",
-    "GradedPieceBasis",
-    "GroebnerBasis",
-    "Ideal",
-    "InjectivityResult",
-    "Monomial",
-    "ParseError",
-    "Polynomial",
-    "RegularSequenceError",
-    "ResourceLimit",
-    "RingDescriptor",
-    "RingMismatch",
-    "TauClass",
-    "TauResult",
-    "a_invariant",
-    "analyze",
-    "bracket_power",
-    "classes_equal",
-    "classify_tau",
-    "compute_tau",
-    "cor_bound",
-    "fedder_test_at_m",
-    "find_stable_q",
-    "frobenius_action",
-    "frobenius_root_principal",
-    "graded_piece_basis",
-    "grevlex_key",
-    "hilbert_series_ci",
-    "is_zero",
-    "isolated_non_f_pure_test",
-    "isolated_singularity_test",
-    "jacobian_annihilation_check",
-    "jacobian_ideal",
-    "kernel_witness",
-    "m_bracket",
-    "m_q",
-    "make_class",
-    "maximal_ideal",
-    "minimal_t_vector",
-    "monomials_of_degree",
-    "normal_form",
-    "parse_polynomial",
-    "power_containment",
-    "regularity_artinian",
-    "rescale",
-    "stabilization_check",
-    "thmA_bound",
-    "thmB_threshold",
-    "verify_injectivity",
-]

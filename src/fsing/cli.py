@@ -92,6 +92,9 @@ def load_problem(path: str) -> ProblemFile:
             raise ParseError(
                 f"{path}:{gens_line}:{col}: {e}", position=e.position, line=gens_line
             ) from None
+        except ResourceLimit as e:
+            # a size cap names the generator it refused
+            raise ResourceLimit(f"{path}:{gens_line}:{gens_col + start + 1}: {e}") from None
         offset += len(chunk) + 1
     max_q = int_entry("max_q") if "max_q" in entries else None
     if max_q is not None and max_q < 1:
@@ -235,7 +238,8 @@ def cmd_batch(args) -> int:
             record = {"file": f.name, "ok": True, "report": report.to_json_dict()}
         except Exception as e:  # one record per file, whatever the file does
             failures += 1
-            code = _exit_code_for(e)
+            known = _known_error(e)
+            code = known[0] if known else EXIT_INTERNAL
             if code == EXIT_INTERNAL:
                 traceback.print_exc()  # a bug: keep where it happened
             record = {
@@ -249,16 +253,22 @@ def cmd_batch(args) -> int:
     return EXIT_OK
 
 
-def _exit_code_for(exc) -> int:
-    if isinstance(exc, InternalError):
-        return EXIT_INTERNAL
-    if isinstance(exc, RegularSequenceError):
-        return EXIT_NOT_CI
-    if isinstance(exc, ResourceLimit):
-        return EXIT_RESOURCE
-    if isinstance(exc, (ValueError, OSError)):
-        return EXIT_BAD_INPUT
-    return EXIT_INTERNAL
+# expected exception types, most specific first: (type, exit code, stderr
+# prefix); RegularSequenceError and ParseError are ValueErrors
+_KNOWN_ERRORS = (
+    (InternalError, EXIT_INTERNAL, "internal error: "),
+    (RegularSequenceError, EXIT_NOT_CI, "not a complete intersection: "),
+    (ResourceLimit, EXIT_RESOURCE, "resource cap exceeded: "),
+    ((ValueError, OSError), EXIT_BAD_INPUT, ""),
+)
+
+
+def _known_error(exc):
+    """(exit code, stderr prefix) for an expected exception, else None."""
+    for kind, code, prefix in _KNOWN_ERRORS:
+        if isinstance(exc, kind):
+            return code, prefix
+    return None
 
 
 def _positive_int(text) -> int:
@@ -312,21 +322,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except RegularSequenceError as e:
-        print(f"not a complete intersection: {e}", file=sys.stderr)
-        return EXIT_NOT_CI
-    except ResourceLimit as e:
-        print(f"resource cap exceeded: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except InternalError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (ValueError, OSError) as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except Exception as e:
+        known = _known_error(e)
+        if known is None:
+            raise  # unforeseen: keep the traceback
+        code, prefix = known
+        print(f"{prefix}{e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -4,9 +4,7 @@ The engine is Buchberger's algorithm with the normal selection strategy
 (lowest lcm first) and both classical pair criteria, producing the unique
 reduced basis.  The ambient order is always grevlex; intersections and
 colons go through one auxiliary variable under a block order that
-eliminates it.  Ideals generated by monomials short-circuit the engine:
-their minimal generating set already is the reduced basis, intersections
-are pairwise lcms, and colons by a monomial divide generator by generator.
+eliminates it.
 """
 
 from __future__ import annotations
@@ -22,9 +20,6 @@ from .ring import (
     Polynomial,
     RingDescriptor,
     mono_divides,
-    mono_gcd,
-    mono_lcm,
-    mono_quotient,
     monomials_of_degree,
 )
 
@@ -178,17 +173,6 @@ def _buchberger(inputs: list, desc, p: int) -> list:
     return _interreduce(basis_terms, basis_leads, desc, p)
 
 
-def _minimal_monomials(monos) -> list[Monomial]:
-    """Divisibility-minimal elements, deduplicated, lead-descending."""
-    unique = sorted(set(monos), key=_grevlex_desc, reverse=True)
-    kept: list[Monomial] = []
-    for m in unique:
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    kept.sort(key=_grevlex_desc)
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # public types
 
@@ -280,14 +264,10 @@ class Ideal:
 
     def groebner(self) -> GroebnerBasis:
         if self._gb is None:
-            if all(len(g.terms) == 1 for g in self.generators):
-                minimal = _minimal_monomials(g.leading_monomial() for g in self.generators)
-                elements = tuple(Polynomial._raw(self.ring, {m: 1}) for m in minimal)
-            else:
-                dicts = _buchberger(
-                    [dict(g.terms) for g in self.generators], _grevlex_desc, self.ring.p
-                )
-                elements = tuple(Polynomial._raw(self.ring, d) for d in dicts)
+            dicts = _buchberger(
+                [dict(g.terms) for g in self.generators], _grevlex_desc, self.ring.p
+            )
+            elements = tuple(Polynomial._raw(self.ring, d) for d in dicts)
             self._gb = GroebnerBasis(self.ring, elements)
         return self._gb
 
@@ -336,16 +316,6 @@ class Ideal:
             raise RingMismatch(f"{self.ring} vs {other.ring}")
         if self.is_zero() or other.is_zero():
             return Ideal.zero(self.ring)
-        if self._is_monomial_presented() and other._is_monomial_presented():
-            lcms = [
-                mono_lcm(a, b)
-                for a in self._minimal_presentation()
-                for b in other._minimal_presentation()
-            ]
-            return Ideal(
-                self.ring,
-                tuple(Polynomial._raw(self.ring, {m: 1}) for m in _minimal_monomials(lcms)),
-            )
         return _intersection_elimination(self, other)
 
     def colon(self, other: "Ideal") -> "Ideal":
@@ -363,25 +333,8 @@ class Ideal:
     def _colon_principal(self, g: Polynomial) -> "Ideal":
         if g.degree() == 0:
             return self
-        if self._is_monomial_presented() and len(g.terms) == 1:
-            gm = g.leading_monomial()
-            quotients = [
-                mono_quotient(m, mono_gcd(m, gm)) for m in self._minimal_presentation()
-            ]
-            return Ideal(
-                self.ring,
-                tuple(
-                    Polynomial._raw(self.ring, {m: 1}) for m in _minimal_monomials(quotients)
-                ),
-            )
         meet = self.intersection(Ideal(self.ring, (g,)))
         return Ideal(self.ring, tuple(_exact_divide(h, g) for h in meet.generators))
-
-    def _is_monomial_presented(self) -> bool:
-        return all(len(g.terms) == 1 for g in self.generators)
-
-    def _minimal_presentation(self) -> list[Monomial]:
-        return _minimal_monomials(g.leading_monomial() for g in self.generators)
 
     # -- dimension-zero structure ----------------------------------------------
 
@@ -429,14 +382,6 @@ def maximal_ideal(ring: RingDescriptor) -> Ideal:
 
 # ---------------------------------------------------------------------------
 # elimination internals
-
-
-def _elimination_ring(ring: RingDescriptor) -> RingDescriptor:
-    name, k = "t", 0
-    while name in ring.variables:
-        k += 1
-        name = f"t{k}"
-    return RingDescriptor(ring.p, (name,) + ring.variables)
 
 
 def _block_desc(e: Monomial):

@@ -15,11 +15,13 @@ degree t comes down to two ranks, of A and of A stacked on Phi.
 
 from __future__ import annotations
 
+import itertools
+
 from dataclasses import dataclass
 from operator import add
 
 from .errors import InternalError, ResourceLimit
-from .frobenius import CompleteIntersection, TauResult, annihilation_rows
+from .frobenius import CompleteIntersection, TauResult, annihilation_rows, in_m_bracket
 from .invariants import (
     a_invariant,
     find_stable_q,
@@ -36,11 +38,6 @@ from .ring import (
 )
 
 DEFAULT_MAX_COLUMNS = 20000
-
-
-def _in_m_bracket(poly: Polynomial, q: int) -> bool:
-    # membership in the monomial ideal (x_0^q, ..., x_n^q)
-    return all(max(m) >= q for m in poly.terms)
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,7 @@ def make_class(g: Polynomial, q: int, ci: CompleteIntersection) -> CohClass:
     if not is_power_of(q, ci.ring.p):
         raise ValueError(f"{q} is not a power of {ci.ring.p}")
     for j, form in enumerate(ci.forms):
-        if not _in_m_bracket(form * g, q):
+        if not in_m_bracket(form * g, q):
             raise ValueError(
                 f"annihilation failure: form {j + 1} times the numerator is "
                 f"not in the bracket power with q = {q}"
@@ -82,7 +79,7 @@ def make_class(g: Polynomial, q: int, ci: CompleteIntersection) -> CohClass:
 
 
 def is_zero(alpha: CohClass) -> bool:
-    return _in_m_bracket(alpha.numerator, alpha.q)
+    return in_m_bracket(alpha.numerator, alpha.q)
 
 
 def rescale(alpha: CohClass, q_new: int) -> CohClass:
@@ -104,7 +101,7 @@ def classes_equal(alpha: CohClass, beta: CohClass) -> bool:
         raise ValueError("classes from different complete intersections")
     q = max(alpha.q, beta.q)
     diff = rescale(alpha, q).numerator - rescale(beta, q).numerator
-    return _in_m_bracket(diff, q)
+    return in_m_bracket(diff, q)
 
 
 def frobenius_action(alpha: CohClass) -> CohClass:
@@ -301,28 +298,17 @@ def minimal_t_vector(g: Polynomial, q: int, ci: CompleteIntersection):
         return acc
 
     minimal: list[tuple[int, ...]] = []
-    candidates = sorted(
-        ((sum(v), v) for v in _exponent_box(p, ci.c)), key=lambda sv: sv
-    )
+    candidates = sorted((sum(v), v) for v in itertools.product(range(p), repeat=ci.c))
     for _, v in candidates:
         if any(all(a <= b for a, b in zip(m, v)) for m in minimal):
             continue
-        if _in_m_bracket(product(v), q):
+        if in_m_bracket(product(v), q):
             minimal.append(v)
     if not minimal:
         raise ValueError(
             "no feasible exponent vector: f^(p-1)*g^p is outside the bracket power"
         )
     return min(minimal), tuple(sorted(minimal))
-
-
-def _exponent_box(p, c):
-    if c == 0:
-        yield ()
-        return
-    for head in range(p):
-        for tail in _exponent_box(p, c - 1):
-            yield (head,) + tail
 
 
 def jacobian_annihilation_check(g: Polynomial, q: int, ci: CompleteIntersection) -> bool:
@@ -341,5 +327,5 @@ def jacobian_annihilation_check(g: Polynomial, q: int, ci: CompleteIntersection)
         for _ in range(e):
             base = base * ci.forms[j]
     return all(
-        _in_m_bracket(base * minor, q) for minor in jacobian_ideal(ci).generators
+        in_m_bracket(base * minor, q) for minor in jacobian_ideal(ci).generators
     )

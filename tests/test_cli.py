@@ -192,8 +192,8 @@ def test_power_of_a_sum_is_capped_before_it_is_built(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err == (
-        "resource cap exceeded: a product of degree 400 spans 10827401 monomials, "
-        f"cap {REGULAR_CHECK_CAP}\n"
+        f"resource cap exceeded: {path}:3:8: a product of degree 400 spans 10827401 "
+        f"monomials, cap {REGULAR_CHECK_CAP}\n"
     )
     start = time.perf_counter()
     assert main(["batch", str(tmp_path)]) == 1
@@ -201,6 +201,13 @@ def test_power_of_a_sum_is_capped_before_it_is_built(tmp_path, capsys):
     (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert record["file"] == "power.ci"
     assert record["error"]["exit_code"] == 4
+    assert record["error"]["message"].startswith(f"{path}:3:8: a product of degree 400")
+    # the column points at the generator the cap refused, here the second
+    second = write(tmp_path, "second.ci", "p = 10007\nvars = x, y, z\ngens = x*y, (x+y+z)^400\n")
+    assert main(["analyze", second]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"resource cap exceeded: {second}:3:13: a product of degree 400"
+    )
     ring = RingDescriptor(3, ("x", "y", "z"))
     with pytest.raises(ResourceLimit, match="degree 200"):
         parse_polynomial("(x+y+z)^100 * (x+y+z)^100", ring)

@@ -321,6 +321,8 @@ def test_fedder_agrees_with_tau_being_unit():
     ]
     for ci in family:
         assert fedder_test_at_m(ci) == compute_tau(ci).is_unit
+        # the exponent test against the Groebner membership test in m^[p]
+        assert fedder_test_at_m(ci) == (not m_bracket(ci.ring, ci.ring.p).contains(ci.fpow))
 
 
 def test_classification_three_ways():

@@ -164,6 +164,21 @@ def test_reduced_basis_matches_sympy(rng, p):
             ours = [g.terms for g in tau.groebner()]
             assert ours == sympy_reduced_basis(sympy, tau.generators, ring)
             checked += 1
+    # ideals generated by monomials, with repeats and non-unit coefficients;
+    # drawn last, so the ideals above are the same draws as before
+    for nv in (2, 3, 4):
+        ring = RingDescriptor(p, tuple("xyzw"[:nv]))
+        for _ in range(4):
+            gens = [
+                Polynomial.monomial(
+                    ring,
+                    rng.choice(monomials_of_degree(ring, rng.randint(1, 4))),
+                    rng.randrange(1, p),
+                )
+                for _ in range(rng.randint(1, 6))
+            ]
+            ours = [g.terms for g in Ideal(ring, gens).groebner()]
+            assert ours == sympy_reduced_basis(sympy, gens, ring)
 
 
 def block_key(e):

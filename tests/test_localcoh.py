@@ -5,11 +5,11 @@ import pytest
 from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
 from oracles import as_matrix, random_homogeneous, rank
 
-from fsing.cli import main
+from fsing.cli import _consistency, main
 from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, compute_tau, m_bracket
 from fsing.groebner import Ideal
-from fsing.invariants import a_invariant, jacobian_ideal, thmA_bound
+from fsing.invariants import a_invariant, analyze, jacobian_ideal, thmA_bound
 from fsing.localcoh import (
     CohClass,
     classes_equal,
@@ -374,6 +374,34 @@ def test_two_ranks_match_the_per_class_route(rng):
             assert (result.dim_source, result.dim_kernel) == per_class_injectivity(ci, t)
             kernels += result.dim_kernel > 0
     assert kernels > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_theorem_a_on_generated_cis(rng, p):
+    # on generated complete intersections with m-primary tau, verify's rows
+    # up to a(R) - reg(S/tau) pass the Theorem A check that verify runs
+    ells = []
+    while len(ells) < 6:
+        r = ring(p, "xyz"[: rng.randint(2, 3)])
+        forms = tuple(
+            random_homogeneous(rng, r, rng.randint(2, 4), density=0.4)
+            for _ in range(rng.randint(1, 2))
+        )
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        report = analyze(ci)
+        if report.thmA_bound is None:
+            continue
+        top = report.thmA_bound
+        rows = [verify_injectivity(ci, t) for t in range(top - 2, top + 1)]
+        consistent, checked = _consistency(ci, report, rows)
+        assert "thmA" in checked
+        assert consistent
+        ells.append(report.ell)
+    # the draws reach tau other than m, where the bound sits below a(R)
+    assert any(ells)
 
 
 # ---------------------------------------------------------------------------
