@@ -11,6 +11,7 @@ also gives 6 for any other unforeseen error, so one file never stops a batch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -281,6 +282,8 @@ def _positive_int(text) -> int:
     return value
 
 
+# built once per process: parse_args leaves the parser unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from operator import add, le, neg, sub
+from operator import add, le, neg
 
 from .errors import ParseError, ResourceLimit, RingMismatch
 
-# Exponents are kept within machine-int range so downstream consumers can
-# pack them into fixed-width arrays.
+# cap on exponents, degrees and powers q, and on the characteristic p, whose
+# primality test is trial division (about 46,000 divisions at the cap)
 EXPONENT_CAP = 2**31 - 1
 # monomials of degree <= d that a form of degree d may span, for the
 # regular-sequence check and for products the parser builds
@@ -24,7 +24,7 @@ REGULAR_CHECK_CAP = 10**6
 
 
 def is_prime(p: int) -> bool:
-    """Trial division, adequate for word-sized characteristics."""
+    """Trial division, adequate for characteristics up to EXPONENT_CAP."""
     if p < 2:
         return False
     return all(p % d for d in range(2, math.isqrt(p) + 1))
@@ -52,6 +52,8 @@ class RingDescriptor:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
+        if self.p > EXPONENT_CAP:
+            raise ValueError(f"characteristic {self.p} exceeds the cap {EXPONENT_CAP}")
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         if not self.variables:
@@ -97,19 +99,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b, i.e. componentwise a <= b."""
     return all(map(le, a, b))
-
-
-def mono_quotient(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
-
-
-def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(min, a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
 
 
 def grevlex_key(m: Monomial):

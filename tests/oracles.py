@@ -178,6 +178,19 @@ def oracle_quotient_dim(gens, s, ring):
     return len(basis) - rank(ideal_piece_matrix(gens, s, ring), ring.p)
 
 
+def mono_quotient(a, b):
+    """a / b for monomials; the caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_gcd(a, b):
+    return tuple(map(min, a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
 def per_eps_root(h):
     """The Frobenius root of h as the raw g_eps, one per residue class eps of
     the exponents mod p, with h = sum of g_eps^p * x^eps: a generating set of

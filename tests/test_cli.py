@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -230,6 +231,23 @@ def test_fpow_term_cap(tmp_path, capsys):
     assert record["error"]["exit_code"] == 4
 
 
+def test_huge_characteristic_is_refused_before_trial_division(tmp_path, capsys):
+    # trial division up to sqrt(2^61 - 1) ran past a 20 s timeout; the cap
+    # refuses p above 2^31 - 1 as malformed input at once
+    text = "p = 2305843009213693951\nvars = x, y\ngens = x^2 + y^2\n"
+    path = write(tmp_path, "huge_p.ci", text)
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:")
+    assert err.endswith(": characteristic 2305843009213693951 exceeds the cap 2147483647\n")
+    assert main(["batch", str(tmp_path)]) == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record["file"] == "huge_p.ci"
+    assert record["error"]["exit_code"] == 2
+
+
 def test_analyze_missing_file_exit_code(capsys):
     assert main(["analyze", "no/such/file.ci"]) == 2
     assert capsys.readouterr().err
@@ -442,3 +460,56 @@ def test_batch_empty_directory(tmp_path, capsys):
 def test_batch_rejects_non_directory(capsys):
     assert main(["batch", f"{PROBLEMS}/squares_p3.ci"]) == 2
     assert "not a directory" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one parser for every call
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    squares = f"{PROBLEMS}/squares_p3.ci"
+    # flags of one call do not leak into the next: the file's window, text
+    assert main(["verify", squares, "--from", "-1", "--to", "1", "--json"]) == 0
+    assert [r["degree"] for r in json.loads(capsys.readouterr().out)["rows"]] == [-1, 0, 1]
+    assert main(["verify", squares]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "degree  dim  kernel_dim"
+    assert [int(line.split()[0]) for line in lines[1:-1]] == list(range(-3, 3))
+    assert main(["witness", squares, "--max-q", "1"]) == 4
+    capsys.readouterr()
+    assert main(["witness", squares]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["verify", f"{PROBLEMS}/squares_p3.ci", "--max-q", "0"]]
+)
+def test_bad_arguments_fail_alike_on_every_call(argv, capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: fsing ")
+
+
+def test_main_builds_no_parser_after_the_first_call(monkeypatch, capsys):
+    # building the argparse tree used to lead the time of a small call
+    squares = f"{PROBLEMS}/squares_p3.ci"
+    assert main(["analyze", squares, "--json"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
+    )
+    assert main(["analyze", squares]) == 0
+    assert main(["witness", squares, "--json"]) == 0
+    assert main(["verify", squares, "--from", "1", "--to", "1"]) == 0
+    capsys.readouterr()
+    assert built == []

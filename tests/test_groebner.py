@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from oracles import (
+    mono_lcm,
+    mono_quotient,
     oracle_colon_piece_dim,
     oracle_membership,
     random_homogeneous,
@@ -27,8 +29,6 @@ from fsing.ring import (
     RingDescriptor,
     grevlex_key,
     mono_divides,
-    mono_lcm,
-    mono_quotient,
     monomials_of_degree,
     parse_polynomial,
 )

@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import mono_gcd, mono_lcm, mono_quotient
+
 from fsing.errors import ParseError, RingMismatch
 from fsing.ring import (
+    EXPONENT_CAP,
     Polynomial,
     RingDescriptor,
     grevlex_key,
     is_power_of,
     is_prime,
     mono_divides,
-    mono_gcd,
-    mono_lcm,
     mono_mul,
-    mono_quotient,
     monomials_of_degree,
     parse_polynomial,
 )
@@ -333,6 +333,14 @@ def test_mono_helpers():
 def test_composite_characteristic_rejected(p):
     with pytest.raises(ValueError):
         RingDescriptor(p, ("x",))
+
+
+def test_characteristic_is_capped_before_the_primality_test():
+    # trial division up to sqrt(2^61 - 1) would run for hours; 2^31 - 1, the
+    # largest accepted prime, takes about 46,000 divisions
+    with pytest.raises(ValueError, match="exceeds the cap 2147483647"):
+        RingDescriptor(2**61 - 1, ("x",))
+    assert RingDescriptor(EXPONENT_CAP, ("x",)).p == 2**31 - 1
 
 
 @pytest.mark.parametrize(
