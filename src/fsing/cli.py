@@ -23,7 +23,7 @@ from .errors import InternalError, ParseError, RegularSequenceError, ResourceLim
 from .frobenius import CompleteIntersection, TauClass, classify_tau, compute_tau
 from .invariants import analyze
 from .localcoh import DEFAULT_MAX_COLUMNS, kernel_witness, verify_injectivity
-from .ring import RingDescriptor, parse_polynomial
+from .ring import RingDescriptor, check_characteristic, parse_polynomial
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -76,6 +76,11 @@ def load_problem(path: str) -> ProblemFile:
             ) from None
 
     p = int_entry("p")
+    try:
+        check_characteristic(p)
+    except ValueError as e:
+        line_no = entries["p"][1]
+        raise ParseError(f"{path}:{line_no}: {e}", line=line_no) from None
     names, line_no, _ = entries["vars"]
     try:
         ring = RingDescriptor(p, tuple(s.strip() for s in names.split(",")))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
-from .groebner import GroebnerBasis, Ideal
+from .groebner import Ideal
 from .linalg import echelon, rank
 from .ring import (
     REGULAR_CHECK_CAP,
@@ -26,7 +26,6 @@ from .ring import (
     Polynomial,
     RingDescriptor,
     is_power_of,
-    mono_degree,
     monomials_of_degree,
 )
 
@@ -78,7 +77,7 @@ def bracket_power(I: Ideal, q: int) -> Ideal:
     if not is_power_of(q, I.ring.p):
         raise ValueError(f"{q} is not a power of {I.ring.p}")
     powers = tuple(g.frobenius_power(q) for g in I.groebner())
-    return Ideal._with_basis(I.ring, GroebnerBasis(I.ring, powers))
+    return Ideal._with_basis(I.ring, powers)
 
 
 def frobenius_root_principal(h: Polynomial) -> Ideal:
@@ -234,7 +233,7 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
     m_primary = False if unit else tau.is_zero_dimensional()
     ell = None
     if m_primary:
-        ell = max(mono_degree(m) for m in tau.standard_monomials())
+        ell = max(map(sum, tau.standard_monomials()))
     # re-check the two defining conditions on the constructed ideal
     if not all(tau.contains(g) for g in ci.forms):
         raise InternalError("tau misses a defining form")

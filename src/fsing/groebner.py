@@ -19,6 +19,7 @@ from .ring import (
     Monomial,
     Polynomial,
     RingDescriptor,
+    grevlex_desc,
     mono_divides,
     monomials_of_degree,
 )
@@ -28,12 +29,7 @@ from .ring import (
 #
 # A descending key sorts monomials largest first: the largest monomial has
 # the least key, so `min` finds leads and a min-heap pops the largest term.
-
-
-def _grevlex_desc(m: Monomial):
-    # ring.grevlex_key with its order reversed: higher degree first, then
-    # the smaller reversed exponent tuple
-    return (-sum(m), m[::-1])
+# The ambient order's key is ring.grevlex_desc; _block_desc is elimination's.
 
 
 def _lead(terms: dict, desc) -> Monomial:
@@ -177,49 +173,16 @@ def _buchberger(inputs: list, desc, p: int) -> list:
 # public types
 
 
-class GroebnerBasis:
-    """The unique reduced Groebner basis: monic elements, leads descending."""
-
-    __slots__ = ("ring", "elements", "_leads", "_dicts")
-
-    def __init__(self, ring: RingDescriptor, elements: tuple[Polynomial, ...]):
-        self.ring = ring
-        self.elements = tuple(elements)
-        self._leads = None
-        self._dicts = None
-
-    def leading_monomials(self) -> list[Monomial]:
-        if self._leads is None:
-            self._leads = [g.leading_monomial() for g in self.elements]
-        return self._leads
-
-    def _term_dicts(self):
-        if self._dicts is None:
-            self._dicts = [g.terms for g in self.elements]
-        return self._dicts
-
-    def is_unit(self) -> bool:
-        return len(self.elements) == 1 and self.elements[0].degree() == 0
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __repr__(self):
-        inside = ", ".join(str(g) for g in self.elements) or "0"
-        return f"GB({inside})"
-
-
-def normal_form(g: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    """Remainder of g on division by the basis; zero iff g is in the ideal."""
-    if g.ring != basis.ring:
-        raise RingMismatch(f"{g.ring} vs {basis.ring}")
+def normal_form(g: Polynomial, ideal: "Ideal") -> Polynomial:
+    """Remainder of g on division by the ideal's reduced basis; zero iff g
+    is in the ideal."""
+    if g.ring != ideal.ring:
+        raise RingMismatch(f"{g.ring} vs {ideal.ring}")
+    polys = [b.terms for b in ideal.groebner()]
     reduced = _normal_form_dict(
-        g.terms, basis.leading_monomials(), basis._term_dicts(), _grevlex_desc, basis.ring.p
+        g.terms, ideal.leading_monomials(), polys, grevlex_desc, ideal.ring.p
     )
-    return Polynomial._raw(basis.ring, reduced)
+    return Polynomial._raw(ideal.ring, reduced)
 
 
 class Ideal:
@@ -230,7 +193,7 @@ class Ideal:
     comparing reduced bases, so Ideal is deliberately unhashable.
     """
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_leads")
 
     def __init__(self, ring: RingDescriptor, generators=()):
         gens = []
@@ -245,15 +208,17 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = None
+        self._leads = None
 
     @classmethod
     def zero(cls, ring) -> "Ideal":
         return cls(ring, ())
 
     @classmethod
-    def _with_basis(cls, ring, gb: GroebnerBasis) -> "Ideal":
-        ideal = cls(ring, gb.elements)
-        ideal._gb = gb
+    def _with_basis(cls, ring, elements: tuple[Polynomial, ...]) -> "Ideal":
+        # elements must already be the reduced basis, as groebner() gives it
+        ideal = cls(ring, elements)
+        ideal._gb = ideal.generators
         return ideal
 
     def __repr__(self):
@@ -262,20 +227,23 @@ class Ideal:
 
     # -- basis and membership -------------------------------------------------
 
-    def groebner(self) -> GroebnerBasis:
+    def groebner(self) -> tuple[Polynomial, ...]:
+        """The reduced basis: monic elements, leads descending."""
         if self._gb is None:
             dicts = _buchberger(
-                [dict(g.terms) for g in self.generators], _grevlex_desc, self.ring.p
+                [dict(g.terms) for g in self.generators], grevlex_desc, self.ring.p
             )
-            elements = tuple(Polynomial._raw(self.ring, d) for d in dicts)
-            self._gb = GroebnerBasis(self.ring, elements)
+            self._gb = tuple(Polynomial._raw(self.ring, d) for d in dicts)
         return self._gb
 
-    def normal_form(self, g: Polynomial) -> Polynomial:
-        return normal_form(g, self.groebner())
+    def leading_monomials(self) -> list[Monomial]:
+        """The leads of the reduced basis, in its order."""
+        if self._leads is None:
+            self._leads = [g.leading_monomial() for g in self.groebner()]
+        return self._leads
 
     def contains(self, g: Polynomial) -> bool:
-        return not self.normal_form(g)
+        return not normal_form(g, self)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.generators)
@@ -284,12 +252,13 @@ class Ideal:
         return not self.generators
 
     def is_unit(self) -> bool:
-        return self.groebner().is_unit()
+        gb = self.groebner()
+        return len(gb) == 1 and gb[0].degree() == 0
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
-        return self.ring == other.ring and self.groebner().elements == other.groebner().elements
+        return self.ring == other.ring and self.groebner() == other.groebner()
 
     __hash__ = None
 
@@ -325,7 +294,7 @@ class Ideal:
         if other.is_zero():
             raise ValueError("colon by the zero ideal")
         result = None
-        for g in other.groebner().elements:
+        for g in other.groebner():
             part = self._colon_principal(g)
             result = part if result is None else result.intersection(part)
         return result
@@ -344,23 +313,17 @@ class Ideal:
         Decided by pure variable powers among the lead monomials; raises on
         the unit ideal, whose quotient is the zero ring.
         """
-        gb = self.groebner()
-        if gb.is_unit():
+        if self.is_unit():
             raise ValueError("unit ideal: the quotient is the zero ring")
-        leads = gb.leading_monomials()
-        nv = self.ring.nvars
-        for i in range(nv):
-            if not any(
-                lm[i] > 0 and all(lm[j] == 0 for j in range(nv) if j != i) for lm in leads
-            ):
-                return False
-        return True
+        # a lead is a pure power exactly when its largest exponent is its degree
+        pure = {lm.index(max(lm)) for lm in self.leading_monomials() if max(lm) == sum(lm)}
+        return len(pure) == self.ring.nvars
 
     def standard_monomials(self) -> list[Monomial]:
         """Monomials outside the lead-term ideal, by degree then order."""
         if not self.is_zero_dimensional():
             raise ValueError("standard monomial basis requires a zero-dimensional ideal")
-        leads = self.groebner().leading_monomials()
+        leads = self.leading_monomials()
         out: list[Monomial] = []
         s = 0
         while True:
@@ -405,11 +368,10 @@ def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
         inputs.append(d)
     gens: list[Polynomial] = []
     for d in _buchberger(inputs, _block_desc, p):
-        if any(m[0] for m in d):
-            continue
-        projected = Polynomial._raw(ring, {m[1:]: c for m, c in d.items()})
-        # elements of a homogeneous ideal split into components inside it
-        gens.extend(projected.homogeneous_components().values())
+        # every input is homogeneous in x, so each element free of t
+        # projects to one form
+        if not any(m[0] for m in d):
+            gens.append(Polynomial._raw(ring, {m[1:]: c for m, c in d.items()}))
     return Ideal(ring, tuple(gens))
 
 
@@ -423,7 +385,7 @@ def _exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
     get, pop = work.get, work.pop
     quotient: dict[Monomial, int] = {}
     while work:
-        m = min(work, key=_grevlex_desc)
+        m = min(work, key=grevlex_desc)
         if not all(map(le, glm, m)):
             raise ArithmeticError(f"{h} is not divisible by {g}")
         c = (work[m] * ginv) % p

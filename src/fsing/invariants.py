@@ -26,7 +26,7 @@ from .frobenius import (
 )
 from .groebner import Ideal
 from .linalg import nullspace
-from .ring import Polynomial, is_power_of, mono_degree, monomials_of_degree
+from .ring import Polynomial, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_Q_EXPONENT = 6
 
@@ -37,7 +37,7 @@ def regularity_artinian(I: Ideal) -> int:
         raise ValueError("regularity of the zero ring is undefined")
     if not I.is_zero_dimensional():
         raise ValueError("regularity is only computed for Artinian quotients")
-    return max(mono_degree(m) for m in I.standard_monomials())
+    return max(map(sum, I.standard_monomials()))
 
 
 def power_containment(I: Ideal, ell: int) -> bool:

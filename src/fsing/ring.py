@@ -3,7 +3,7 @@ multivariate polynomials over F_p, and the polynomial text format.
 
 Monomial orders are realized as sort keys on exponent tuples.  Everything in
 the package uses graded reverse lexicographic order with the first declared
-variable largest; `grevlex_key` is that order's key.
+variable largest; `grevlex_desc` is that order's one key, largest first.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from operator import add, le, neg
+from operator import add, le
 
 from .errors import ParseError, ResourceLimit, RingMismatch
 
@@ -28,6 +28,15 @@ def is_prime(p: int) -> bool:
     if p < 2:
         return False
     return all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def check_characteristic(p: int) -> None:
+    """Raise ValueError unless p is a prime at most EXPONENT_CAP; the cap is
+    checked first, since trial division above it would take long."""
+    if p > EXPONENT_CAP:
+        raise ValueError(f"characteristic {p} exceeds the cap {EXPONENT_CAP}")
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
 
 
 def is_power_of(value: int, base: int) -> bool:
@@ -52,10 +61,7 @@ class RingDescriptor:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        if self.p > EXPONENT_CAP:
-            raise ValueError(f"characteristic {self.p} exceeds the cap {EXPONENT_CAP}")
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
+        check_characteristic(self.p)
         if not self.variables:
             raise ValueError("at least one variable is required")
         seen = set()
@@ -88,10 +94,6 @@ class RingDescriptor:
 Monomial = tuple[int, ...]
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
@@ -101,13 +103,15 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
-def grevlex_key(m: Monomial):
-    """Sort key for grevlex with the first variable largest.
+def grevlex_desc(m: Monomial):
+    """Sort key for grevlex with the first variable largest, largest first.
 
-    Compare total degree first; ties are broken by the reversed, negated
-    exponent tuple, so the monomial with the smaller last exponent wins.
+    Higher total degree sorts first; ties go to the smaller reversed exponent
+    tuple, so the monomial with the smaller last exponent is larger.  The
+    largest monomial has the least key: `min` finds leads, and a min-heap
+    pops the largest monomial.
     """
-    return (sum(m), tuple(map(neg, reversed(m))))
+    return (-sum(m), m[::-1])
 
 
 def monomials_of_degree(
@@ -147,7 +151,7 @@ class Polynomial:
     polynomials are equal exactly when their term dicts are.
     """
 
-    __slots__ = ("ring", "terms", "_sorted", "_hash")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: RingDescriptor, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -162,7 +166,6 @@ class Polynomial:
             acc[mono] = (acc.get(mono, 0) + coeff) % p
         self.ring = ring
         self.terms = {m: c for m, c in acc.items() if c}
-        self._sorted = None
         self._hash = None
 
     @classmethod
@@ -171,7 +174,6 @@ class Polynomial:
         poly = cls.__new__(cls)
         poly.ring = ring
         poly.terms = clean
-        poly._sorted = None
         poly._hash = None
         return poly
 
@@ -228,16 +230,12 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms as ((monomial, coeff), ...), largest monomial first."""
-        if self._sorted is None:
-            self._sorted = tuple(
-                sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
-            )
-        return self._sorted
+        return tuple(sorted(self.terms.items(), key=lambda t: grevlex_desc(t[0])))
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return self.sorted_terms()[0][0]
+        return min(self.terms, key=grevlex_desc)
 
     def leading_coefficient(self) -> int:
         return self.terms[self.leading_monomial()]

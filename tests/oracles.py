@@ -11,6 +11,12 @@ import numpy as np
 from fsing.ring import Polynomial, mono_mul, monomials_of_degree
 
 
+def grevlex_key(m):
+    """Ascending grevlex key, the reference for fsing.ring.grevlex_desc:
+    total degree first, ties broken by the reversed, negated exponent tuple."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
 def as_matrix(rows, ncols):
     """Stack an iterable of length-ncols vectors; empty input is (0, ncols)."""
     rows = list(rows)

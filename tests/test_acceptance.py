@@ -223,11 +223,11 @@ def test_criterion_07_oracle_equivalence(capsys):
                 engine_dim = len(basis)
             else:
                 engine_dim = rank(
-                    ideal_piece_matrix(C.groebner().elements, s, r), p
+                    ideal_piece_matrix(C.groebner(), s, r), p
                 )
             assert engine_dim == len(oracle_vectors)
             if not C.is_unit():
-                piece = ideal_piece_matrix(C.groebner().elements, s, r)
+                piece = ideal_piece_matrix(C.groebner(), s, r)
                 for v in oracle_vectors:
                     assert in_row_space(piece, v, p)
 

@@ -248,6 +248,19 @@ def test_huge_characteristic_is_refused_before_trial_division(tmp_path, capsys):
     assert record["error"]["exit_code"] == 2
 
 
+def test_bad_characteristic_is_reported_at_its_own_line(tmp_path, capsys):
+    # p comes first, vars third: the error names p's line, not the ring's
+    path = write(tmp_path, "p4.ci", "p = 4\n# the ring\nvars = x, y\ngens = x^2 + y^2\n")
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == f"{path}:1: characteristic 4 is not prime\n"
+    assert main(["batch", str(tmp_path)]) == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record["error"] == {
+        "exit_code": 2,
+        "message": f"{tmp_path / 'p4.ci'}:1: characteristic 4 is not prime",
+    }
+
+
 def test_analyze_missing_file_exit_code(capsys):
     assert main(["analyze", "no/such/file.ci"]) == 2
     assert capsys.readouterr().err

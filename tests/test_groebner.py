@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from oracles import (
+    grevlex_key,
     mono_lcm,
     mono_quotient,
     oracle_colon_piece_dim,
@@ -15,19 +16,17 @@ from oracles import (
 )
 
 from fsing.errors import RegularSequenceError, RingMismatch
-from fsing.frobenius import CompleteIntersection, compute_tau
+from fsing.frobenius import CompleteIntersection, bracket_power, compute_tau
 from fsing.groebner import (
-    GroebnerBasis,
     Ideal,
     _block_desc,
-    _grevlex_desc,
     maximal_ideal,
     normal_form,
 )
 from fsing.ring import (
     Polynomial,
     RingDescriptor,
-    grevlex_key,
+    grevlex_desc,
     mono_divides,
     monomials_of_degree,
     parse_polynomial,
@@ -51,11 +50,11 @@ def m_power(ring, k):
     )
 
 
-def assert_reduced_basis(gb: GroebnerBasis):
-    leads = gb.leading_monomials()
-    keys = [grevlex_key(l) for l in leads]
-    assert keys == sorted(keys, reverse=True)
-    for i, g in enumerate(gb):
+def assert_reduced_basis(I: Ideal):
+    leads = I.leading_monomials()
+    keys = [grevlex_desc(l) for l in leads]
+    assert keys == sorted(keys)
+    for i, g in enumerate(I.groebner()):
         assert g.leading_coefficient() == 1
         others = [l for j, l in enumerate(leads) if j != i]
         for m in g.terms:
@@ -63,9 +62,8 @@ def assert_reduced_basis(gb: GroebnerBasis):
 
 
 def assert_buchberger_criterion(I: Ideal):
-    gb = I.groebner()
     ring = I.ring
-    els = gb.elements
+    els = I.groebner()
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
             li = els[i].leading_monomial()
@@ -74,7 +72,7 @@ def assert_buchberger_criterion(I: Ideal):
             s = els[i] * Polynomial.monomial(ring, mono_quotient(lcm, li)) - els[
                 j
             ] * Polynomial.monomial(ring, mono_quotient(lcm, lj))
-            assert not normal_form(s, gb)
+            assert not normal_form(s, I)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +82,7 @@ def assert_buchberger_criterion(I: Ideal):
 def test_monomial_ideal_is_its_own_basis():
     I = ideal(R3, "x^2", "x*y", "y^2")
     assert [str(g) for g in I.groebner()] == ["x^2", "x*y", "y^2"]
-    assert_reduced_basis(I.groebner())
+    assert_reduced_basis(I)
 
 
 def test_linear_forms_reduce_to_variables():
@@ -103,8 +101,8 @@ def test_basis_cached_and_idempotent():
     I = ideal(R3, "x^2 + y*z", "y^2")
     gb = I.groebner()
     assert I.groebner() is gb
-    again = Ideal(R3, gb.elements)
-    assert again.groebner().elements == gb.elements
+    again = Ideal(R3, gb)
+    assert again.groebner() == gb
 
 
 def test_degenerate_bases():
@@ -116,6 +114,31 @@ def test_degenerate_bases():
     assert Ideal.zero(R3).is_zero()
 
 
+def test_basis_is_a_tuple_of_monic_polynomials_with_descending_leads(rng):
+    for p in (2, 3, 5):
+        ring = RingDescriptor(p, ("x", "y", "z"))
+        for _ in range(4):
+            gb = Ideal(ring, random_ideal_gens(rng, ring, 3, 4)).groebner()
+            assert isinstance(gb, tuple)
+            assert all(isinstance(g, Polynomial) and g.leading_coefficient() == 1 for g in gb)
+            keys = [grevlex_desc(g.leading_monomial()) for g in gb]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_bracket_power_runs_no_buchberger(rng, monkeypatch):
+    I = Ideal(R3, random_ideal_gens(rng, R3, 3, 3))
+    I.groebner()
+
+    def refuse(*args):
+        raise AssertionError("Buchberger ran on a bracket power")
+
+    monkeypatch.setattr("fsing.groebner._buchberger", refuse)
+    power = bracket_power(I, 9)
+    assert power.groebner() == tuple(g.frobenius_power(9) for g in I.groebner())
+    assert all(power.contains(g**9) for g in I.generators)
+    assert not power.contains(P("x*y*z"))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_buchberger_criterion_on_random_ideals(rng, p):
     for nv in (2, 3):
@@ -123,7 +146,7 @@ def test_buchberger_criterion_on_random_ideals(rng, p):
         for _ in range(6):
             I = Ideal(ring, random_ideal_gens(rng, ring, 3, 4))
             assert_buchberger_criterion(I)
-            assert_reduced_basis(I.groebner())
+            assert_reduced_basis(I)
 
 
 def sympy_reduced_basis(sympy, gens, ring):
@@ -134,9 +157,9 @@ def sympy_reduced_basis(sympy, gens, ring):
     out = []
     for g in sympy.groebner(polys, *symbols, modulus=p, order="grevlex").polys:
         terms = {m: int(c) % p for m, c in g.terms() if int(c) % p}
-        inv = pow(terms[max(terms, key=grevlex_key)], -1, p)
+        inv = pow(terms[min(terms, key=grevlex_desc)], -1, p)
         out.append({m: c * inv % p for m, c in terms.items()})
-    return sorted(out, key=lambda t: grevlex_key(max(t, key=grevlex_key)), reverse=True)
+    return sorted(out, key=lambda t: grevlex_desc(min(t, key=grevlex_desc)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -189,7 +212,7 @@ def block_key(e):
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 def test_descending_keys_reverse_the_ascending_keys(nvars):
     monos = [m for m in itertools.product(range(5), repeat=nvars) if sum(m) <= 4]
-    assert sorted(monos, key=_grevlex_desc) == sorted(monos, key=grevlex_key, reverse=True)
+    assert sorted(monos, key=grevlex_desc) == sorted(monos, key=grevlex_key, reverse=True)
     assert sorted(monos, key=_block_desc) == sorted(monos, key=block_key, reverse=True)
 
 
@@ -210,8 +233,8 @@ def test_normal_form_properties(rng):
     I = ideal(ring, "x^2 + y*z", "y^3")
     for _ in range(10):
         g = random_homogeneous(rng, ring, rng.randint(1, 5))
-        r = I.normal_form(g)
-        assert I.normal_form(r) == r
+        r = normal_form(g, I)
+        assert normal_form(r, I) == r
         assert I.contains(g - r)
         assert I.contains(g) == (not r)
 
@@ -229,7 +252,7 @@ def test_membership_matches_oracle(rng):
 
 def test_normal_form_ring_mismatch():
     with pytest.raises(RingMismatch):
-        ideal(R3, "x").normal_form(P("x", R5_2))
+        normal_form(P("x", R5_2), ideal(R3, "x"))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +358,7 @@ def test_colon_correctness_random(rng):
             for h in jgens:
                 assert I.contains(g * h)
         # and nothing of the true colon is missed, degree by degree
-        cg = C.groebner().elements
+        cg = C.groebner()
         for s in range(9):
             dim_true = oracle_colon_piece_dim(igens, jgens, s, ring)
             basis, _ = degree_index(ring, s)
