@@ -57,23 +57,23 @@ def m_q(I: Ideal, q: int) -> int:
     the least degree in which the colon has an element outside m^[q]; 0
     when the colon is the unit ideal.
     """
+    return least_surviving_generator(I, q).degree()
+
+
+def least_surviving_generator(I: Ideal, q: int) -> Polynomial:
+    """The first least-degree reduced-basis generator of (m^[q] : I) outside
+    m^[q], whose degree is M_q(I).  Modulo m^[q] the colon in degree s is the
+    kernel of I's annihilation rows on the degree-s monomials below q; it is
+    nonzero from M_q(I) up to the socle degree (n+1)(q-1), as below that some
+    x_i*g stays outside m^[q], so the scan walks down from there.  On
+    ascending coordinates the last nullspace vector is the reduced-basis
+    element with the largest lead, the one the basis lists first."""
     if I.is_zero():
         raise ValueError("M_q of the zero ideal is undefined")
     if I.is_unit():
         raise ValueError("M_q needs a proper ideal")
     if not is_power_of(q, I.ring.p):
         raise ValueError(f"{q} is not a power of {I.ring.p}")
-    return least_surviving_generator(I, q).degree()
-
-
-def least_surviving_generator(I: Ideal, q: int) -> Polynomial:
-    """The first least-degree reduced-basis generator of (m^[q] : I) outside
-    m^[q].  Modulo m^[q] the colon in degree s is the kernel of I's
-    annihilation rows on the degree-s monomials below q; it is nonzero from
-    M_q(I) up to the socle degree (n+1)(q-1), as below that some x_i*g stays
-    outside m^[q], so the scan walks down from there.  On ascending
-    coordinates the last nullspace vector is the reduced-basis element with
-    the largest lead, the one the basis lists first."""
     ring, pick = I.ring, None
     for s in range(ring.nvars * (q - 1), -1, -1):
         coords = monomials_of_degree(ring, s, below=q)[::-1]
@@ -87,20 +87,22 @@ def least_surviving_generator(I: Ideal, q: int) -> Polynomial:
     return pick
 
 
-def stabilization_check(I: Ideal, q: int) -> bool:
-    """Certify (n+1)q - M_q(I) = reg(S/I) + (n+1) at this q."""
+def stabilization_check(I: Ideal, q: int) -> Polynomial | None:
+    """Certify (n+1)q - M_q(I) = reg(S/I) + (n+1) at this q: the certificate
+    is I's least surviving generator at q, None when the identity fails."""
     nv = I.ring.nvars
-    return nv * q - m_q(I, q) == regularity_artinian(I) + nv
+    g = least_surviving_generator(I, q)
+    return g if nv * q - g.degree() == regularity_artinian(I) + nv else None
 
 
-def find_stable_q(I: Ideal, max_q: int | None = None) -> int:
-    """Smallest q = p^e, e >= 1, certified stable; capped to fail loudly."""
+def find_stable_q(I: Ideal, max_q: int | None = None) -> tuple[int, Polynomial]:
+    """Smallest q = p^e, e >= 1, certified stable, and its certificate."""
     p = I.ring.p
     cap = max_q if max_q is not None else p**DEFAULT_MAX_Q_EXPONENT
     q = p
     while q <= cap:
-        if stabilization_check(I, q):
-            return q
+        if (generator := stabilization_check(I, q)) is not None:
+            return q, generator
         q *= p
     raise ResourceLimit(f"no stabilization certificate for any q <= {cap}")
 

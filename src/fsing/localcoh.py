@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 
 from dataclasses import dataclass
-from operator import add
 
 from .errors import InternalError, ResourceLimit
 from .frobenius import CompleteIntersection, TauResult, annihilation_rows, in_m_bracket
@@ -26,7 +25,6 @@ from .invariants import (
     a_invariant,
     find_stable_q,
     jacobian_ideal,
-    least_surviving_generator,
 )
 from .linalg import nullspace, rank
 from .ring import (
@@ -35,6 +33,7 @@ from .ring import (
     Polynomial,
     is_power_of,
     monomials_of_degree,
+    packing,
 )
 
 DEFAULT_MAX_COLUMNS = 20000
@@ -121,14 +120,14 @@ def kernel_witness(
 ) -> CohClass:
     """A nonzero class of degree a(R) - ell killed by Frobenius.
 
-    Works at a q certified stable for tau, with the numerator that
-    least_surviving_generator finds by linear algebra.  The degree check
+    Works at a q certified stable for tau, with the numerator the certificate
+    found: tau's least surviving generator at that q.  The degree check
     compares that M_q with ell from tau's Groebner basis.
     """
     if tau_result.is_unit or not tau_result.is_m_primary:
         raise ValueError("kernel witness needs m-primary proper tau")
-    q = find_stable_q(tau_result.tau, max_q)
-    witness = make_class(least_surviving_generator(tau_result.tau, q), q, ci)
+    q, generator = find_stable_q(tau_result.tau, max_q)
+    witness = make_class(generator, q, ci)
     if is_zero(witness):
         raise InternalError("the witness class is zero")
     if witness.degree != a_invariant(ci) - tau_result.ell:
@@ -254,15 +253,17 @@ def verify_injectivity(
     dim = ncols - rank(rows, p)
     if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
-    target_q = q * p
-    fpow = ci.fpow.terms.items()
-    images: dict[Monomial, dict] = {}
+    top = ci.d * (p - 1) + p * (q - 1)
+    pack, _, offset, guard = packing(ci.ring.nvars, top, q * p)
+    # image monomials keyed by their packed vector plus offset
+    fpow = [(pack(m) + offset, c) for m, c in ci.fpow.terms.items()]
+    images: dict[int, dict] = {}
     setdefault = images.setdefault
     for col, mu in enumerate(coords):
-        mu_p = tuple(e * p for e in mu)
+        mu_p = pack(mu) * p
         for m, c in fpow:
-            m = tuple(map(add, m, mu_p))
-            if max(m) < target_q:
+            m += mu_p
+            if not m & guard:
                 setdefault(m, {})[col] = c
         if len(images) > max_cols:
             raise ResourceLimit(

@@ -4,6 +4,10 @@ multivariate polynomials over F_p, and the polynomial text format.
 Monomial orders are realized as sort keys on exponent tuples.  Everything in
 the package uses graded reverse lexicographic order with the first declared
 variable largest; `grevlex_desc` is that order's one key, largest first.
+
+Monomials are tuples wherever a caller sees them; `Polynomial.__pow__`, the
+annihilation rows and the Frobenius image rows pack each into one int
+(`packing`), so a product is one add and "all exponents below q" one mask.
 """
 
 from __future__ import annotations
@@ -138,6 +142,36 @@ def _compositions(total, parts, bound):
     for last in range(low, min(total, bound - 1) + 1):
         for head in _compositions(total - last, parts - 1, bound):
             yield head + (last,)
+
+
+def packing(nvars: int, top: int, q: int = 0):
+    """(pack, unpack, offset, guard) for exponent vectors in one int, entry i
+    in field i of w = max(top, q).bit_length() + 1 bits.  While entries stay
+    at most top, pack(a) + pack(b) == pack(a + b), and the entries of k are
+    all below q iff not (k + offset) & guard: offset adds 2^(w-1) - q to
+    each field, guard holds each field's top bit."""
+    w = max(top, q).bit_length() + 1
+    shifts = range(0, w * nvars, w)
+    ones = sum(1 << s for s in shifts)
+
+    def pack(m):
+        return sum(e << s for e, s in zip(m, shifts))
+
+    def unpack(k):
+        return tuple(k >> s & (1 << w) - 1 for s in shifts)
+
+    return pack, unpack, ((1 << (w - 1)) - q) * ones, (1 << (w - 1)) * ones
+
+
+def _packed_mul(a: dict, b: dict, p: int) -> dict:
+    # product of {packed monomial: coefficient} dicts, reduced mod p
+    acc: dict[int, int] = {}
+    get = acc.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return {k: v % p for k, v in acc.items() if v % p}
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +359,6 @@ class Polynomial:
             self.ring, {tuple(e * q for e in m): c for m, c in self.terms.items()}
         )
 
-    def _pow_binary(self, e: int) -> "Polynomial":
-        result = Polynomial.constant(self.ring, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int):
             return NotImplemented
@@ -343,14 +366,27 @@ class Polynomial:
             raise ValueError("negative exponent")
         if e == 0:
             return Polynomial.constant(self.ring, 1)
-        # peel off the p-part of the exponent; those factors are term maps
+        if e == 1 or not self.terms:
+            return self
+        if self.degree() * e > EXPONENT_CAP:
+            raise OverflowError("power exceeds the exponent cap")
         p = self.ring.p
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            return Polynomial._raw(self.ring, {tuple(x * e for x in m): pow(c, e, p)})
+        # peel off the p-part of the exponent; those factors are term maps
         rest, k = e, 1
         while rest % p == 0:
             rest //= p
             k *= p
-        base = self._pow_binary(rest)
-        return base.frobenius_power(k) if k > 1 else base
+        # then multiply by the r-term base, r*T per step for T result terms,
+        # where binary powering's last squaring of two halves costs T^2/4
+        pack, unpack, _, _ = packing(self.ring.nvars, self.degree() * rest)
+        base = acc = {pack(m): c for m, c in self.terms.items()}
+        for _ in range(rest - 1):
+            acc = _packed_mul(acc, base, p)
+        power = Polynomial._raw(self.ring, {unpack(m): c for m, c in acc.items()})
+        return power.frobenius_power(k) if k > 1 else power
 
     def partial_derivative(self, index: int) -> "Polynomial":
         if not 0 <= index < self.ring.nvars:

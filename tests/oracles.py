@@ -209,6 +209,52 @@ def per_eps_root(h):
 
 
 # ---------------------------------------------------------------------------
+# tuple-keyed references for the kernels that pack monomials into ints
+
+
+def pow_binary(f, e):
+    """f^e by binary powering with Polynomial.__mul__, the reference for
+    Polynomial.__pow__."""
+    result = Polynomial.constant(f.ring, 1)
+    base = f
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def tuple_annihilation_rows(gens, coords, q):
+    """fsing.frobenius.annihilation_rows with product monomials as tuples,
+    rows keyed by (generator index, monomial) in order of first appearance."""
+    rows = {}
+    for j, g in enumerate(gens):
+        for col, mu in enumerate(coords):
+            for m, c in g.terms.items():
+                m = mono_mul(m, mu)
+                if max(m) < q:
+                    rows.setdefault((j, m), {})[col] = c
+    return list(rows.values())
+
+
+def tuple_frobenius_rows(ci, coords, q):
+    """The Frobenius image rows of fsing.localcoh.verify_injectivity with
+    image monomials as tuples: mu -> f^(p-1) mu^p modulo m^[pq], one row per
+    image monomial in order of first appearance, without the row cap."""
+    p = ci.ring.p
+    images = {}
+    for col, mu in enumerate(coords):
+        mu_p = tuple(e * p for e in mu)
+        for m, c in ci.fpow.terms.items():
+            m = mono_mul(m, mu_p)
+            if max(m) < q * p:
+                images.setdefault(m, {})[col] = c
+    return list(images.values())
+
+
+# ---------------------------------------------------------------------------
 # seeded instance samplers shared by property suites
 
 

@@ -34,6 +34,7 @@ from fsing.invariants import (
     analyze,
     find_stable_q,
     isolated_singularity_test,
+    least_surviving_generator,
     m_q,
     regularity_artinian,
     thmA_bound,
@@ -119,7 +120,8 @@ def test_criterion_03_stabilization(capsys):
             nv = 3 if trial % 3 == 0 else 2
             r = ring(p, "xyz"[:nv])
             I = Ideal(r, random_m_primary_gens(rng, r, 4))
-            q = find_stable_q(I)
+            q, generator = find_stable_q(I)
+            assert generator == least_surviving_generator(I, q)
             for test_q in (q, q * p):
                 assert nv * test_q - m_q(I, test_q) == regularity_artinian(I) + nv
 

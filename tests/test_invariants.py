@@ -177,20 +177,21 @@ def test_least_generator_matches_groebner_colon(rng, p):
 
 
 def test_stabilization_examples():
-    assert stabilization_check(maximal_ideal(R3), 3)
-    assert stabilization_check(maximal_ideal(R3), 9)
+    # a certified q hands back its certificate, the least surviving generator
+    for I, q in ((maximal_ideal(R3), 3), (maximal_ideal(R3), 9)):
+        assert stabilization_check(I, q) == least_surviving_generator(I, q)
     _, I5 = two_var_powers(5, 2, 3)
-    assert stabilization_check(I5, 5)
+    assert stabilization_check(I5, 5) == least_surviving_generator(I5, 5)
     _, I2 = two_var_powers(2, 2, 3)
-    assert not stabilization_check(I2, 2)
-    assert stabilization_check(I2, 4)
+    assert stabilization_check(I2, 2) is None
+    assert stabilization_check(I2, 4) == least_surviving_generator(I2, 4)
 
 
 def test_find_stable_q():
     tau = compute_tau(squares_ci(3)).tau
-    assert find_stable_q(tau) == 3
+    assert find_stable_q(tau) == (3, least_surviving_generator(tau, 3))
     _, I2 = two_var_powers(2, 2, 3)
-    assert find_stable_q(I2) == 4
+    assert find_stable_q(I2) == (4, least_surviving_generator(I2, 4))
     with pytest.raises(ResourceLimit, match="no stabilization certificate"):
         find_stable_q(I2, max_q=2)
 
@@ -201,7 +202,7 @@ def test_containment_iff_m_q_bound(rng):
         p = rng.choice((2, 3, 5))
         r = ring(p, "xy")
         I = Ideal(r, random_m_primary_gens(rng, r, 4))
-        qs = [find_stable_q(I)]
+        qs = [find_stable_q(I)[0]]
         qs.append(qs[0] * p)
         reg = regularity_artinian(I)
         values = {q: 2 * q - m_q(I, q) for q in qs}
@@ -216,7 +217,7 @@ def test_colon_reversal_iff_containment(rng):
         p = rng.choice((2, 3))
         r = ring(p, "xy")
         I = Ideal(r, random_m_primary_gens(rng, r, 3))
-        qs = [find_stable_q(I)]
+        qs = [find_stable_q(I)[0]]
         qs.append(qs[0] * p)
         reg = regularity_artinian(I)
         for ell in range(1, reg + 3):

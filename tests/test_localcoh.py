@@ -1,13 +1,21 @@
+import glob
 import itertools
 
 import pytest
 
 from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
-from oracles import as_matrix, random_homogeneous, rank
+from oracles import (
+    as_matrix,
+    random_homogeneous,
+    rank,
+    tuple_annihilation_rows,
+    tuple_frobenius_rows,
+)
 
-from fsing.cli import _consistency, main
+from fsing import invariants, localcoh
+from fsing.cli import _consistency, load_problem, main
 from fsing.errors import RegularSequenceError, ResourceLimit
-from fsing.frobenius import CompleteIntersection, compute_tau, m_bracket
+from fsing.frobenius import CompleteIntersection, annihilation_rows, compute_tau, m_bracket
 from fsing.groebner import Ideal
 from fsing.invariants import a_invariant, analyze, jacobian_ideal, thmA_bound
 from fsing.localcoh import (
@@ -23,7 +31,7 @@ from fsing.localcoh import (
     rescale,
     verify_injectivity,
 )
-from fsing.ring import Polynomial
+from fsing.ring import Polynomial, monomials_of_degree
 
 
 def in_bracket(g, q):
@@ -192,6 +200,20 @@ def test_kernel_witness_computes_no_colon(monkeypatch):
     monkeypatch.setattr(Ideal, "colon", lambda I, J: calls.append(I) or colon(I, J))
     kernel_witness(SQUARES3, compute_tau(SQUARES3))
     assert calls == []
+
+
+def test_kernel_witness_scans_the_stable_q_once(monkeypatch):
+    # the stabilization certificate is the witness numerator: one kernel scan
+    # per q tried, none repeated at the stable q
+    calls = []
+    scan = invariants.least_surviving_generator
+    for module in (invariants, localcoh):
+        monkeypatch.setattr(
+            module, "least_surviving_generator",
+            lambda I, q: calls.append(q) or scan(I, q), raising=False,
+        )
+    witness = kernel_witness(SQUARES3, compute_tau(SQUARES3))
+    assert calls == [witness.q] == [3]
 
 
 def test_kernel_witness_for_two_variable_cubic():
@@ -374,6 +396,46 @@ def test_two_ranks_match_the_per_class_route(rng):
             assert (result.dim_source, result.dim_kernel) == per_class_injectivity(ci, t)
             kernels += result.dim_kernel > 0
     assert kernels > 0
+
+
+def entries(rows):
+    return [list(row.items()) for row in rows]
+
+
+def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
+    # the annihilation rows (of the forms and of tau) and the Frobenius image
+    # rows that verify stacks under them in its second rank call, row for row
+    # and entry for entry, on every problem file and seeded CIs
+    ranked = []
+    sparse_rank = localcoh.rank
+    monkeypatch.setattr(
+        localcoh, "rank", lambda rows, p: ranked.append(rows) or sparse_rank(rows, p)
+    )
+    cis = [load_problem(path).ci for path in sorted(glob.glob("problems/*.ci"))]
+    cis += small_cis(rng, 8)
+    images = 0
+    for ci in cis:
+        tau = compute_tau(ci).tau
+        top = a_invariant(ci)
+        for t in range(top - 4, top + 1):
+            q, coords, rows = localcoh._piece(ci, t, None, 5000)
+            assert entries(rows) == entries(tuple_annihilation_rows(ci.forms, coords, q))
+            ranked.clear()
+            verify_injectivity(ci, t)
+            if len(ranked) == 2:
+                assert entries(ranked[0]) == entries(rows)
+                assert entries(ranked[1][len(rows):]) == entries(
+                    tuple_frobenius_rows(ci, coords, q)
+                )
+                images += 1
+        p, nv = ci.ring.p, ci.ring.nvars
+        for q in [q for q in (p, p * p) if q**nv <= 1000]:
+            for s in (0, 1, nv * (q - 1) // 2, nv * (q - 1)):
+                coords = monomials_of_degree(ci.ring, s, below=q)[::-1]
+                assert entries(annihilation_rows(tau.generators, coords, q)) == entries(
+                    tuple_annihilation_rows(tau.generators, coords, q)
+                )
+    assert images > 20
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

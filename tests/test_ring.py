@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import mono_gcd, mono_lcm, mono_quotient
+from oracles import (
+    mono_gcd,
+    mono_lcm,
+    mono_quotient,
+    pow_binary,
+    random_homogeneous,
+)
 
 from fsing.errors import ParseError, RingMismatch
 from fsing.ring import (
@@ -19,6 +25,7 @@ from fsing.ring import (
     mono_divides,
     mono_mul,
     monomials_of_degree,
+    packing,
     parse_polynomial,
 )
 
@@ -196,6 +203,76 @@ def test_pow_edge_cases():
     with pytest.raises(ValueError):
         f ** (-1)
     assert Polynomial.zero(R3) ** 0 == Polynomial.constant(R3, 1)
+
+
+def test_pow_matches_binary_powering(rng):
+    # multi-term and single-term forms, mixed degrees, constants and zero,
+    # against exponents 1 and ones divisible by p and by p^2
+    for r in (R2, R3, R5, RingDescriptor(7, ("x", "y", "z", "w"))):
+        p = r.p
+        bases = [Polynomial.zero(r), Polynomial.constant(r, 1), Polynomial.constant(r, p - 1)]
+        bases.append(Polynomial.monomial(r, (2,) + (1,) * (r.nvars - 1), p - 1))
+        bases += [random_homogeneous(rng, r, rng.randint(1, 3)) for _ in range(3)]
+        bases += [random_homogeneous(rng, r, 1) + random_homogeneous(rng, r, 2)]
+        exponents = {1, 2, 3, p - 1, p, p + 1, 2 * p, p * p, (p - 1) * p * p}
+        for f in bases:
+            for e in sorted(exponents):
+                if e * (f.degree() or 0) <= 60:
+                    assert f**e == pow_binary(f, e), (f, e)
+
+
+def test_pow_overflow_boundary():
+    # degree * e == EXPONENT_CAP passes, one more raises, for single-term
+    # and multi-term bases; EXPONENT_CAP = 2^31 - 1 is prime, so the
+    # multi-term case at p = EXPONENT_CAP is one Frobenius power
+    x = Polynomial.variable(R3, 0)
+    assert x**EXPONENT_CAP == Polynomial.monomial(R3, (EXPONENT_CAP, 0, 0))
+    with pytest.raises(OverflowError):
+        (x * x) ** ((EXPONENT_CAP + 1) // 2)
+    big = RingDescriptor(EXPONENT_CAP, ("x", "y"))
+    f = parse_polynomial("x + 2*y", big)
+    assert f**EXPONENT_CAP == parse_polynomial(f"x^{EXPONENT_CAP} + 2*y^{EXPONENT_CAP}", big)
+    with pytest.raises(OverflowError):
+        f ** (EXPONENT_CAP + 1)
+    g = parse_polynomial("x^2 + y^2", R3)
+    with pytest.raises(OverflowError):
+        g ** ((EXPONENT_CAP + 1) // 2)
+    # the parser maps the error to a ParseError (exit 2 from the CLI)
+    with pytest.raises(ParseError, match="exponent overflow"):
+        parse_polynomial(f"(x^2)^{(EXPONENT_CAP + 1) // 2}", R3)
+
+
+@given(st.data())
+def test_packed_sums_are_vector_sums(data):
+    nvars = data.draw(st.integers(1, 5))
+    top = data.draw(st.integers(0, 2**33))
+    q = data.draw(st.integers(0, 2**33))
+    pack, unpack, _, _ = packing(nvars, top, q)
+    a = data.draw(st.lists(st.integers(0, top), min_size=nvars, max_size=nvars))
+    b = [data.draw(st.integers(0, top - e)) for e in a]
+    total = tuple(map(sum, zip(a, b)))
+    assert pack(a) + pack(b) == pack(total)
+    assert unpack(pack(a) + pack(b)) == total
+
+
+@pytest.mark.parametrize("top", [0, 1, 4, 9])
+def test_packed_guard_is_every_exponent_below_q(top):
+    # every vector with entries at most top, against q = 1, q = top, q just
+    # above top and q well above it
+    for q in sorted({1, 2, max(top, 1), top + 1, 2 * top + 7}):
+        pack, _, offset, guard = packing(3, top, q)
+        for m in itertools.product(range(top + 1), repeat=3):
+            assert (not (pack(m) + offset) & guard) == (max(m) < q), (m, top, q)
+
+
+@given(st.data())
+def test_packed_guard_on_wide_fields(data):
+    nvars = data.draw(st.integers(1, 5))
+    top = data.draw(st.integers(0, 2**33))
+    q = data.draw(st.integers(1, 2**34))
+    pack, _, offset, guard = packing(nvars, top, q)
+    m = data.draw(st.lists(st.integers(0, top), min_size=nvars, max_size=nvars))
+    assert (not (pack(m) + offset) & guard) == (max(m) < q)
 
 
 def test_integer_coercion():
