@@ -119,8 +119,6 @@ def _fmt(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, TauClass):
-        return value.value
     return str(value)
 
 
@@ -166,17 +164,11 @@ def cmd_verify(args) -> int:
     t_min = args.from_degree if args.from_degree is not None else problem.t_min
     t_max = args.to_degree if args.to_degree is not None else problem.t_max
     if t_min is None or t_max is None:
-        print(
-            "verify needs a degree window: --from/--to or t_min/t_max in the file",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_INPUT
+        raise ValueError("verify needs a degree window: --from/--to or t_min/t_max in the file")
     if t_max < t_min:
-        print(f"empty degree window: from {t_min} to {t_max}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"empty degree window: from {t_min} to {t_max}")
     if t_max - t_min + 1 > _MAX_WINDOW:
-        print(f"degree window is capped at {_MAX_WINDOW} degrees", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"degree window is capped at {_MAX_WINDOW} degrees")
     report = analyze(problem.ci)
     max_cols = args.max_cols or DEFAULT_MAX_COLUMNS
     rows = []
@@ -234,8 +226,7 @@ def _consistency(ci, report, rows):
 def cmd_batch(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"not a directory: {directory}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"not a directory: {directory}")
     files = sorted(f for f in directory.iterdir() if f.is_file())
     failures = 0
     for f in files:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
-from .groebner import Ideal
+from .groebner import Ideal, regularity_artinian
 from .linalg import echelon, rank
 from .ring import (
     REGULAR_CHECK_CAP,
@@ -37,27 +37,17 @@ from .ring import (
 FPOW_TERM_CAP = 10**5
 
 
-def m_bracket(ring: RingDescriptor, q: int) -> Ideal:
-    """The bracket power (x_0^q, ..., x_n^q) of the maximal ideal."""
-    if not is_power_of(q, ring.p):
-        raise ValueError(f"{q} is not a power of {ring.p}")
-    gens = []
-    for i in range(ring.nvars):
-        exps = tuple(q if j == i else 0 for j in range(ring.nvars))
-        gens.append(Polynomial._raw(ring, {exps: 1}))
-    return Ideal(ring, gens)
-
-
 def in_m_bracket(poly: Polynomial, q: int) -> bool:
     """Membership in the monomial ideal m^[q] = (x_0^q, ..., x_n^q): every
     term has an exponent of at least q."""
     return all(max(m) >= q for m in poly.terms)
 
 
-def annihilation_rows(gens, coords, q: int) -> list[dict]:
+def annihilation_rows(gens, coords, q: int, max_rows: int | None = None) -> list[dict]:
     """h -> (h*g modulo m^[q] for g in gens) on the span of coords: one
     {column: coefficient} row per generator and product monomial below q, so
-    the kernel is (m^[q] : gens) modulo m^[q] in that span."""
+    the kernel is (m^[q] : gens) modulo m^[q] in that span.  With max_rows,
+    raises ResourceLimit once a coordinate takes the row count past it."""
     if not coords:
         return []
     top = max(map(max, coords)) + max((g.degree() for g in gens if g), default=0)
@@ -73,6 +63,10 @@ def annihilation_rows(gens, coords, q: int) -> list[dict]:
                 m += mu
                 if not m & guard:
                     setdefault(m, {})[col] = c
+            if max_rows is not None and len(rows) > max_rows:
+                raise ResourceLimit(
+                    f"{len(rows)} image monomials exceed the cap {max_rows}"
+                )
     return list(rows.values())
 
 
@@ -241,9 +235,7 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
     tau = Ideal(ci.ring, ci.forms + root.generators)
     unit = tau.is_unit()
     m_primary = False if unit else tau.is_zero_dimensional()
-    ell = None
-    if m_primary:
-        ell = max(map(sum, tau.standard_monomials()))
+    ell = regularity_artinian(tau) if m_primary else None
     # re-check the two defining conditions on the constructed ideal
     if not all(tau.contains(g) for g in ci.forms):
         raise InternalError("tau misses a defining form")
@@ -263,8 +255,3 @@ def classify_tau(result: TauResult) -> TauClass:
     if result.is_m_primary:
         return TauClass.ISOLATED_NON_F_PURE_POINT
     return TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
-
-
-def isolated_non_f_pure_test(ci: CompleteIntersection) -> TauClass:
-    """Locate the non-F-pure locus: empty, the origin only, or bigger."""
-    return classify_tau(compute_tau(ci))

@@ -245,9 +245,6 @@ class Ideal:
     def contains(self, g: Polynomial) -> bool:
         return not normal_form(g, self)
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.generators)
-
     def is_zero(self) -> bool:
         return not self.generators
 
@@ -263,22 +260,6 @@ class Ideal:
     __hash__ = None
 
     # -- constructive operations ----------------------------------------------
-
-    def __add__(self, other: "Ideal") -> "Ideal":
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        if other.ring != self.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
-        return Ideal(self.ring, self.generators + other.generators)
-
-    def __mul__(self, other: "Ideal") -> "Ideal":
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        if other.ring != self.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
-        return Ideal(
-            self.ring, tuple(a * b for a in self.generators for b in other.generators)
-        )
 
     def intersection(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
@@ -338,9 +319,13 @@ class Ideal:
             s += 1
 
 
-def maximal_ideal(ring: RingDescriptor) -> Ideal:
-    """The irrelevant maximal ideal (x_0, ..., x_n)."""
-    return Ideal(ring, tuple(Polynomial.variable(ring, i) for i in range(ring.nvars)))
+def regularity_artinian(I: Ideal) -> int:
+    """Top degree in which S/I is nonzero, for m-primary proper I."""
+    if I.is_unit():
+        raise ValueError("regularity of the zero ring is undefined")
+    if not I.is_zero_dimensional():
+        raise ValueError("regularity is only computed for Artinian quotients")
+    return max(map(sum, I.standard_monomials()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,32 +22,12 @@ from .frobenius import (
     classify_tau,
     compute_tau,
     fedder_test_at_m,
-    hilbert_coefficients,
 )
-from .groebner import Ideal
+from .groebner import Ideal, regularity_artinian
 from .linalg import nullspace
 from .ring import Polynomial, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_Q_EXPONENT = 6
-
-
-def regularity_artinian(I: Ideal) -> int:
-    """Top degree in which S/I is nonzero, for m-primary proper I."""
-    if I.is_unit():
-        raise ValueError("regularity of the zero ring is undefined")
-    if not I.is_zero_dimensional():
-        raise ValueError("regularity is only computed for Artinian quotients")
-    return max(map(sum, I.standard_monomials()))
-
-
-def power_containment(I: Ideal, ell: int) -> bool:
-    """Whether m^ell is contained in I; checks the degree-ell monomials."""
-    if ell < 0:
-        raise ValueError("negative power")
-    return all(
-        I.contains(Polynomial.monomial(I.ring, m))
-        for m in monomials_of_degree(I.ring, ell)
-    )
 
 
 def m_q(I: Ideal, q: int) -> int:
@@ -140,22 +120,6 @@ def thmB_threshold(n: int, c: int, d: int) -> int:
     return (n + 1 - c) * (d - c)
 
 
-def hilbert_series_ci(degrees, aux_degrees, n: int) -> list[int]:
-    """Coefficients of prod(1-t^e) over both degree lists divided by
-    (1-t)^(n+1), which is a polynomial exactly when the lists together have
-    n+1 entries: each factor cancels to 1 + t + ... + t^(e-1)."""
-    all_degrees = list(degrees) + list(aux_degrees)
-    if len(all_degrees) != n + 1:
-        raise ValueError(
-            f"series with {len(all_degrees)} factors over {n + 1} variables "
-            "is not a polynomial"
-        )
-    for e in all_degrees:
-        if e < 1:
-            raise ValueError(f"factor degree {e} must be positive")
-    return hilbert_coefficients(all_degrees, n + 1, sum(all_degrees) - (n + 1))
-
-
 def jacobian_ideal(ci: CompleteIntersection) -> Ideal:
     """Ideal of c x c minors of the Jacobian matrix (df_j/dx_i)."""
     c = ci.c
@@ -185,7 +149,7 @@ def _det(matrix) -> Polynomial:
 
 def isolated_singularity_test(ci: CompleteIntersection) -> bool:
     """Whether the Jacobian ideal plus the forms cuts out at most the origin."""
-    critical = jacobian_ideal(ci) + Ideal(ci.ring, ci.forms)
+    critical = Ideal(ci.ring, jacobian_ideal(ci).generators + ci.forms)
     if critical.is_unit():
         return True
     return critical.is_zero_dimensional()

@@ -15,26 +15,13 @@ degree t comes down to two ranks, of A and of A stacked on Phi.
 
 from __future__ import annotations
 
-import itertools
-
 from dataclasses import dataclass
 
 from .errors import InternalError, ResourceLimit
 from .frobenius import CompleteIntersection, TauResult, annihilation_rows, in_m_bracket
-from .invariants import (
-    a_invariant,
-    find_stable_q,
-    jacobian_ideal,
-)
+from .invariants import a_invariant, find_stable_q
 from .linalg import nullspace, rank
-from .ring import (
-    EXPONENT_CAP,
-    Monomial,
-    Polynomial,
-    is_power_of,
-    monomials_of_degree,
-    packing,
-)
+from .ring import EXPONENT_CAP, Monomial, Polynomial, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_COLUMNS = 20000
 
@@ -79,28 +66,6 @@ def make_class(g: Polynomial, q: int, ci: CompleteIntersection) -> CohClass:
 
 def is_zero(alpha: CohClass) -> bool:
     return in_m_bracket(alpha.numerator, alpha.q)
-
-
-def rescale(alpha: CohClass, q_new: int) -> CohClass:
-    """The same class written over the denominator x^q_new."""
-    if q_new < alpha.q:
-        raise ValueError("cannot rescale to a smaller denominator")
-    if q_new == alpha.q:
-        return alpha
-    ring = alpha.ci.ring
-    shift = Polynomial.monomial(ring, (q_new - alpha.q,) * ring.nvars)
-    out = make_class(alpha.numerator * shift, q_new, alpha.ci)
-    if out.degree != alpha.degree:
-        raise InternalError("rescaling changed the degree")
-    return out
-
-
-def classes_equal(alpha: CohClass, beta: CohClass) -> bool:
-    if alpha.ci != beta.ci:
-        raise ValueError("classes from different complete intersections")
-    q = max(alpha.q, beta.q)
-    diff = rescale(alpha, q).numerator - rescale(beta, q).numerator
-    return in_m_bracket(diff, q)
 
 
 def frobenius_action(alpha: CohClass) -> CohClass:
@@ -253,80 +218,9 @@ def verify_injectivity(
     dim = ncols - rank(rows, p)
     if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
-    top = ci.d * (p - 1) + p * (q - 1)
-    pack, _, offset, guard = packing(ci.ring.nvars, top, q * p)
-    # image monomials keyed by their packed vector plus offset
-    fpow = [(pack(m) + offset, c) for m, c in ci.fpow.terms.items()]
-    images: dict[int, dict] = {}
-    setdefault = images.setdefault
-    for col, mu in enumerate(coords):
-        mu_p = pack(mu) * p
-        for m, c in fpow:
-            m += mu_p
-            if not m & guard:
-                setdefault(m, {})[col] = c
-        if len(images) > max_cols:
-            raise ResourceLimit(
-                f"{len(images)} image monomials exceed the cap {max_cols}"
-            )
-    kernel = ncols - rank(rows + list(images.values()), p)
+    # Phi's rows are f^(p-1)'s annihilation rows on the coordinates' p-th powers
+    powers = [tuple([e * p for e in mu]) for mu in coords]
+    images = annihilation_rows((ci.fpow,), powers, q * p, max_rows=max_cols)
+    kernel = ncols - rank(rows + images, p)
     return InjectivityResult(degree=t, dim_source=dim, dim_kernel=kernel)
 
-
-def minimal_t_vector(g: Polynomial, q: int, ci: CompleteIntersection):
-    """Componentwise-minimal exponent vectors t in {0..p-1}^c with
-    f_1^t_1 * ... * f_c^t_c * g^p inside m^[q].
-
-    The feasible set is upward closed, so its minimal elements form an
-    antichain; returns (lexicographically least minimal vector, the full
-    antichain sorted).  Fails when even (p-1, ..., p-1) is infeasible.
-    """
-    ring = ci.ring
-    p = ring.p
-    if not is_power_of(q, p):
-        raise ValueError(f"{q} is not a power of {p}")
-    gp = g**p
-    powers = [[Polynomial.constant(ring, 1)] for _ in ci.forms]
-    for j, form in enumerate(ci.forms):
-        for _ in range(p - 1):
-            powers[j].append(powers[j][-1] * form)
-
-    def product(vector):
-        acc = gp
-        for j, e in enumerate(vector):
-            if e:
-                acc = acc * powers[j][e]
-        return acc
-
-    minimal: list[tuple[int, ...]] = []
-    candidates = sorted((sum(v), v) for v in itertools.product(range(p), repeat=ci.c))
-    for _, v in candidates:
-        if any(all(a <= b for a, b in zip(m, v)) for m in minimal):
-            continue
-        if in_m_bracket(product(v), q):
-            minimal.append(v)
-    if not minimal:
-        raise ValueError(
-            "no feasible exponent vector: f^(p-1)*g^p is outside the bracket power"
-        )
-    return min(minimal), tuple(sorted(minimal))
-
-
-def jacobian_annihilation_check(g: Polynomial, q: int, ci: CompleteIntersection) -> bool:
-    """Check f^(t') * g^p * minor inside m^[q] for every Jacobian minor,
-    where t' lowers the least minimal exponent vector by one at its first
-    nonzero coordinate (that coordinate's form plays the distinguished role;
-    the implied reordering is exactly this pivot choice)."""
-    lex_least, _ = minimal_t_vector(g, q, ci)
-    pivot = next((i for i, e in enumerate(lex_least) if e), None)
-    if pivot is None:
-        raise ValueError("minimal exponent vector is zero; nothing to lower")
-    lowered = list(lex_least)
-    lowered[pivot] -= 1
-    base = g ** ci.ring.p
-    for j, e in enumerate(lowered):
-        for _ in range(e):
-            base = base * ci.forms[j]
-    return all(
-        in_m_bracket(base * minor, q) for minor in jacobian_ideal(ci).generators
-    )

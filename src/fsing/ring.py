@@ -5,9 +5,10 @@ Monomial orders are realized as sort keys on exponent tuples.  Everything in
 the package uses graded reverse lexicographic order with the first declared
 variable largest; `grevlex_desc` is that order's one key, largest first.
 
-Monomials are tuples wherever a caller sees them; `Polynomial.__pow__`, the
-annihilation rows and the Frobenius image rows pack each into one int
-(`packing`), so a product is one add and "all exponents below q" one mask.
+Monomials are tuples wherever a caller sees them; `Polynomial.__pow__` and
+`frobenius.annihilation_rows`, which also builds verify's Frobenius image
+rows, pack each into one int (`packing`), so a product is one add and "all
+exponents below q" one mask.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from operator import add, le
+from operator import add, le, lshift
 
 from .errors import ParseError, ResourceLimit, RingMismatch
 
@@ -85,9 +86,6 @@ class RingDescriptor:
         # projective convention: nvars = n + 1
         return len(self.variables) - 1
 
-    def variable_index(self, name: str) -> int:
-        return self.variables.index(name)
-
     def __repr__(self):
         return f"F_{self.p}[{', '.join(self.variables)}]"
 
@@ -96,10 +94,6 @@ class RingDescriptor:
 # monomials: plain exponent tuples
 
 Monomial = tuple[int, ...]
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -155,7 +149,7 @@ def packing(nvars: int, top: int, q: int = 0):
     ones = sum(1 << s for s in shifts)
 
     def pack(m):
-        return sum(e << s for e, s in zip(m, shifts))
+        return sum(map(lshift, m, shifts))
 
     def unpack(k):
         return tuple(k >> s & (1 << w) - 1 for s in shifts)
@@ -253,12 +247,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.terms}) <= 1
 
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        buckets: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(sum(m), {})[m] = c
-        return {s: Polynomial._raw(self.ring, d) for s, d in sorted(buckets.items())}
-
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(tuple(mono), 0)
 
@@ -336,15 +324,6 @@ class Polynomial:
         return Polynomial._raw(self.ring, {m: v % p for m, v in acc.items() if v % p})
 
     __rmul__ = __mul__
-
-    def scaled(self, c: int) -> "Polynomial":
-        c %= self.ring.p
-        if c == 0:
-            return Polynomial.zero(self.ring)
-        if c == 1:
-            return self
-        p = self.ring.p
-        return Polynomial._raw(self.ring, {m: (v * c) % p for m, v in self.terms.items()})
 
     def frobenius_power(self, q: int) -> "Polynomial":
         """self^q for q a power of p: scale every exponent, keep coefficients.

@@ -4,11 +4,14 @@ Everything here works with explicit coefficient matrices over F_p: the
 degree-s piece of an ideal is the row space of all generator multiples of
 that degree, membership is a rank comparison, and colon pieces are kernels
 of rowspace constraints.  Slow and obviously correct, which is the point.
+The named ideals (`m_bracket`, `maximal_ideal`) and `power_containment` are
+the exception: test helpers built on fsing.groebner.Ideal.
 """
 
 import numpy as np
 
-from fsing.ring import Polynomial, mono_mul, monomials_of_degree
+from fsing.groebner import Ideal
+from fsing.ring import Polynomial, is_power_of, monomials_of_degree
 
 
 def grevlex_key(m):
@@ -184,6 +187,10 @@ def oracle_quotient_dim(gens, s, ring):
     return len(basis) - rank(ideal_piece_matrix(gens, s, ring), ring.p)
 
 
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def mono_quotient(a, b):
     """a / b for monomials; the caller guarantees divisibility."""
     return tuple(x - y for x, y in zip(a, b))
@@ -206,6 +213,35 @@ def per_eps_root(h):
     for m, c in h.terms.items():
         groups.setdefault(tuple(e % p for e in m), {})[tuple(e // p for e in m)] = c
     return tuple(Polynomial(h.ring, terms) for terms in groups.values())
+
+
+# ---------------------------------------------------------------------------
+# named ideals, and m^ell in I by the Groebner engine's membership test
+
+
+def m_bracket(ring, q):
+    """The bracket power (x_0^q, ..., x_n^q) of the maximal ideal."""
+    if not is_power_of(q, ring.p):
+        raise ValueError(f"{q} is not a power of {ring.p}")
+    return Ideal(ring, tuple(
+        Polynomial.monomial(ring, tuple(q if j == i else 0 for j in range(ring.nvars)))
+        for i in range(ring.nvars)
+    ))
+
+
+def maximal_ideal(ring):
+    """The irrelevant maximal ideal (x_0, ..., x_n)."""
+    return m_bracket(ring, 1)
+
+
+def power_containment(I, ell):
+    """Whether m^ell is contained in I; checks the degree-ell monomials."""
+    if ell < 0:
+        raise ValueError("negative power")
+    return all(
+        I.contains(Polynomial.monomial(I.ring, m))
+        for m in monomials_of_degree(I.ring, ell)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,32 +6,29 @@ import pytest
 from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
 from oracles import (
     as_matrix,
+    m_bracket,
     random_homogeneous,
     rank,
     tuple_annihilation_rows,
     tuple_frobenius_rows,
 )
 
-from fsing import invariants, localcoh
+from fsing import invariants, linalg, localcoh
 from fsing.cli import _consistency, load_problem, main
 from fsing.errors import RegularSequenceError, ResourceLimit
-from fsing.frobenius import CompleteIntersection, annihilation_rows, compute_tau, m_bracket
+from fsing.frobenius import CompleteIntersection, annihilation_rows, compute_tau, in_m_bracket
 from fsing.groebner import Ideal
 from fsing.invariants import a_invariant, analyze, jacobian_ideal, thmA_bound
 from fsing.localcoh import (
     CohClass,
-    classes_equal,
     frobenius_action,
     graded_piece_basis,
     is_zero,
-    jacobian_annihilation_check,
     kernel_witness,
     make_class,
-    minimal_t_vector,
-    rescale,
     verify_injectivity,
 )
-from fsing.ring import Polynomial, monomials_of_degree
+from fsing.ring import Polynomial, is_power_of, monomials_of_degree
 
 
 def in_bracket(g, q):
@@ -89,48 +86,6 @@ def test_serialization_keys():
     }
     result = verify_injectivity(SQUARES3, 2)
     assert result.to_json_dict() == {"degree": 2, "dim_source": 0, "dim_kernel": 0}
-
-
-# ---------------------------------------------------------------------------
-# rescale and equality
-
-
-def test_rescale_example():
-    alpha = socle_class()
-    big = rescale(alpha, 9)
-    assert big.numerator == poly("(x*y*z)^8", R3)
-    assert big.q == 9
-    assert big.degree == 24 - 27 + 4 == 1
-    assert rescale(alpha, 3) is alpha
-    with pytest.raises(ValueError, match="smaller denominator"):
-        rescale(big, 3)
-
-
-def test_classes_equal_across_denominators():
-    alpha = socle_class()
-    beta = make_class(poly("(x*y*z)^8", R3), 9, SQUARES3)
-    assert classes_equal(alpha, beta)
-
-
-def test_equality_ignores_bracket_power_noise():
-    alpha = socle_class()
-    noisy = make_class(poly("(x*y*z)^2 + x^6", R3), 3, SQUARES3)
-    assert classes_equal(alpha, noisy)
-    zero = make_class(poly("x^3*y^3", R3), 3, SQUARES3)
-    assert not classes_equal(alpha, zero)
-
-
-def test_zero_and_equality_invariant_under_rescale():
-    for g, q in ((poly("(x*y*z)^2", R3), 3), (poly("x^3*z^3", R3), 3)):
-        alpha = make_class(g, q, SQUARES3)
-        lifted = rescale(alpha, q * 3)
-        assert is_zero(alpha) == is_zero(lifted)
-        assert classes_equal(alpha, lifted)
-
-
-def test_classes_from_different_quotients_do_not_compare():
-    with pytest.raises(ValueError, match="different complete intersections"):
-        classes_equal(socle_class(), make_class(poly("(x*y*z)^2", R3), 3, diagonal_ci(3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +313,17 @@ def test_injectivity_image_cap(capsys):
     assert "image monomials" in capsys.readouterr().out
 
 
+def test_image_cap_count_for_squares_quartic_at_101(tmp_path, capsys):
+    # the cap is checked after each coordinate, so the count stops at 22,084
+    # of the piece's 27,390 image monomials
+    path = tmp_path / "squares_p101.ci"
+    path.write_text("p = 101\nvars = x, y, z\ngens = x^2*y^2 + y^2*z^2 + z^2*x^2\n")
+    assert main(["verify", str(path), "--from", "-3", "--to", "-3"]) == 4
+    assert capsys.readouterr().err == (
+        "stopped early: 22084 image monomials exceed the cap 20000\n"
+    )
+
+
 def per_class_injectivity(ci, t):
     """Reference route: Frobenius class by class on a basis of the piece,
     then the rank of the image numerators reduced modulo m^[pq]."""
@@ -438,6 +404,31 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
     assert images > 20
 
 
+def test_whole_kernel_is_the_nullity_of_the_tau_rows(rng):
+    # g^p f^(p-1) lies in m^[pq] iff g times the Frobenius root of f^(p-1)
+    # lies in m^[q], so Frobenius kills exactly the vectors of the piece
+    # that tau's annihilation rows at q kill: a route without Phi
+    def tau_nullity(ci, tau, t):
+        q, coords, _ = localcoh._piece(ci, t, None, localcoh.DEFAULT_MAX_COLUMNS)
+        rows = annihilation_rows(tau.generators, coords, q)
+        return len(coords) - linalg.rank(rows, ci.ring.p)
+
+    files = [load_problem(path).ci for path in sorted(glob.glob("problems/*.ci"))]
+    kernels = 0
+    for ci in files:
+        tau = compute_tau(ci).tau
+        for t in range(-12, 4):
+            kernel = verify_injectivity(ci, t).dim_kernel
+            assert kernel == tau_nullity(ci, tau, t), (ci.forms, t)
+            kernels += kernel > 0
+    assert kernels >= 20
+    for ci in small_cis(rng, 6):
+        tau = compute_tau(ci).tau
+        top = a_invariant(ci)
+        for t in range(top - 4, top + 1):
+            assert verify_injectivity(ci, t).dim_kernel == tau_nullity(ci, tau, t)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_theorem_a_on_generated_cis(rng, p):
     # on generated complete intersections with m-primary tau, verify's rows
@@ -468,6 +459,69 @@ def test_theorem_a_on_generated_cis(rng, p):
 
 # ---------------------------------------------------------------------------
 # minimal exponent vectors and the Jacobian claim
+#
+# These check the paper's Jacobian claim about a Frobenius-killed numerator g,
+# not a library result: lower the least exponent vector t with
+# f^t * g^p in m^[q] by one, and every Jacobian minor carries the product
+# into m^[q].
+
+
+def minimal_t_vector(g, q, ci):
+    """Componentwise-minimal exponent vectors t in {0..p-1}^c with
+    f_1^t_1 * ... * f_c^t_c * g^p inside m^[q].
+
+    The feasible set is upward closed, so its minimal elements form an
+    antichain; returns (lexicographically least minimal vector, the full
+    antichain sorted).  Fails when even (p-1, ..., p-1) is infeasible.
+    """
+    p = ci.ring.p
+    if not is_power_of(q, p):
+        raise ValueError(f"{q} is not a power of {p}")
+    gp = g**p
+    powers = [[Polynomial.constant(ci.ring, 1)] for _ in ci.forms]
+    for j, form in enumerate(ci.forms):
+        for _ in range(p - 1):
+            powers[j].append(powers[j][-1] * form)
+
+    def product(vector):
+        acc = gp
+        for j, e in enumerate(vector):
+            if e:
+                acc = acc * powers[j][e]
+        return acc
+
+    minimal = []
+    candidates = sorted((sum(v), v) for v in itertools.product(range(p), repeat=ci.c))
+    for _, v in candidates:
+        if any(all(a <= b for a, b in zip(m, v)) for m in minimal):
+            continue
+        if in_m_bracket(product(v), q):
+            minimal.append(v)
+    if not minimal:
+        raise ValueError(
+            "no feasible exponent vector: f^(p-1)*g^p is outside the bracket power"
+        )
+    return min(minimal), tuple(sorted(minimal))
+
+
+def jacobian_annihilation_check(g, q, ci):
+    """Check f^(t') * g^p * minor inside m^[q] for every Jacobian minor,
+    where t' lowers the least minimal exponent vector by one at its first
+    nonzero coordinate (that coordinate's form plays the distinguished role;
+    the implied reordering is exactly this pivot choice)."""
+    lex_least, _ = minimal_t_vector(g, q, ci)
+    pivot = next((i for i, e in enumerate(lex_least) if e), None)
+    if pivot is None:
+        raise ValueError("minimal exponent vector is zero; nothing to lower")
+    lowered = list(lex_least)
+    lowered[pivot] -= 1
+    base = g ** ci.ring.p
+    for j, e in enumerate(lowered):
+        for _ in range(e):
+            base = base * ci.forms[j]
+    return all(
+        in_m_bracket(base * minor, q) for minor in jacobian_ideal(ci).generators
+    )
 
 
 def brute_force_minimal(g, Q, ci):
