@@ -1,10 +1,11 @@
 """Numeric invariants and degree bounds for graded complete intersections.
 
-The central quantity is M_q(I), the largest ell with (m^[q] : I) contained in
-m^[q] + m^ell, found by linear algebra: modulo m^[q] the colon is a kernel.
-For m-primary I it stabilizes: (n+1)q - M_q(I) equals reg(S/I) + (n+1) once
-q is large enough, and `stabilization_check` certifies that identity at a
-concrete q, which is how "q large enough" is made effective throughout.
+For m-primary I, M_q(I) is the largest ell with (m^[q] : I) contained in
+m^[q] + m^ell: the least degree in which the colon has an element outside
+m^[q].  It stabilizes: (n+1)q - M_q(I) equals reg(S/I) + (n+1) once q is
+large enough.  `stabilization_check` certifies that identity at a concrete q
+by two kernels modulo m^[q], in the degree reg(S/I) predicts for M_q(I) and
+the one below, which is how "q large enough" is made effective throughout.
 """
 
 from __future__ import annotations
@@ -24,55 +25,38 @@ from .frobenius import (
     fedder_test_at_m,
 )
 from .groebner import Ideal, regularity_artinian
-from .linalg import nullspace
+from .linalg import nullspace, rank
 from .ring import Polynomial, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_Q_EXPONENT = 6
 
 
-def m_q(I: Ideal, q: int) -> int:
-    """M_q(I) = max{ell : (m^[q] : I) inside m^[q] + m^ell}.
-
-    Membership in m^[q] + m^ell is monomial-by-monomial, so the maximum is
-    the least degree in which the colon has an element outside m^[q]; 0
-    when the colon is the unit ideal.
-    """
-    return least_surviving_generator(I, q).degree()
-
-
-def least_surviving_generator(I: Ideal, q: int) -> Polynomial:
-    """The first least-degree reduced-basis generator of (m^[q] : I) outside
-    m^[q], whose degree is M_q(I).  Modulo m^[q] the colon in degree s is the
-    kernel of I's annihilation rows on the degree-s monomials below q; it is
-    nonzero from M_q(I) up to the socle degree (n+1)(q-1), as below that some
-    x_i*g stays outside m^[q], so the scan walks down from there.  On
-    ascending coordinates the last nullspace vector is the reduced-basis
-    element with the largest lead, the one the basis lists first."""
-    if I.is_zero():
-        raise ValueError("M_q of the zero ideal is undefined")
-    if I.is_unit():
-        raise ValueError("M_q needs a proper ideal")
-    if not is_power_of(q, I.ring.p):
-        raise ValueError(f"{q} is not a power of {I.ring.p}")
-    ring, pick = I.ring, None
-    for s in range(ring.nvars * (q - 1), -1, -1):
-        coords = monomials_of_degree(ring, s, below=q)[::-1]
-        kernel = nullspace(annihilation_rows(I.generators, coords, q), len(coords), ring.p)
-        if not kernel:
-            break
-        pick = Polynomial._raw(ring, {m: c for m, c in zip(coords, kernel[-1]) if c})
-    if pick is None:
-        # the socle monomial (x_0...x_n)^(q-1) kills every form of positive degree
-        raise InternalError("colon collapsed to the bracket power")
-    return pick
-
-
 def stabilization_check(I: Ideal, q: int) -> Polynomial | None:
-    """Certify (n+1)q - M_q(I) = reg(S/I) + (n+1) at this q: the certificate
-    is I's least surviving generator at q, None when the identity fails."""
-    nv = I.ring.nvars
-    g = least_surviving_generator(I, q)
-    return g if nv * q - g.degree() == regularity_artinian(I) + nv else None
+    """Certify (n+1)q - M_q(I) = reg(S/I) + (n+1) at this q, for m-primary
+    proper I; the certificate is I's least surviving generator at q, None
+    when the identity fails.
+
+    Modulo m^[q] the colon (m^[q] : I) in degree s is the kernel of I's
+    annihilation rows on the degree-s monomials below q.  That kernel is
+    nonzero exactly from M_q(I) up to the socle degree (n+1)(q-1), as below
+    it some x_i*g of a surviving g survives too; so the identity holds iff
+    the kernel is zero one degree below s = (n+1)(q-1) - ell and nonzero at
+    s.  On ascending coordinates the last nullspace vector is the
+    reduced-basis element with the largest lead, the one the basis lists
+    first.
+    """
+    ring = I.ring
+    if not is_power_of(q, ring.p):
+        raise ValueError(f"{q} is not a power of {ring.p}")
+    s = ring.nvars * (q - 1) - regularity_artinian(I)
+    below = monomials_of_degree(ring, s - 1, below=q)
+    if rank(annihilation_rows(I.generators, below, q), ring.p) < len(below):
+        return None
+    coords = monomials_of_degree(ring, s, below=q)[::-1]
+    kernel = nullspace(annihilation_rows(I.generators, coords, q), len(coords), ring.p)
+    if not kernel:
+        return None
+    return Polynomial._raw(ring, {m: c for m, c in zip(coords, kernel[-1]) if c})
 
 
 def find_stable_q(I: Ideal, max_q: int | None = None) -> tuple[int, Polynomial]:
@@ -121,30 +105,25 @@ def thmB_threshold(n: int, c: int, d: int) -> int:
 
 
 def jacobian_ideal(ci: CompleteIntersection) -> Ideal:
-    """Ideal of c x c minors of the Jacobian matrix (df_j/dx_i)."""
-    c = ci.c
-    if c > 4:
-        raise ValueError("minor expansion is limited to c <= 4")
-    nv = ci.ring.nvars
-    partials = [
-        [g.partial_derivative(i) for g in ci.forms] for i in range(nv)
-    ]
-    minors = []
-    for rows in itertools.combinations(range(nv), c):
-        minors.append(_det([partials[i] for i in rows]))
-    return Ideal(ci.ring, minors)
+    """Ideal of c x c minors of the Jacobian matrix (df_j/dx_i).
 
-
-def _det(matrix) -> Polynomial:
-    if len(matrix) == 1:
-        return matrix[0][0]
-    ring = matrix[0][0].ring
-    total = Polynomial.zero(ring)
-    for i, row in enumerate(matrix):
-        rest = [r[1:] for j, r in enumerate(matrix) if j != i]
-        term = row[0] * _det(rest)
-        total = total - term if i % 2 else total + term
-    return total
+    Each k x k minor on the first k columns expands along column k into the
+    (k-1) x (k-1) minors on its other rows, so all of them together take
+    at most sum_k comb(n+1, k)*k products.
+    """
+    ring, (first, *rest) = ci.ring, ci.forms
+    minors = {(i,): first.partial_derivative(i) for i in range(ring.nvars)}
+    for k, g in enumerate(rest, 1):
+        column = [g.partial_derivative(i) for i in range(ring.nvars)]
+        larger = {}
+        for rows in itertools.combinations(range(ring.nvars), k + 1):
+            total = Polynomial.zero(ring)
+            for t, i in enumerate(rows):
+                term = column[i] * minors[rows[:t] + rows[t + 1:]]
+                total = total - term if (t + k) % 2 else total + term
+            larger[rows] = total
+        minors = larger
+    return Ideal(ring, tuple(minors.values()))
 
 
 def isolated_singularity_test(ci: CompleteIntersection) -> bool:
@@ -162,7 +141,7 @@ class AnalysisReport:
     The three optional fields are present exactly when tau is m-primary and
     proper.  reg_s_mod_tau and ell are one value, the top degree of S/tau,
     computed once by compute_tau; both keys stay in the report schema, and
-    reports read back with from_json_dict are checked to agree.
+    construction checks that they agree.
     """
 
     a_invariant: int
@@ -193,12 +172,6 @@ class AnalysisReport:
             "tau_class": self.tau_class.value,
             "isolated_singularity": self.isolated_singularity,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AnalysisReport":
-        fields = dict(data)
-        fields["tau_class"] = TauClass(fields["tau_class"])
-        return cls(**fields)
 
 
 def analyze(ci: CompleteIntersection) -> AnalysisReport:

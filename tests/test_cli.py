@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from cases import report_from_json
+
 from fsing import cli
 from fsing.cli import load_problem, main
 from fsing.errors import InternalError, ParseError, ResourceLimit
 from fsing.frobenius import FPOW_TERM_CAP
-from fsing.invariants import AnalysisReport, analyze
+from fsing.invariants import analyze
 from fsing.ring import REGULAR_CHECK_CAP, RingDescriptor, parse_polynomial
 
 PROBLEMS = "problems"
@@ -126,7 +128,7 @@ def test_analyze_json(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out == SQUARES_P3_REPORT
     report = analyze(load_problem(f"{PROBLEMS}/squares_p3.ci").ci)
-    assert AnalysisReport.from_json_dict(out) == report
+    assert report_from_json(out) == report
 
 
 def test_analyze_text(capsys):
@@ -261,6 +263,13 @@ def test_bad_characteristic_is_reported_at_its_own_line(tmp_path, capsys):
     }
 
 
+def test_analyze_five_forms(tmp_path, capsys):
+    # c = 5: the Jacobian minor is built from the smaller minors, with no cap
+    path = write(tmp_path, "five.ci", "p = 2\nvars = a, b, c, d, e\ngens = a, b, c, d, e^2\n")
+    assert main(["analyze", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["isolated_singularity"] is True
+
+
 def test_analyze_missing_file_exit_code(capsys):
     assert main(["analyze", "no/such/file.ci"]) == 2
     assert capsys.readouterr().err
@@ -301,6 +310,33 @@ def test_witness_refused_when_locus_positive_dimensional(capsys):
     err = capsys.readouterr().err
     assert "non_f_pure_locus_positive_dimensional" in err
     assert "tau = (x*y)" in err
+
+
+# witness --json on every shipped problem: (exit code, numerator, q, degree)
+WITNESSES = {
+    "diag_cubic_2vars_p2.ci": (0, "x*y", 2, 1),
+    "fermat_cubic_p2.ci": (0, "x*y*z", 2, 0),
+    "fermat_cubic_p5.ci": (0, "x^4*y^4*z^4", 5, 0),
+    "monomial_xy_p5.ci": (5, None, None, None),
+    "nonisolated_p3.ci": (5, None, None, None),
+    "squares_p3.ci": (0, "x^2*y^2*z^2", 3, 1),
+    "squares_p5.ci": (0, "x^4*y^4*z^4", 5, 1),
+}
+
+
+def test_witness_covers_every_problem():
+    assert sorted(WITNESSES) == sorted(p.name for p in Path(PROBLEMS).glob("*.ci"))
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_witness_json_is_frozen(name, capsys):
+    code, numerator, q, degree = WITNESSES[name]
+    assert main(["witness", f"{PROBLEMS}/{name}", "--json"]) == code
+    expected = "" if code else (
+        f'{{\n  "numerator": "{numerator}",\n  "q": {q},\n  "degree": {degree},\n'
+        '  "frobenius_image_is_zero": true\n}\n'
+    )
+    assert capsys.readouterr().out == expected
 
 
 def test_witness_q_cap_from_flag(capsys):

@@ -6,6 +6,7 @@ from oracles import (
     degree_index,
     m_bracket,
     maximal_ideal,
+    monomial,
     per_eps_root,
     poly_vector,
     random_homogeneous,
@@ -124,7 +125,7 @@ def test_root_is_minimal_over_constructed_memberships(rng):
         for g in gens:
             shift = target - p * g.degree()
             mus = monomials_of_degree(r, shift)
-            h = h + g**p * Polynomial.monomial(r, rng.choice(mus))
+            h = h + g**p * monomial(r, rng.choice(mus))
         if not h:
             continue
         I = Ideal(r, gens)

@@ -14,6 +14,7 @@ from oracles import (
     ideal_piece_matrix,
     degree_index,
     rank,
+    monomial,
 )
 
 from fsing.errors import RegularSequenceError, RingMismatch
@@ -46,7 +47,7 @@ def ideal(ring, *texts):
 
 def m_power(ring, k):
     return Ideal(
-        ring, tuple(Polynomial.monomial(ring, m) for m in monomials_of_degree(ring, k))
+        ring, tuple(monomial(ring, m) for m in monomials_of_degree(ring, k))
     )
 
 
@@ -69,9 +70,9 @@ def assert_buchberger_criterion(I: Ideal):
             li = els[i].leading_monomial()
             lj = els[j].leading_monomial()
             lcm = mono_lcm(li, lj)
-            s = els[i] * Polynomial.monomial(ring, mono_quotient(lcm, li)) - els[
+            s = els[i] * monomial(ring, mono_quotient(lcm, li)) - els[
                 j
-            ] * Polynomial.monomial(ring, mono_quotient(lcm, lj))
+            ] * monomial(ring, mono_quotient(lcm, lj))
             assert not normal_form(s, I)
 
 
@@ -193,7 +194,7 @@ def test_reduced_basis_matches_sympy(rng, p):
         ring = RingDescriptor(p, tuple("xyzw"[:nv]))
         for _ in range(4):
             gens = [
-                Polynomial.monomial(
+                monomial(
                     ring,
                     rng.choice(monomials_of_degree(ring, rng.randint(1, 4))),
                     rng.randrange(1, p),
@@ -410,8 +411,8 @@ def test_standard_monomials_bound_the_ideal(rng):
         p = rng.choice((2, 3, 5))
         ring = RingDescriptor(p, ("x", "y"))
         gens = [
-            Polynomial.monomial(ring, (rng.randint(1, 3), 0)),
-            Polynomial.monomial(ring, (0, rng.randint(1, 3))),
+            monomial(ring, (rng.randint(1, 3), 0)),
+            monomial(ring, (0, rng.randint(1, 3))),
         ]
         if rng.random() < 0.5:
             gens.append(random_homogeneous(rng, ring, rng.randint(1, 3)))

@@ -1,16 +1,21 @@
 import pytest
 
 from oracles import (
+    cofactor_jacobian_minors,
+    least_surviving_generator,
     m_bracket,
+    m_q,
     maximal_ideal,
+    monomial,
     oracle_m_q,
     power_containment,
     random_homogeneous,
     random_ideal_gens,
     random_m_primary_gens,
+    scan_stabilization_check,
 )
 
-from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
+from cases import diagonal_ci, hypersurface, poly, report_from_json, ring, squares_ci
 
 from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, TauClass, compute_tau, hilbert_coefficients
@@ -23,8 +28,6 @@ from fsing.invariants import (
     find_stable_q,
     isolated_singularity_test,
     jacobian_ideal,
-    least_surviving_generator,
-    m_q,
     stabilization_check,
     thmA_bound,
     thmB_threshold,
@@ -36,7 +39,7 @@ R3 = ring(3)
 
 def m_power(r, k):
     return Ideal(
-        r, tuple(Polynomial.monomial(r, m) for m in monomials_of_degree(r, k))
+        r, tuple(monomial(r, m) for m in monomials_of_degree(r, k))
     )
 
 
@@ -185,6 +188,27 @@ def test_stabilization_examples():
     _, I2 = two_var_powers(2, 2, 3)
     assert stabilization_check(I2, 2) is None
     assert stabilization_check(I2, 4) == least_surviving_generator(I2, 4)
+    with pytest.raises(ValueError, match="power"):
+        stabilization_check(maximal_ideal(R3), 6)
+
+
+def test_stabilization_check_matches_the_scan(rng):
+    # two kernels at the predicted degree against the top-down scan, on
+    # m-primary ideals at q = p, p^2, p^3 while q^nv stays small; about one
+    # pair in nine is not certified
+    pairs = uncertified = 0
+    for p in (2, 3, 5, 7):
+        for nv in (2, 3):
+            r = ring(p, "xyz"[:nv])
+            qs = [q for q in (p, p**2, p**3) if q**nv <= 3000]
+            for _ in range(30):
+                I = Ideal(r, random_m_primary_gens(rng, r, 4))
+                for q in qs:
+                    certificate = stabilization_check(I, q)
+                    assert certificate == scan_stabilization_check(I, q), (I, q)
+                    pairs += 1
+                    uncertified += certificate is None
+    assert pairs >= 400 and uncertified >= 20, (pairs, uncertified)
 
 
 def test_find_stable_q():
@@ -360,11 +384,26 @@ def test_jacobian_codimension_two_snapshot():
     assert isolated_singularity_test(ci) is False
 
 
-def test_jacobian_minor_limit():
-    r5 = ring(3, "abcde")
-    ci = CompleteIntersection(r5, tuple(poly(v, r5) for v in "abcde"))
-    with pytest.raises(ValueError, match="c <= 4"):
-        jacobian_ideal(ci)
+def test_jacobian_minors_match_cofactor_expansion(rng):
+    # expansion along the last column from the smaller minors against one
+    # cofactor expansion per minor, on seeded CIs with c <= 4
+    checked = 0
+    while checked < 60:
+        p = rng.choice((2, 3, 5, 7))
+        nv = rng.randint(2, 5)
+        c = rng.randint(1, min(nv, 4))
+        r = ring(p, "xyzwv"[:nv])
+        forms = tuple(
+            random_homogeneous(rng, r, rng.randint(1, 3 if c <= 2 else 2)) for _ in range(c)
+        )
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        minors, reference = jacobian_ideal(ci), Ideal(r, cofactor_jacobian_minors(ci))
+        assert minors.generators == reference.generators
+        assert minors.groebner() == reference.groebner()
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +449,7 @@ def test_analyze_codimension_two_snapshot():
 
 def test_report_json_roundtrip():
     report = analyze(squares_ci(3))
-    assert AnalysisReport.from_json_dict(report.to_json_dict()) == report
+    assert report_from_json(report.to_json_dict()) == report
     assert list(report.to_json_dict()) == list(SQUARES_P3_REPORT)
 
 

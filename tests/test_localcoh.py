@@ -18,7 +18,7 @@ from fsing.cli import _consistency, load_problem, main
 from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, annihilation_rows, compute_tau, in_m_bracket
 from fsing.groebner import Ideal
-from fsing.invariants import a_invariant, analyze, jacobian_ideal, thmA_bound
+from fsing.invariants import a_invariant, analyze, jacobian_ideal, thmA_bound, thmB_threshold
 from fsing.localcoh import (
     CohClass,
     frobenius_action,
@@ -158,17 +158,21 @@ def test_kernel_witness_computes_no_colon(monkeypatch):
 
 
 def test_kernel_witness_scans_the_stable_q_once(monkeypatch):
-    # the stabilization certificate is the witness numerator: one kernel scan
-    # per q tried, none repeated at the stable q
+    # the stabilization certificate is the witness numerator: two kernels
+    # per q tried, at the degree ell predicts and the one below, and none
+    # repeated for the witness
     calls = []
-    scan = invariants.least_surviving_generator
-    for module in (invariants, localcoh):
-        monkeypatch.setattr(
-            module, "least_surviving_generator",
-            lambda I, q: calls.append(q) or scan(I, q), raising=False,
-        )
+    rows = invariants.annihilation_rows
+    monkeypatch.setattr(
+        invariants, "annihilation_rows",
+        lambda gens, coords, q: calls.append(q) or rows(gens, coords, q),
+    )
     witness = kernel_witness(SQUARES3, compute_tau(SQUARES3))
-    assert calls == [witness.q] == [3]
+    assert calls == [witness.q] * 2 == [3, 3]
+    calls.clear()
+    r = ring(2, "xy")
+    assert invariants.find_stable_q(Ideal(r, (poly("x^2", r), poly("y^3", r))))[0] == 4
+    assert calls == [2, 2, 4, 4]
 
 
 def test_kernel_witness_for_two_variable_cubic():
@@ -455,6 +459,35 @@ def test_theorem_a_on_generated_cis(rng, p):
         ells.append(report.ell)
     # the draws reach tau other than m, where the bound sits below a(R)
     assert any(ells)
+
+
+def test_theorem_b_on_generated_cis(rng):
+    # Theorem B: at p >= (n+1-c)(d-c) an isolated singularity is F-pure at
+    # m or has its Theorem A bound at 0 or above, and Frobenius is injective
+    # in every negative degree, checked here down to max(cor_bound, -6)
+    isolated, non_f_pure, primes = 0, 0, set()
+    while isolated < 30:
+        # c <= n, so that the top local cohomology is not R itself
+        nv = rng.randint(2, 3)
+        degrees = [rng.randint(2, 4) for _ in range(rng.randint(1, nv - 1))]
+        threshold = thmB_threshold(nv - 1, len(degrees), sum(degrees))
+        p = rng.choice([q for q in (2, 3, 5, 7, 11, 13) if q >= threshold])
+        r = ring(p, "xyz"[:nv])
+        forms = tuple(random_homogeneous(rng, r, k, density=0.4) for k in degrees)
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        report = analyze(ci)
+        if not report.isolated_singularity:
+            continue
+        assert report.fpure_at_m or report.thmA_bound >= 0, ci.forms
+        for t in range(max(report.cor_bound, -6), 0):
+            assert verify_injectivity(ci, t).injective, (ci.forms, t)
+        isolated += 1
+        non_f_pure += not report.fpure_at_m
+        primes.add(p)
+    assert non_f_pure >= 10 and 13 in primes
 
 
 # ---------------------------------------------------------------------------

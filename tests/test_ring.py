@@ -11,6 +11,7 @@ from oracles import (
     mono_lcm,
     mono_mul,
     mono_quotient,
+    monomial,
     pow_binary,
     random_homogeneous,
 )
@@ -52,7 +53,7 @@ def test_parse_squares_quartic():
     assert len(f.terms) == 3
     assert f.degree() == 4
     assert f.is_homogeneous()
-    assert f.coefficient((2, 2, 0)) == 1
+    assert f.terms.get((2, 2, 0)) == 1
 
 
 def test_parse_zero():
@@ -211,7 +212,7 @@ def test_pow_matches_binary_powering(rng):
     for r in (R2, R3, R5, RingDescriptor(7, ("x", "y", "z", "w"))):
         p = r.p
         bases = [Polynomial.zero(r), Polynomial.constant(r, 1), Polynomial.constant(r, p - 1)]
-        bases.append(Polynomial.monomial(r, (2,) + (1,) * (r.nvars - 1), p - 1))
+        bases.append(monomial(r, (2,) + (1,) * (r.nvars - 1), p - 1))
         bases += [random_homogeneous(rng, r, rng.randint(1, 3)) for _ in range(3)]
         bases += [random_homogeneous(rng, r, 1) + random_homogeneous(rng, r, 2)]
         exponents = {1, 2, 3, p - 1, p, p + 1, 2 * p, p * p, (p - 1) * p * p}
@@ -226,7 +227,7 @@ def test_pow_overflow_boundary():
     # and multi-term bases; EXPONENT_CAP = 2^31 - 1 is prime, so the
     # multi-term case at p = EXPONENT_CAP is one Frobenius power
     x = Polynomial.variable(R3, 0)
-    assert x**EXPONENT_CAP == Polynomial.monomial(R3, (EXPONENT_CAP, 0, 0))
+    assert x**EXPONENT_CAP == monomial(R3, (EXPONENT_CAP, 0, 0))
     with pytest.raises(OverflowError):
         (x * x) ** ((EXPONENT_CAP + 1) // 2)
     big = RingDescriptor(EXPONENT_CAP, ("x", "y"))
@@ -291,7 +292,7 @@ def test_ring_mismatch():
 
 
 def test_exponent_cap_on_frobenius_power():
-    big = Polynomial.monomial(R2, (2**30, 0, 0))
+    big = monomial(R2, (2**30, 0, 0))
     with pytest.raises(OverflowError):
         big.frobenius_power(4)
     with pytest.raises(OverflowError):
