@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-q", type=_positive_int, default=None, help="cap on denominators q"
     )
     common.add_argument(
-        "--max-cols", type=_positive_int, default=None, help="cap on matrix columns"
+        "--max-cols", type=_positive_int, default=None,
+        help="cap on matrix columns and, in verify, on Frobenius image rows",
     )
     parser = argparse.ArgumentParser(
         prog="fsing",

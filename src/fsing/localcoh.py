@@ -15,6 +15,8 @@ degree t comes down to two ranks, of A and of A stacked on Phi.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass
 
 from .errors import InternalError, ResourceLimit
@@ -157,12 +159,19 @@ def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
         if not _admissible(q, t, ci):
             raise ValueError(f"q = {q} cannot represent degree {t}")
     s = t - ci.d + ring.nvars * q
+    count = _coordinate_count(ring.nvars, s, q)
+    if count > max_cols:
+        raise ResourceLimit(f"{count} coordinate monomials exceed the cap {max_cols}")
     coords = monomials_of_degree(ring, s, below=q)
-    if len(coords) > max_cols:
-        raise ResourceLimit(
-            f"{len(coords)} coordinate monomials exceed the cap {max_cols}"
-        )
     return q, coords, annihilation_rows(ci.forms, coords, q)
+
+
+def _coordinate_count(nvars: int, s: int, q: int) -> int:
+    """Monomials of degree s in nvars variables with every exponent below q,
+    counted without building them: inclusion-exclusion over the k exponents
+    at least q."""
+    return sum((-1) ** k * math.comb(nvars, k) * math.comb(s - k * q + nvars - 1, nvars - 1)
+               for k in range(nvars + 1) if k * q <= s)
 
 
 def graded_piece_basis(

@@ -92,6 +92,18 @@ def test_load_problem_rejects_non_positive_max_q(tmp_path, value, capsys):
     assert capsys.readouterr().err == f"{path}:4: max_q must be positive, got {value}\n"
 
 
+def test_verify_refuses_deep_degree_before_building_coordinates(capsys):
+    # enumerating these coordinates took seconds at t = -3000 and ran out of
+    # memory at t = -8000; the count alone refuses them now
+    start = time.perf_counter()
+    code = main(["verify", f"{PROBLEMS}/squares_p3.ci", "--from", "-8000", "--to", "-8000", "--json"])
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert json.loads(out)["capped"] == "32020003 coordinate monomials exceed the cap 20000"
+    assert err == "stopped early: 32020003 coordinate monomials exceed the cap 20000\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 @pytest.mark.parametrize("flag", ["--max-q", "--max-cols"])
 def test_non_positive_cap_flags_are_malformed_input(flag, value, capsys):

@@ -48,6 +48,29 @@ def random_sparse_rows(rng, p, nrows, ncols):
     return rows
 
 
+def check_echelon(rows, ncols, p):
+    """echelon, rank and nullspace of rows against the dense oracle."""
+    # reduced first: scaled entries can overflow int64 at p = 2^31 - 1
+    dense = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+    expected = len(rref(as_matrix(dense, ncols), p)[1])
+    assert linalg.rank(rows, p) == expected
+    pivots = linalg.echelon(rows, p)
+    assert len(pivots) == expected
+    # monic at distinct least columns, entries reduced and nonzero
+    leads = [min(row) for row in pivots]
+    assert len(set(leads)) == len(leads)
+    assert all(row[lead] == 1 for row, lead in zip(pivots, leads))
+    assert all(0 < e < p for row in pivots for e in row.values())
+    # same row space: the pivots are independent, and stacking them on
+    # the input adds no rank
+    echelon_dense = [[row.get(c, 0) for c in range(ncols)] for row in pivots]
+    assert rank(as_matrix(echelon_dense, ncols), p) == expected
+    assert rank(as_matrix(dense + echelon_dense, ncols), p) == expected
+    # the reduced echelon form is unique, so the vectors agree one for one
+    kernel = [tuple(int(x) for x in v) for v in oracles.nullspace(as_matrix(dense, ncols), p)]
+    assert linalg.nullspace(rows, ncols, p) == kernel
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
 def test_sparse_rank_matches_dense_rref(rng, p):
     assert linalg.rank([], p) == 0
@@ -55,23 +78,58 @@ def test_sparse_rank_matches_dense_rref(rng, p):
     assert linalg.echelon([{}, {0: p}], p) == []
     for _ in range(200):
         ncols = rng.randint(1, 10)
-        rows = random_sparse_rows(rng, p, rng.randint(0, 12), ncols)
-        # reduced first: scaled entries can overflow int64 at p = 2^31 - 1
-        dense = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
-        expected = len(rref(as_matrix(dense, ncols), p)[1])
-        assert linalg.rank(rows, p) == expected
-        pivots = linalg.echelon(rows, p)
-        assert len(pivots) == expected
-        # monic at distinct least columns, entries reduced and nonzero
-        leads = [min(row) for row in pivots]
-        assert len(set(leads)) == len(leads)
-        assert all(row[lead] == 1 for row, lead in zip(pivots, leads))
-        assert all(0 < e < p for row in pivots for e in row.values())
-        # same row space: the pivots are independent, and stacking them on
-        # the input adds no rank
-        echelon_dense = [[row.get(c, 0) for c in range(ncols)] for row in pivots]
-        assert rank(as_matrix(echelon_dense, ncols), p) == expected
-        assert rank(as_matrix(dense + echelon_dense, ncols), p) == expected
+        check_echelon(random_sparse_rows(rng, p, rng.randint(0, 12), ncols), ncols, p)
+
+
+def unit_heavy_rows(rng, p, ncols):
+    """Rows most of which have one entry: duplicate and scaled unit rows,
+    single entries that are 0 mod p, longer rows on unit columns, and rows
+    left with one entry once the unit columns are struck."""
+    units = rng.sample(range(ncols), rng.randint(1, ncols))
+    rows = []
+    for _ in range(rng.randint(1, 16)):
+        kind = rng.random()
+        if kind < 0.4:
+            # a unit row, often a duplicate or multiple of another
+            rows.append({rng.choice(units): rng.choice((1, -1, p + 1, rng.randrange(1, p)))})
+        elif kind < 0.5:
+            # one entry, but 0 mod p: no pivot
+            rows.append({rng.randrange(ncols): rng.choice((0, p, -p))})
+        elif kind < 0.6:
+            # one entry left mod p among zeros
+            cols = rng.sample(range(ncols), rng.randint(2, min(3, ncols)) if ncols > 1 else 1)
+            rows.append({c: (rng.randrange(1, p) if i == 0 else p * rng.randint(-1, 1))
+                         for i, c in enumerate(cols)})
+        elif kind < 0.8:
+            # one column off the units, the rest on them
+            others = [c for c in range(ncols) if c not in units] or units
+            row = {c: rng.randrange(1, p) for c in rng.sample(units, rng.randint(1, len(units)))}
+            row[rng.choice(others)] = rng.randrange(-p, p)
+            rows.append(row)
+        else:
+            cols = rng.sample(range(ncols), rng.randint(2, ncols) if ncols > 1 else 1)
+            rows.append({c: rng.randrange(-2 * p, 2 * p) for c in cols})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_unit_pivots_example():
+    # at p = 5: a unit row and a scaled duplicate, a lone entry 0 mod p, a
+    # row with one entry left mod p, and two longer rows that keep one entry
+    # once the unit columns 2 and 3 are struck
+    rows = [{2: 3}, {2: 12}, {0: 5}, {0: 2, 2: 1}, {1: 10, 3: 4}, {1: 1, 2: 4, 3: 2}]
+    assert linalg.echelon(rows, 5) == [{2: 1}, {3: 1}, {0: 1}, {1: 1}]
+    assert linalg.nullspace(rows, 5, 5) == [(0, 0, 0, 0, 1)]
+    assert rows[1] == {2: 12} and rows[3] == {0: 2, 2: 1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_unit_rows_match_dense_rref(rng, p):
+    # single-entry rows become unit pivots before elimination; verify's
+    # Frobenius image rows are nearly all of this kind
+    for _ in range(300):
+        ncols = rng.randint(1, 10)
+        check_echelon(unit_heavy_rows(rng, p, ncols), ncols, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])

@@ -306,6 +306,26 @@ def test_injectivity_column_cap():
         verify_injectivity(SQUARES3, -8, max_cols=40)
 
 
+def test_coordinate_count_matches_enumeration():
+    # the column cap is checked on this count, before any coordinate is built
+    for nv in range(1, 5):
+        r = ring(2, "xyzw"[:nv])
+        for q in [q for q in range(1, 28) if q**nv <= 3000]:
+            for s in range(-1, nv * q + 1):
+                expected = len(monomials_of_degree(r, s, below=q))
+                assert localcoh._coordinate_count(nv, s, q) == expected, (nv, q, s)
+
+
+def test_column_cap_refuses_before_enumerating(monkeypatch):
+    # 32,020,003 coordinates at t = -8000 (q = 3^9): counted, never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("coordinates enumerated past the cap")
+
+    monkeypatch.setattr(localcoh, "monomials_of_degree", refuse)
+    with pytest.raises(ResourceLimit, match="^32020003 coordinate monomials exceed the cap 20000$"):
+        verify_injectivity(SQUARES3, -8000)
+
+
 def test_injectivity_image_cap(capsys):
     # 15 coordinates fit under the cap, their Frobenius images do not
     assert len(graded_piece_basis(SQUARES3, -3, max_cols=20).coordinates) == 15
