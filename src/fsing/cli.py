@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-cols", type=_positive_int, default=None,
-        help="cap on matrix columns and, in verify, on Frobenius image rows",
+        help="cap on matrix columns and, in verify, on Frobenius image monomials",
     )
     parser = argparse.ArgumentParser(
         prog="fsing",

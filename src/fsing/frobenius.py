@@ -44,30 +44,40 @@ def in_m_bracket(poly: Polynomial, q: int) -> bool:
 
 
 def annihilation_rows(gens, coords, q: int, max_rows: int | None = None) -> list[dict]:
-    """h -> (h*g modulo m^[q] for g in gens) on the span of coords: one
-    {column: coefficient} row per generator and product monomial below q, so
-    the kernel is (m^[q] : gens) modulo m^[q] in that span.  With max_rows,
-    raises ResourceLimit once a coordinate takes the row count past it."""
+    """h -> (h*g modulo m^[q] for g in gens) on the span of coords, so the
+    kernel is (m^[q] : gens) modulo m^[q] in that span: one row
+    {column: coefficient} per generator and product monomial below q, except
+    that products one coordinate alone reaches give one unit row {column: 1}
+    per column, first.  With max_rows, raises ResourceLimit once a coordinate
+    takes the count of product monomials past it."""
     if not coords:
         return []
     top = max(map(max, coords)) + max((g.degree() for g in gens if g), default=0)
     pack, _, offset, guard = packing(len(coords[0]), top, q)
     packed = [pack(mu) + offset for mu in coords]
-    # a row's key: the generator's index above the packed product plus offset
+    # a row's key: the generator's index above the packed product plus offset;
+    # hits holds the first column to reach a key, and -1 once a second does
+    hits: dict[int, int] = {}
     rows: dict[int, dict] = {}
-    setdefault = rows.setdefault
+    setdefault = hits.setdefault
     for j, g in enumerate(gens):
-        terms = [(pack(m) + (j << guard.bit_length()), c) for m, c in g.terms.items()]
+        terms = {pack(m) + (j << guard.bit_length()): c for m, c in g.terms.items()}
         for col, mu in enumerate(packed):
-            for m, c in terms:
+            for m, c in terms.items():
                 m += mu
-                if not m & guard:
-                    setdefault(m, {})[col] = c
-            if max_rows is not None and len(rows) > max_rows:
+                if not m & guard and (first := setdefault(m, col)) != col:
+                    if first < 0:
+                        rows[m][col] = c
+                    else:
+                        rows[m] = {first: terms[m - packed[first]], col: c}
+                        hits[m] = -1
+            if max_rows is not None and len(hits) > max_rows:
                 raise ResourceLimit(
-                    f"{len(rows)} image monomials exceed the cap {max_rows}"
+                    f"{len(hits)} image monomials exceed the cap {max_rows}"
                 )
-    return list(rows.values())
+    units = dict.fromkeys(hits.values())
+    units.pop(-1, None)
+    return [{col: 1} for col in units] + list(rows.values())
 
 
 def bracket_power(I: Ideal, q: int) -> Ideal:

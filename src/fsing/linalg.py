@@ -4,31 +4,38 @@
 `nullspace` back-substitutes them into the reduced echelon form.  Rows with
 one nonzero entry are unit pivots, whose columns are struck from the other
 rows before elimination (structured Gaussian elimination, LaMacchia-Odlyzko
-1990): nearly all of verify's Frobenius image rows, many of them duplicates.
+1990).  An elimination can continue from earlier pivots: verify reduces its
+annihilation rows against those of its Frobenius image rows, which arrive as
+one unit row per column rather than as duplicates, and are nearly all units.
 """
 
 
-def echelon(rows, p) -> list[dict]:
+def echelon(rows, p, pivots=()) -> list[dict]:
     """Monic pivot rows, at distinct least columns, spanning the F_p-space of
-    the {column: entry} rows; columns may be any totally ordered keys.
-    One pass takes each row with a single entry nonzero mod p as the unit
-    pivot {c: 1}, and the unit columns are struck from the longer rows, a
-    row operation that leaves the span unchanged.  Then, shortest first,
-    each longer row is reduced by its least column against the pivots found
-    so far, and what is left becomes a new pivot."""
-    units: dict = {}
+    the {column: entry} rows and of pivots, the result of an earlier echelon;
+    columns may be any totally ordered keys.  One pass takes each row with a
+    single entry nonzero mod p as the unit pivot {c: 1}; a pivot of several
+    entries that leads at c gives up c, and what is left is reduced again.
+    The unit columns are struck from the longer rows, a row operation that
+    leaves the span unchanged.  Then, shortest first, each longer row is
+    reduced by its least column against the pivots found so far, and what is
+    left becomes a new pivot."""
+    pivots = {min(row): row for row in pivots}
+    units = {c: None for c, row in pivots.items() if len(row) == 1}
     longer = []
     for row in rows:
-        # a single-entry row, nearly every Frobenius image row, is not copied
+        # a single-entry row, such as annihilation_rows' unit rows, is not copied
         if len(row) > 1:
             row = {c: e % p for c, e in row.items() if e % p}
         if len(row) > 1:
             longer.append(row)
         else:
             for c, e in row.items():
-                if e % p:
+                if e % p and c not in units:
                     units[c] = None
-    pivots: dict = {c: {c: 1} for c in units}
+                    if c in pivots:
+                        longer.append({k: v for k, v in pivots[c].items() if k != c})
+                    pivots[c] = {c: 1}
     for row in sorted(longer, key=len):
         if units:
             row = {c: e for c, e in row.items() if c not in units}
@@ -46,9 +53,9 @@ def echelon(rows, p) -> list[dict]:
     return list(pivots.values())
 
 
-def rank(rows, p) -> int:
-    """Rank over F_p of {column: entry} rows."""
-    return len(echelon(rows, p))
+def rank(rows, p, pivots=()) -> int:
+    """Rank over F_p of {column: entry} rows stacked on earlier pivots."""
+    return len(echelon(rows, p, pivots))
 
 
 def nullspace(rows, ncols, p) -> list[tuple[int, ...]]:

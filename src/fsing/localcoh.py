@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import InternalError, ResourceLimit
 from .frobenius import CompleteIntersection, TauResult, annihilation_rows, in_m_bracket
 from .invariants import find_stable_q
-from .linalg import nullspace, rank
+from .linalg import echelon, nullspace, rank
 from .ring import EXPONENT_CAP, Monomial, Polynomial, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_COLUMNS = 20000
@@ -215,9 +215,10 @@ def verify_injectivity(
 
     The piece is the kernel of the annihilation rows A on the coordinate
     monomials, so dim = ncols - rank(A).  Frobenius sends a coordinate mu to
-    f^(p-1) mu^p modulo m^[pq]; Phi has one row per image monomial below pq
-    and one column per coordinate.  A class is killed exactly when its
-    vector is also in the kernel of Phi: kernel_dim = ncols - rank([A; Phi]).
+    f^(p-1) mu^p modulo m^[pq]; Phi's rows span the image monomials below pq
+    on one column per coordinate.  A class is killed exactly when its vector
+    is also in the kernel of Phi: kernel_dim = ncols - rank([A; Phi]), with A
+    reduced against Phi's pivots, nearly all units, so little fills in.
     """
     q, coords, rows = _piece(ci, t, None, max_cols)
     ncols = len(coords)
@@ -228,6 +229,6 @@ def verify_injectivity(
     # Phi's rows are f^(p-1)'s annihilation rows on the coordinates' p-th powers
     powers = [tuple([e * p for e in mu]) for mu in coords]
     images = annihilation_rows((ci.fpow,), powers, q * p, max_rows=max_cols)
-    kernel = ncols - rank(rows + images, p)
+    kernel = ncols - rank(rows, p, echelon(images, p))
     return InjectivityResult(degree=t, dim_source=dim, dim_kernel=kernel)
 

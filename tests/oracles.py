@@ -351,8 +351,9 @@ def pow_binary(f, e):
 
 
 def tuple_annihilation_rows(gens, coords, q):
-    """fsing.frobenius.annihilation_rows with product monomials as tuples,
-    rows keyed by (generator index, monomial) in order of first appearance."""
+    """fsing.frobenius.annihilation_rows with product monomials as tuples and
+    no row operations: one row per (generator index, monomial), in order of
+    first appearance, single-entry rows included as they come."""
     rows = {}
     for j, g in enumerate(gens):
         for col, mu in enumerate(coords):
@@ -366,7 +367,8 @@ def tuple_annihilation_rows(gens, coords, q):
 def tuple_frobenius_rows(ci, coords, q):
     """The Frobenius image rows of fsing.localcoh.verify_injectivity with
     image monomials as tuples: mu -> f^(p-1) mu^p modulo m^[pq], one row per
-    image monomial in order of first appearance, without the row cap."""
+    image monomial in order of first appearance, without the row cap or
+    the row operations of fsing.frobenius.annihilation_rows."""
     p = ci.ring.p
     images = {}
     for col, mu in enumerate(coords):
@@ -376,6 +378,14 @@ def tuple_frobenius_rows(ci, coords, q):
             if max(m) < q * p:
                 images.setdefault(m, {})[col] = c
     return list(images.values())
+
+
+def collapsed_rows(rows):
+    """The row operations fsing.frobenius.annihilation_rows applies to
+    uncollapsed rows: the set of columns of the single-entry rows, each of
+    which it gives as the unit row {column: 1}, and the longer rows as they
+    are."""
+    return {c for row in rows if len(row) == 1 for c in row}, [row for row in rows if len(row) > 1]
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,13 @@ def random_sparse_rows(rng, p, nrows, ncols):
     return rows
 
 
-def check_echelon(rows, ncols, p):
-    """echelon, rank and nullspace of rows against the dense oracle."""
+def check_pivots(pivots, rows, ncols, p):
+    """Pivot rows against the dense oracle on the rows they should span;
+    returns that rank."""
     # reduced first: scaled entries can overflow int64 at p = 2^31 - 1
     dense = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
     expected = len(rref(as_matrix(dense, ncols), p)[1])
-    assert linalg.rank(rows, p) == expected
-    pivots = linalg.echelon(rows, p)
+    assert isinstance(pivots, list)
     assert len(pivots) == expected
     # monic at distinct least columns, entries reduced and nonzero
     leads = [min(row) for row in pivots]
@@ -66,6 +66,14 @@ def check_echelon(rows, ncols, p):
     echelon_dense = [[row.get(c, 0) for c in range(ncols)] for row in pivots]
     assert rank(as_matrix(echelon_dense, ncols), p) == expected
     assert rank(as_matrix(dense + echelon_dense, ncols), p) == expected
+    return expected
+
+
+def check_echelon(rows, ncols, p):
+    """echelon, rank and nullspace of rows against the dense oracle."""
+    expected = check_pivots(linalg.echelon(rows, p), rows, ncols, p)
+    assert linalg.rank(rows, p) == expected
+    dense = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
     # the reduced echelon form is unique, so the vectors agree one for one
     kernel = [tuple(int(x) for x in v) for v in oracles.nullspace(as_matrix(dense, ncols), p)]
     assert linalg.nullspace(rows, ncols, p) == kernel
@@ -130,6 +138,44 @@ def test_unit_rows_match_dense_rref(rng, p):
     for _ in range(300):
         ncols = rng.randint(1, 10)
         check_echelon(unit_heavy_rows(rng, p, ncols), ncols, p)
+
+
+def check_seeded_echelon(seed, rest, ncols, p):
+    """echelon(rest, p, echelon(seed, p)) against the dense oracle on all
+    the rows, seed and rest."""
+    pivots = linalg.echelon(seed, p)
+    before = [dict(row) for row in pivots]
+    expected = check_pivots(linalg.echelon(rest, p, pivots), seed + rest, ncols, p)
+    assert linalg.rank(rest, p, pivots) == expected
+    # the earlier pivots are read, never changed
+    assert pivots == before
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_echelon_continues_from_earlier_pivots(rng, p):
+    # verify reduces its annihilation rows against the pivots of the
+    # Frobenius image rows; any split of a row set gives the same span
+    for _ in range(300):
+        ncols = rng.randint(1, 10)
+        if rng.random() < 0.5:
+            rows = unit_heavy_rows(rng, p, ncols)
+        else:
+            rows = random_sparse_rows(rng, p, rng.randint(0, 12), ncols)
+        cut = rng.randint(0, len(rows))
+        check_seeded_echelon(rows[:cut], rows[cut:], ncols, p)
+
+
+def test_unit_row_on_the_lead_of_a_seeded_pivot():
+    # at p = 5 the seeded pivot {0: 1, 1: 2, 2: 3} leads at column 0, where
+    # the unit row {0: 4} lands: the pivot gives up column 0 and what is
+    # left, {1: 2, 2: 3}, is reduced again instead of being lost
+    seed = [{0: 1, 1: 2, 2: 3}]
+    pivots = linalg.echelon(seed, 5)
+    assert pivots == seed
+    assert linalg.echelon([{0: 4}], 5, pivots) == [{0: 1}, {1: 1, 2: 4}]
+    assert linalg.rank([{0: 4}], 5, pivots) == 2
+    assert pivots == seed
+    check_seeded_echelon(seed, [{0: 4}, {2: 1, 3: 1}], 4, 5)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])

@@ -6,6 +6,7 @@ import pytest
 from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
 from oracles import (
     as_matrix,
+    collapsed_rows,
     m_bracket,
     random_homogeneous,
     rank,
@@ -392,14 +393,33 @@ def entries(rows):
     return [list(row.items()) for row in rows]
 
 
+def dense_rank(rows, ncols, p):
+    return rank(as_matrix([[row.get(c, 0) for c in range(ncols)] for row in rows], ncols), p)
+
+
+def check_collapsed(rows, uncollapsed, ncols, p):
+    """rows are the tuple-keyed oracle rows after annihilation_rows' row
+    operations: unit rows {column: 1} first, one per column of a
+    single-entry oracle row, then the longer oracle rows entry for entry in
+    some order; and they span what the oracle rows span."""
+    units, longer = collapsed_rows(uncollapsed)
+    head = rows[: len(units)]
+    assert all(list(row.values()) == [1] for row in head)
+    assert sorted(c for row in head for c in row) == sorted(units)
+    assert sorted(entries(rows[len(units):])) == sorted(entries(longer))
+    assert (dense_rank(rows, ncols, p) == dense_rank(uncollapsed, ncols, p)
+            == dense_rank(rows + uncollapsed, ncols, p))
+
+
 def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
     # the annihilation rows (of the forms and of tau) and the Frobenius image
-    # rows that verify stacks under them in its second rank call, row for row
-    # and entry for entry, on every problem file and seeded CIs
-    ranked = []
-    sparse_rank = localcoh.rank
+    # rows that verify builds, against the tuple-keyed oracle rows under the
+    # same row operations, on every problem file and seeded CIs
+    built = []
+    packed_rows = localcoh.annihilation_rows
     monkeypatch.setattr(
-        localcoh, "rank", lambda rows, p: ranked.append(rows) or sparse_rank(rows, p)
+        localcoh, "annihilation_rows",
+        lambda *args, **kwargs: built.append(packed_rows(*args, **kwargs)) or built[-1],
     )
     cis = [load_problem(path).ci for path in sorted(glob.glob("problems/*.ci"))]
     cis += small_cis(rng, 8)
@@ -407,25 +427,53 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
     for ci in cis:
         tau = compute_tau(ci).tau
         top = a_invariant(ci)
+        p = ci.ring.p
         for t in range(top - 4, top + 1):
             q, coords, rows = localcoh._piece(ci, t, None, 5000)
-            assert entries(rows) == entries(tuple_annihilation_rows(ci.forms, coords, q))
-            ranked.clear()
+            check_collapsed(rows, tuple_annihilation_rows(ci.forms, coords, q), len(coords), p)
+            built.clear()
             verify_injectivity(ci, t)
-            if len(ranked) == 2:
-                assert entries(ranked[0]) == entries(rows)
-                assert entries(ranked[1][len(rows):]) == entries(
-                    tuple_frobenius_rows(ci, coords, q)
-                )
+            if len(built) == 2:
+                check_collapsed(built[1], tuple_frobenius_rows(ci, coords, q), len(coords), p)
                 images += 1
-        p, nv = ci.ring.p, ci.ring.nvars
+        nv = ci.ring.nvars
         for q in [q for q in (p, p * p) if q**nv <= 1000]:
             for s in (0, 1, nv * (q - 1) // 2, nv * (q - 1)):
                 coords = monomials_of_degree(ci.ring, s, below=q)[::-1]
-                assert entries(annihilation_rows(tau.generators, coords, q)) == entries(
-                    tuple_annihilation_rows(tau.generators, coords, q)
+                check_collapsed(
+                    annihilation_rows(tau.generators, coords, q),
+                    tuple_annihilation_rows(tau.generators, coords, q),
+                    len(coords), p,
                 )
     assert images > 20
+
+
+def test_two_ranks_match_the_stacked_dense_route(rng):
+    # a second route: dense ranks of the annihilation rows A and of A stacked
+    # on the Frobenius image rows, both built tuple by tuple with no row
+    # operations
+    def stacked(ci, t):
+        q, coords, _ = localcoh._piece(ci, t, None, localcoh.DEFAULT_MAX_COLUMNS)
+        rows = tuple_annihilation_rows(ci.forms, coords, q)
+        images = tuple_frobenius_rows(ci, coords, q)
+        n, p = len(coords), ci.ring.p
+        return n - dense_rank(rows, n, p), n - dense_rank(rows + images, n, p)
+
+    kernels = 0
+    for path in sorted(glob.glob("problems/*.ci")):
+        ci = load_problem(path).ci
+        for t in range(-12, 4):
+            result = verify_injectivity(ci, t)
+            assert (result.dim_source, result.dim_kernel) == stacked(ci, t), (path, t)
+            kernels += result.dim_kernel > 0
+    assert kernels >= 20
+    cis = small_cis(rng, 10)
+    assert {ci.c for ci in cis} == {1, 2}
+    for ci in cis:
+        top = a_invariant(ci)
+        for t in range(top - 4, top + 1):
+            result = verify_injectivity(ci, t)
+            assert (result.dim_source, result.dim_kernel) == stacked(ci, t)
 
 
 def test_whole_kernel_is_the_nullity_of_the_tau_rows(rng):
