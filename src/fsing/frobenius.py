@@ -126,8 +126,10 @@ class CompleteIntersection:
 
     Construction validates the shape (1 <= c <= n+1, homogeneous forms of
     positive degree) and that the forms are a regular sequence, the latter by
-    comparing quotient dimensions degree by degree against the expected
-    series prod(1 - t^(d_j)) / (1 - t)^(n+1) up to degree d = sum d_j.
+    comparing quotient dimensions degree by degree against hilbert_function
+    up to degree d = sum d_j.  By graded local duality (Bruns-Herzog,
+    Cohen-Macaulay Rings, ch. 3) the same function sizes the top local
+    cohomology: its degree-t piece has dimension HF_R(a(R) - t), a(R) = d - (n+1).
     Derived fields: degrees d_j, their sum d, and the product form f;
     fpow = f^(p-1) is computed on first use.
     """
@@ -182,17 +184,19 @@ class CompleteIntersection:
         return self.ring.n
 
 
-def hilbert_coefficients(degrees, nvars: int, top: int) -> list[int]:
-    """Coefficients of prod(1 - t^d) / (1 - t)^nvars up to degree top."""
-    coeffs = [1] + [0] * top
+def hilbert_function(degrees, nvars: int, s: int) -> int:
+    """HF(s) of S/(regular sequence of forms of these degrees), S in nvars
+    variables: the coefficient of T^s in prod(1 - T^d) / (1 - T)^nvars, 0
+    for s < 0.  Computed at s alone, never as a list up to s, from the
+    numerator as a {degree: coefficient} dict, where equal degrees merge."""
+    numerator = {0: 1}
     for d in degrees:
-        coeffs = [c - (coeffs[s - d] if s >= d else 0) for s, c in enumerate(coeffs)]
-    for _ in range(nvars):
-        total = 0
-        for s in range(top + 1):
-            total += coeffs[s]
-            coeffs[s] = total
-    return coeffs
+        shifted = dict(numerator)
+        for k, c in numerator.items():
+            shifted[k + d] = shifted.get(k + d, 0) - c
+        numerator = shifted
+    return sum(c * math.comb(s - k + nvars - 1, nvars - 1)
+               for k, c in numerator.items() if k <= s)
 
 
 def _check_regular_sequence(ring, forms, degrees):
@@ -201,7 +205,6 @@ def _check_regular_sequence(ring, forms, degrees):
     size = math.comb(top + nv, nv)  # monomials of degree <= top
     if size > REGULAR_CHECK_CAP:
         raise ResourceLimit(f"regular-sequence check spans {size} monomials, cap {REGULAR_CHECK_CAP}")
-    expected = hilbert_coefficients(degrees, nv, top)
     # quotient dimension in each degree by linear algebra; when c = n+1,
     # agreement up to degree d forces degree d to be zero: an Artinian quotient
     for s in range(top + 1):
@@ -213,10 +216,11 @@ def _check_regular_sequence(ring, forms, degrees):
             for mu in monomials_of_degree(ring, s - dg):
                 rows.append({index[tuple(map(add, m, mu))]: c for m, c in terms})
         dim = len(basis) - rank(rows, ring.p)
-        if dim != expected[s]:
+        expected = hilbert_function(degrees, nv, s)
+        if dim != expected:
             raise RegularSequenceError(
                 f"not a regular sequence: quotient dimension {dim} in degree {s}, "
-                f"expected {expected[s]}"
+                f"expected {expected}"
             )
 
 

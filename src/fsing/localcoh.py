@@ -8,20 +8,20 @@ is per-monomial divisibility, never a basis computation.
 
 In degree t the numerators are spans of coordinate monomials below q, and
 the annihilation constraints are a matrix A over F_p on them: the graded
-piece is the kernel of A.  Frobenius is F_p-linear on numerators, since
-c^p = c, so it is a matrix Phi on the same coordinates, and injectivity in
-degree t comes down to two ranks, of A and of A stacked on Phi.
+piece is the kernel of A, of dimension HF_R(a(R) - t) by graded local
+duality, as R is Gorenstein (Bruns-Herzog, Cohen-Macaulay Rings, ch. 3);
+the rank of A is the tests' oracle for it.  Frobenius is F_p-linear on
+numerators, since c^p = c, so it is a matrix Phi on the same coordinates,
+and its kernel in degree t is one rank, of A stacked on Phi.
 """
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass
 
 from .errors import InternalError, ResourceLimit
-from .frobenius import CompleteIntersection, TauResult, annihilation_rows, in_m_bracket
-from .invariants import find_stable_q
+from .frobenius import CompleteIntersection, TauResult, annihilation_rows, hilbert_function, in_m_bracket
+from .invariants import a_invariant, find_stable_q
 from .linalg import echelon, nullspace, rank
 from .ring import EXPONENT_CAP, Monomial, Polynomial, is_power_of, monomials_of_degree
 
@@ -159,19 +159,12 @@ def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
         if not _admissible(q, t, ci):
             raise ValueError(f"q = {q} cannot represent degree {t}")
     s = t - ci.d + ring.nvars * q
-    count = _coordinate_count(ring.nvars, s, q)
+    # S/m^[q] is the complete intersection of the forms x_i^q
+    count = hilbert_function((q,) * ring.nvars, ring.nvars, s)
     if count > max_cols:
         raise ResourceLimit(f"{count} coordinate monomials exceed the cap {max_cols}")
     coords = monomials_of_degree(ring, s, below=q)
     return q, coords, annihilation_rows(ci.forms, coords, q)
-
-
-def _coordinate_count(nvars: int, s: int, q: int) -> int:
-    """Monomials of degree s in nvars variables with every exponent below q,
-    counted without building them: inclusion-exclusion over the k exponents
-    at least q."""
-    return sum((-1) ** k * math.comb(nvars, k) * math.comb(s - k * q + nvars - 1, nvars - 1)
-               for k in range(nvars + 1) if k * q <= s)
 
 
 def graded_piece_basis(
@@ -211,19 +204,21 @@ class InjectivityResult:
 def verify_injectivity(
     ci: CompleteIntersection, t: int, max_cols: int = DEFAULT_MAX_COLUMNS
 ) -> InjectivityResult:
-    """Kernel dimension of Frobenius on the degree-t piece, by two ranks.
+    """Kernel dimension of Frobenius on the degree-t piece, by one rank.
 
     The piece is the kernel of the annihilation rows A on the coordinate
-    monomials, so dim = ncols - rank(A).  Frobenius sends a coordinate mu to
-    f^(p-1) mu^p modulo m^[pq]; Phi's rows span the image monomials below pq
-    on one column per coordinate.  A class is killed exactly when its vector
-    is also in the kernel of Phi: kernel_dim = ncols - rank([A; Phi]), with A
-    reduced against Phi's pivots, nearly all units, so little fills in.
+    monomials; its dimension is HF_R(a(R) - t) by graded local duality
+    (Bruns-Herzog, ch. 3), with ncols - rank(A) the tests' oracle.
+    Frobenius sends a coordinate mu to f^(p-1) mu^p modulo m^[pq]; Phi's rows
+    span the image monomials below pq on one column per coordinate.  A class
+    is killed exactly when its vector is also in the kernel of Phi:
+    kernel_dim = ncols - rank([A; Phi]), with A reduced against Phi's pivots,
+    nearly all units, so little fills in.
     """
     q, coords, rows = _piece(ci, t, None, max_cols)
     ncols = len(coords)
     p = ci.ring.p
-    dim = ncols - rank(rows, p)
+    dim = hilbert_function(ci.degrees, ci.ring.nvars, a_invariant(ci) - t)
     if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
     # Phi's rows are f^(p-1)'s annihilation rows on the coordinates' p-th powers

@@ -463,6 +463,33 @@ def test_verify_far_below_any_admissible_q(capsys):
     assert captured.err == "stopped early: no admissible q below the exponent cap\n"
 
 
+def test_verify_refuses_on_the_coordinate_count_before_an_empty_piece(tmp_path, capsys):
+    # S/(x^2, y^2) is Artinian with a(R) = 2, so HF_R(a - t) is 0 at both
+    # degrees; the coordinate count still refuses first
+    path = write(tmp_path, "artinian.ci", "p = 3\nvars = x, y\ngens = x^2, y^2\n")
+    code = main(["verify", path, "--from", "-40", "--to", "-40", "--max-cols", "5", "--json"])
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert json.loads(out)["capped"] == "43 coordinate monomials exceed the cap 5"
+    assert err == "stopped early: 43 coordinate monomials exceed the cap 5\n"
+    assert main(["verify", path, "--from", "-2", "--to", "-2", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == [{"degree": -2, "dim_source": 0, "dim_kernel": 0}]
+
+
+def test_verify_deep_window_in_one_variable(tmp_path, capsys):
+    # dim_source is the Hilbert function at a(R) - t alone: the series as a
+    # list up to that degree would hold a billion entries
+    path = write(tmp_path, "line.ci", "p = 3\nvars = x\ngens = x^2\n")
+    start = time.perf_counter()
+    code = main(["verify", path, "--from", "-1000000000", "--to", "-999999981", "--json"])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == [{"degree": t, "dim_source": 0, "dim_kernel": 0}
+                    for t in range(-1000000000, -999999980)]
+
+
 # ---------------------------------------------------------------------------
 # batch
 

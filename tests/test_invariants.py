@@ -18,7 +18,7 @@ from oracles import (
 from cases import diagonal_ci, hypersurface, poly, report_from_json, ring, squares_ci
 
 from fsing.errors import RegularSequenceError, ResourceLimit
-from fsing.frobenius import CompleteIntersection, TauClass, compute_tau, hilbert_coefficients
+from fsing.frobenius import CompleteIntersection, TauClass, compute_tau, hilbert_function
 from fsing.groebner import Ideal, regularity_artinian
 from fsing.invariants import (
     AnalysisReport,
@@ -342,7 +342,7 @@ def artinian_series(degrees):
     """Hilbert series of S/(x_0^d_0, ..., x_n^d_n), n + 1 = len(degrees):
     prod(1 - t^d) / (1 - t)^(n+1) is a polynomial of degree sum(d - 1)."""
     nv = len(degrees)
-    return hilbert_coefficients(degrees, nv, sum(degrees) - nv)
+    return [hilbert_function(degrees, nv, s) for s in range(sum(degrees) - nv + 1)]
 
 
 def test_hilbert_series_examples():

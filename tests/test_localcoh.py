@@ -17,7 +17,13 @@ from oracles import (
 from fsing import invariants, linalg, localcoh
 from fsing.cli import _consistency, load_problem, main
 from fsing.errors import RegularSequenceError, ResourceLimit
-from fsing.frobenius import CompleteIntersection, annihilation_rows, compute_tau, in_m_bracket
+from fsing.frobenius import (
+    CompleteIntersection,
+    annihilation_rows,
+    compute_tau,
+    hilbert_function,
+    in_m_bracket,
+)
 from fsing.groebner import Ideal
 from fsing.invariants import a_invariant, analyze, jacobian_ideal, thmA_bound, thmB_threshold
 from fsing.localcoh import (
@@ -308,13 +314,14 @@ def test_injectivity_column_cap():
 
 
 def test_coordinate_count_matches_enumeration():
-    # the column cap is checked on this count, before any coordinate is built
+    # the column cap is checked on this count, before any coordinate is built:
+    # the Hilbert function of S/m^[q], the complete intersection of the x_i^q
     for nv in range(1, 5):
         r = ring(2, "xyzw"[:nv])
         for q in [q for q in range(1, 28) if q**nv <= 3000]:
             for s in range(-1, nv * q + 1):
                 expected = len(monomials_of_degree(r, s, below=q))
-                assert localcoh._coordinate_count(nv, s, q) == expected, (nv, q, s)
+                assert hilbert_function((q,) * nv, nv, s) == expected, (nv, q, s)
 
 
 def test_column_cap_refuses_before_enumerating(monkeypatch):
@@ -451,7 +458,8 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
 def test_two_ranks_match_the_stacked_dense_route(rng):
     # a second route: dense ranks of the annihilation rows A and of A stacked
     # on the Frobenius image rows, both built tuple by tuple with no row
-    # operations
+    # operations; ncols - rank(A) is the oracle for dim_source, which verify
+    # reads off the Hilbert function of R by graded local duality
     def stacked(ci, t):
         q, coords, _ = localcoh._piece(ci, t, None, localcoh.DEFAULT_MAX_COLUMNS)
         rows = tuple_annihilation_rows(ci.forms, coords, q)
@@ -468,12 +476,24 @@ def test_two_ranks_match_the_stacked_dense_route(rng):
             kernels += result.dim_kernel > 0
     assert kernels >= 20
     cis = small_cis(rng, 10)
-    assert {ci.c for ci in cis} == {1, 2}
+    # (nvars, c) with forms of degrees 1-3: Artinian quotients (c = n+1) and c = 3
+    for nv, c in ((2, 2), (3, 3), (3, 3), (4, 3), (4, 4), (3, 1), (4, 2)):
+        r = ring(rng.choice((2, 3, 5)), "xyzw"[:nv])
+        while True:
+            forms = tuple(random_homogeneous(rng, r, rng.randint(1, 3)) for _ in range(c))
+            try:
+                cis.append(CompleteIntersection(r, forms))
+                break
+            except RegularSequenceError:
+                continue
+    assert {ci.c for ci in cis} == {1, 2, 3, 4}
+    assert sum(ci.c == ci.ring.nvars for ci in cis) >= 4
+    assert any(min(ci.degrees) == 1 and max(ci.degrees) > 1 for ci in cis)
     for ci in cis:
         top = a_invariant(ci)
-        for t in range(top - 4, top + 1):
+        for t in range(top - 4, top + 3):
             result = verify_injectivity(ci, t)
-            assert (result.dim_source, result.dim_kernel) == stacked(ci, t)
+            assert (result.dim_source, result.dim_kernel) == stacked(ci, t), (ci.forms, t)
 
 
 def test_whole_kernel_is_the_nullity_of_the_tau_rows(rng):
