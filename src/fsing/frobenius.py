@@ -125,7 +125,7 @@ class CompleteIntersection:
     """A graded complete intersection R = S/(f_1, ..., f_c) over F_p.
 
     Construction validates the shape (1 <= c <= n+1, homogeneous forms of
-    positive degree) and that the forms are a regular sequence, the latter by
+    positive degree) and that the forms are a regular sequence: for c >= 2 by
     comparing quotient dimensions degree by degree against hilbert_function
     up to degree d = sum d_j.  By graded local duality (Bruns-Herzog,
     Cohen-Macaulay Rings, ch. 3) the same function sizes the top local
@@ -205,6 +205,8 @@ def _check_regular_sequence(ring, forms, degrees):
     size = math.comb(top + nv, nv)  # monomials of degree <= top
     if size > REGULAR_CHECK_CAP:
         raise ResourceLimit(f"regular-sequence check spans {size} monomials, cap {REGULAR_CHECK_CAP}")
+    if len(forms) == 1:
+        return  # S is a domain: one nonzero form is a regular sequence
     # quotient dimension in each degree by linear algebra; when c = n+1,
     # agreement up to degree d forces degree d to be zero: an Artinian quotient
     for s in range(top + 1):

@@ -2,7 +2,9 @@
 
 The engine is Buchberger's algorithm with the normal selection strategy
 (lowest lcm first) and both classical pair criteria, producing the unique
-reduced basis.  The ambient order is always grevlex; intersections and
+reduced basis.  Inputs are taken in turn, each when the queue reaches its
+lead, and reduced against the basis so far first: one that reduces to zero
+makes no pairs.  The ambient order is always grevlex; intersections and
 colons go through one auxiliary variable under a block order that
 eliminates it.
 """
@@ -105,14 +107,13 @@ def _interreduce(terms_list: list, leads: list, desc, p: int) -> list:
 def _buchberger(inputs: list, desc, p: int) -> list:
     """Reduced Groebner basis of the ideal spanned by `inputs` (term dicts)."""
     seeds = [t for t in inputs if t]
-    if not seeds:
-        return []
     basis_terms: list[dict] = []
     basis_leads: list[Monomial] = []
     pending: set[tuple[int, int]] = set()
     # pairs ascending by (desc(lcm), -i, -j): the last one has the lowest
-    # lcm, and among equal lcms the lowest i, then the lowest j
-    queue: list = []
+    # lcm, and among equal lcms the lowest i, then the lowest j; input k
+    # waits as (desc(lead), 1, k), taken before the pairs of its key
+    queue = sorted((desc(_lead(t, desc)), 1, k) for k, t in enumerate(seeds))
 
     def insert(terms: dict):
         terms = _monic(terms, p, desc)
@@ -128,11 +129,14 @@ def _buchberger(inputs: list, desc, p: int) -> list:
             pending.add((i, j))
             insort(queue, (desc(lcm), -i, -j))
 
-    for t in seeds:
-        insert(dict(t))
-
     while queue:
         _, i, j = queue.pop()
+        if i == 1:
+            # an input, reduced against the basis so far; zero makes no pairs
+            h = _normal_form_dict(seeds[j], basis_leads, basis_terms, desc, p)
+            if h:
+                insert(h)
+            continue
         i, j = -i, -j
         pending.discard((i, j))
         lmi, lmj = basis_leads[i], basis_leads[j]

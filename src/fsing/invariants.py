@@ -182,6 +182,9 @@ def analyze(ci: CompleteIntersection) -> AnalysisReport:
     # of the same fact
     if fpure != tau_result.is_unit:
         raise InternalError("Fedder's test and the unit-tau verdict disagree")
+    # V(tau), the non-F-pure locus, lies in the singular locus, as regular
+    # points are F-pure (Kunz): a positive-dimensional tau is not isolated
+    positive_dimensional = not (tau_result.is_unit or tau_result.is_m_primary)
     return AnalysisReport(
         a_invariant=a_invariant(ci),
         reg_s_mod_tau=tau_result.ell,
@@ -191,5 +194,5 @@ def analyze(ci: CompleteIntersection) -> AnalysisReport:
         thmB_threshold=thmB_threshold(ci.ring.n, ci.c, ci.d),
         fpure_at_m=fpure,
         tau_class=classify_tau(tau_result),
-        isolated_singularity=isolated_singularity_test(ci),
+        isolated_singularity=not positive_dimensional and isolated_singularity_test(ci),
     )

@@ -139,11 +139,9 @@ def _admissible(q: int, t: int, ci: CompleteIntersection) -> bool:
 
 
 def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
-    """(q, coordinates, annihilation rows) for internal degree t.
-
-    q defaults to the smallest admissible power of p.  Each row is one
-    monomial below q of one form times the coordinates, as a
-    {column: coefficient} dict.
+    """(q, s) for internal degree t: the coordinates are the degree-s
+    monomials below q, counted here and refused over max_cols before any is
+    built.  q defaults to the smallest admissible power of p.
     """
     ring = ci.ring
     p = ring.p
@@ -163,8 +161,7 @@ def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
     count = hilbert_function((q,) * ring.nvars, ring.nvars, s)
     if count > max_cols:
         raise ResourceLimit(f"{count} coordinate monomials exceed the cap {max_cols}")
-    coords = monomials_of_degree(ring, s, below=q)
-    return q, coords, annihilation_rows(ci.forms, coords, q)
+    return q, s
 
 
 def graded_piece_basis(
@@ -178,7 +175,9 @@ def graded_piece_basis(
     q defaults to the smallest admissible power of p; any admissible power
     gives the same dimension.
     """
-    q, coords, rows = _piece(ci, t, q, max_cols)
+    q, s = _piece(ci, t, q, max_cols)
+    coords = monomials_of_degree(ci.ring, s, below=q)
+    rows = annihilation_rows(ci.forms, coords, q)
     vectors = tuple(nullspace(rows, len(coords), ci.ring.p))
     return GradedPieceBasis(t, q, tuple(coords), vectors, ci)
 
@@ -215,12 +214,14 @@ def verify_injectivity(
     kernel_dim = ncols - rank([A; Phi]), with A reduced against Phi's pivots,
     nearly all units, so little fills in.
     """
-    q, coords, rows = _piece(ci, t, None, max_cols)
-    ncols = len(coords)
+    q, s = _piece(ci, t, None, max_cols)
     p = ci.ring.p
     dim = hilbert_function(ci.degrees, ci.ring.nvars, a_invariant(ci) - t)
     if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
+    coords = monomials_of_degree(ci.ring, s, below=q)
+    ncols = len(coords)
+    rows = annihilation_rows(ci.forms, coords, q)
     # Phi's rows are f^(p-1)'s annihilation rows on the coordinates' p-th powers
     powers = [tuple([e * p for e in mu]) for mu in coords]
     images = annihilation_rows((ci.fpow,), powers, q * p, max_rows=max_cols)

@@ -17,6 +17,7 @@ from oracles import (
     monomial,
 )
 
+from fsing import groebner
 from fsing.errors import RegularSequenceError, RingMismatch
 from fsing.frobenius import CompleteIntersection, bracket_power, compute_tau
 from fsing.groebner import (
@@ -154,7 +155,8 @@ def sympy_reduced_basis(sympy, gens, ring):
     """sympy's reduced grevlex basis mod p, made monic, as term dicts."""
     p = ring.p
     symbols = sympy.symbols(ring.variables)
-    polys = [sympy.Poly.from_dict(g.terms, *symbols, modulus=p) for g in gens]
+    # from_dict converts the dict's coefficients in place, so it gets a copy
+    polys = [sympy.Poly.from_dict(dict(g.terms), *symbols, modulus=p) for g in gens]
     out = []
     for g in sympy.groebner(polys, *symbols, modulus=p, order="grevlex").polys:
         terms = {m: int(c) % p for m, c in g.terms() if int(c) % p}
@@ -203,6 +205,59 @@ def test_reduced_basis_matches_sympy(rng, p):
             ]
             ours = [g.terms for g in Ideal(ring, gens).groebner()]
             assert ours == sympy_reduced_basis(sympy, gens, ring)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_redundant_and_permuted_inputs(rng, monkeypatch, p):
+    # Buchberger reduces each input when its turn comes, so duplicates,
+    # multiples and reorderings of the generators must leave the reduced
+    # basis, and every intersection with the ideal, unchanged
+    sympy = pytest.importorskip("sympy")
+    targets = []
+    plain_normal_form = groebner._normal_form_dict
+    monkeypatch.setattr(
+        groebner, "_normal_form_dict",
+        lambda target, *rest: targets.append(target) or plain_normal_form(target, *rest),
+    )
+    for nv in (2, 3):
+        ring = RingDescriptor(p, tuple("xyz"[:nv]))
+
+        def shift():
+            return monomial(ring, rng.choice(monomials_of_degree(ring, rng.randint(1, 2))))
+
+        for _ in range(3):
+            gens = random_ideal_gens(rng, ring, 3, 3, min_gens=2)
+            basis = Ideal(ring, gens).groebner()
+            other = Ideal(ring, random_ideal_gens(rng, ring, 2, 2))
+            meet = Ideal(ring, gens).intersection(other)
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            variants = [
+                gens + gens,
+                gens + tuple(g * Polynomial.constant(ring, rng.randrange(1, p)) for g in gens),
+                gens + tuple(g * shift() for g in gens),
+                tuple(g * shift() for g in gens) + gens,
+                gens[::-1],
+                tuple(shuffled),
+            ]
+            for variant in variants:
+                ours = Ideal(ring, variant).groebner()
+                assert ours == basis, variant
+                assert [g.terms for g in ours] == sympy_reduced_basis(sympy, variant, ring)
+                assert Ideal(ring, variant).intersection(other) == meet, variant
+                assert other.intersection(Ideal(ring, variant)) == meet, variant
+            # every input after the first reduces to zero, so no pair is
+            # made: Buchberger reduces the inputs and no S-polynomial, and
+            # the last reduction tail-reduces the one basis element
+            first = gens[0]
+            multiples = (first,) + tuple(first * shift() for _ in range(4)) + (first,)
+            targets.clear()
+            ours = Ideal(ring, multiples).groebner()
+            assert len(targets) == len(multiples) + 1
+            assert (sorted(sorted(t.items()) for t in targets[:-1])
+                    == sorted(sorted(g.terms.items()) for g in multiples))
+            assert [g.terms for g in ours] == sympy_reduced_basis(sympy, (first,), ring)
+            assert Ideal(ring, multiples).intersection(other) == Ideal(ring, (first,)).intersection(other)
 
 
 def block_key(e):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from oracles import (
@@ -404,6 +406,34 @@ def test_jacobian_minors_match_cofactor_expansion(rng):
         assert minors.generators == reference.generators
         assert minors.groebner() == reference.groebner()
         checked += 1
+
+
+def test_positive_dimensional_tau_is_never_an_isolated_singularity(rng):
+    # V(tau), the non-F-pure locus, lies in the singular locus, so analyze
+    # reads isolated_singularity = False off a positive-dimensional tau; on
+    # every draw its report equals the one the full Jacobian test gives
+    classes, isolated, positive = set(), set(), 0
+    while positive < 100:
+        p = rng.choice((2, 3, 5, 7))
+        nv = rng.randint(2, 4)
+        r = ring(p, "xyzw"[:nv])
+        forms = tuple(
+            random_homogeneous(rng, r, rng.randint(1, 3), rng.choice((0.2, 0.6)))
+            for _ in range(rng.randint(1, 2))
+        )
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        report, full = analyze(ci), isolated_singularity_test(ci)
+        assert report == dataclasses.replace(report, isolated_singularity=full), forms
+        if report.tau_class is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL:
+            assert full is False, forms
+            positive += 1
+        classes.add(report.tau_class)
+        isolated.add(full)
+    assert classes == set(TauClass)
+    assert isolated == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,20 @@ def test_injectivity_vacuous_on_empty_piece():
     assert result.dim_source == 0 and result.injective
 
 
+def test_empty_piece_builds_no_rows(monkeypatch):
+    # dim_source = HF_R(a(R) - t) is 0 on the Artinian x^3, y^3, z^3 far
+    # below a(R), so verify answers without coordinates or rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("coordinates or rows built for an empty piece")
+
+    monkeypatch.setattr(localcoh, "annihilation_rows", refuse)
+    monkeypatch.setattr(localcoh, "monomials_of_degree", refuse)
+    r = ring(2, "xyz")
+    ci = CompleteIntersection(r, (poly("x^3", r), poly("y^3", r), poly("z^3", r)))
+    result = verify_injectivity(ci, -100)
+    assert (result.dim_source, result.dim_kernel) == (0, 0)
+
+
 def test_injectivity_for_diagonal_cubic_negative_degrees():
     ci = diagonal_ci(5, 3)
     for t, dim in ((-2, 6), (-1, 3)):
@@ -372,6 +386,12 @@ def per_class_injectivity(ci, t):
     return basis.dim, basis.dim - rank(as_matrix(dense, len(columns)), ci.ring.p)
 
 
+def piece_coords(ci, t, max_cols=localcoh.DEFAULT_MAX_COLUMNS):
+    """q and the coordinate monomials verify uses in degree t."""
+    q, s = localcoh._piece(ci, t, None, max_cols)
+    return q, monomials_of_degree(ci.ring, s, below=q)
+
+
 def small_cis(rng, count):
     out = []
     while len(out) < count:
@@ -436,7 +456,8 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
         top = a_invariant(ci)
         p = ci.ring.p
         for t in range(top - 4, top + 1):
-            q, coords, rows = localcoh._piece(ci, t, None, 5000)
+            q, coords = piece_coords(ci, t, 5000)
+            rows = packed_rows(ci.forms, coords, q)
             check_collapsed(rows, tuple_annihilation_rows(ci.forms, coords, q), len(coords), p)
             built.clear()
             verify_injectivity(ci, t)
@@ -461,7 +482,7 @@ def test_two_ranks_match_the_stacked_dense_route(rng):
     # operations; ncols - rank(A) is the oracle for dim_source, which verify
     # reads off the Hilbert function of R by graded local duality
     def stacked(ci, t):
-        q, coords, _ = localcoh._piece(ci, t, None, localcoh.DEFAULT_MAX_COLUMNS)
+        q, coords = piece_coords(ci, t)
         rows = tuple_annihilation_rows(ci.forms, coords, q)
         images = tuple_frobenius_rows(ci, coords, q)
         n, p = len(coords), ci.ring.p
@@ -501,7 +522,7 @@ def test_whole_kernel_is_the_nullity_of_the_tau_rows(rng):
     # lies in m^[q], so Frobenius kills exactly the vectors of the piece
     # that tau's annihilation rows at q kill: a route without Phi
     def tau_nullity(ci, tau, t):
-        q, coords, _ = localcoh._piece(ci, t, None, localcoh.DEFAULT_MAX_COLUMNS)
+        q, coords = piece_coords(ci, t)
         rows = annihilation_rows(tau.generators, coords, q)
         return len(coords) - linalg.rank(rows, ci.ring.p)
 
