@@ -21,6 +21,7 @@ from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMism
 from .groebner import Ideal, regularity_artinian
 from .linalg import echelon, rank
 from .ring import (
+    EXPONENT_CAP,
     REGULAR_CHECK_CAP,
     Monomial,
     Polynomial,
@@ -167,10 +168,14 @@ class CompleteIntersection:
     @functools.cached_property
     def fpow(self) -> Polynomial:
         ring = self.ring
-        size = math.comb(self.d * (ring.p - 1) + ring.n, ring.n)
+        degree = self.d * (ring.p - 1)
+        # in one variable the monomial count below is 1, whatever the degree
+        if degree > EXPONENT_CAP:
+            raise ResourceLimit(f"f^(p-1) has degree {degree}, above the exponent cap {EXPONENT_CAP}")
+        size = math.comb(degree + ring.n, ring.n)
         if size > FPOW_TERM_CAP:
             raise ResourceLimit(
-                f"f^(p-1) spans {size} monomials of degree {self.d * (ring.p - 1)}, "
+                f"f^(p-1) spans {size} monomials of degree {degree}, "
                 f"cap {FPOW_TERM_CAP}"
             )
         return self.f ** (ring.p - 1)

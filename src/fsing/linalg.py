@@ -5,8 +5,8 @@
 one nonzero entry are unit pivots, whose columns are struck from the other
 rows before elimination (structured Gaussian elimination, LaMacchia-Odlyzko
 1990).  An elimination can continue from earlier pivots: verify reduces its
-annihilation rows against those of its Frobenius image rows, which arrive as
-one unit row per column rather than as duplicates, and are nearly all units.
+annihilation rows, built only on the coordinates that no unit Frobenius
+image row kills, against the echelon of the longer image rows.
 """
 
 

@@ -12,7 +12,8 @@ piece is the kernel of A, of dimension HF_R(a(R) - t) by graded local
 duality, as R is Gorenstein (Bruns-Herzog, Cohen-Macaulay Rings, ch. 3);
 the rank of A is the tests' oracle for it.  Frobenius is F_p-linear on
 numerators, since c^p = c, so it is a matrix Phi on the same coordinates,
-and its kernel in degree t is one rank, of A stacked on Phi.
+and its kernel in degree t is one rank, of A stacked on Phi.  Phi is built
+first: its unit rows kill their coordinates, and A is built on the rest.
 """
 
 from __future__ import annotations
@@ -97,7 +98,11 @@ def kernel_witness(
     witness = make_class(generator, q, ci)
     if is_zero(witness):
         raise InternalError("the witness class is zero")
-    if not is_zero(frobenius_action(witness)):
+    try:
+        image = frobenius_action(witness)
+    except OverflowError as e:  # q is stable, but pq is past the cap
+        raise ResourceLimit(str(e)) from None
+    if not is_zero(image):
         raise InternalError("Frobenius does not kill the witness")
     return witness
 
@@ -211,8 +216,10 @@ def verify_injectivity(
     Frobenius sends a coordinate mu to f^(p-1) mu^p modulo m^[pq]; Phi's rows
     span the image monomials below pq on one column per coordinate.  A class
     is killed exactly when its vector is also in the kernel of Phi:
-    kernel_dim = ncols - rank([A; Phi]), with A reduced against Phi's pivots,
-    nearly all units, so little fills in.
+    kernel_dim = ncols - rank([A; Phi]).  Phi comes first: a unit row {c: 1},
+    which most coordinates have, forces c to 0, so that rank is their count
+    plus the rank of A, built on the other coordinates alone, on top of Phi's
+    longer rows with the unit columns struck.
     """
     q, s = _piece(ci, t, None, max_cols)
     p = ci.ring.p
@@ -220,11 +227,13 @@ def verify_injectivity(
     if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
     coords = monomials_of_degree(ci.ring, s, below=q)
-    ncols = len(coords)
-    rows = annihilation_rows(ci.forms, coords, q)
     # Phi's rows are f^(p-1)'s annihilation rows on the coordinates' p-th powers
     powers = [tuple([e * p for e in mu]) for mu in coords]
     images = annihilation_rows((ci.fpow,), powers, q * p, max_rows=max_cols)
-    kernel = ncols - rank(rows, p, echelon(images, p))
+    dead = {c for row in images if len(row) == 1 for c in row}
+    alive = {c: i for i, c in enumerate(c for c in range(len(coords)) if c not in dead)}
+    rows = annihilation_rows(ci.forms, [coords[c] for c in alive], q)
+    longer = [{alive[c]: e for c, e in row.items() if c in alive} for row in images if len(row) > 1]
+    kernel = len(alive) - rank(rows, p, echelon(longer, p))
     return InjectivityResult(degree=t, dim_source=dim, dim_kernel=kernel)
 

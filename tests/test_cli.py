@@ -245,6 +245,33 @@ def test_fpow_term_cap(tmp_path, capsys):
     assert record["error"]["exit_code"] == 4
 
 
+def test_fpow_past_the_exponent_cap_in_one_variable(tmp_path, capsys):
+    # in one variable f^(p-1) spans one monomial, so the term cap passes x^2
+    # at p = 2^31 - 1; its degree, 2(p-1), is refused before any
+    # multiplication (exit 4), not an OverflowError traceback
+    path = write(tmp_path, "big_p.ci", "p = 2147483647\nvars = x\ngens = x^2\n")
+    refusal = "resource cap exceeded: f^(p-1) has degree 4294967292, above the exponent cap 2147483647\n"
+    for argv in (["analyze", path], ["witness", path], ["verify", path, "--from", "0", "--to", "0"]):
+        assert main(argv) == 4
+        assert capsys.readouterr().err == refusal
+    assert main(["batch", str(tmp_path)]) == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert record["error"]["exit_code"] == 4
+
+
+def test_witness_past_the_exponent_cap_at_its_stable_q(tmp_path, capsys):
+    # x^3 at p = 65537 is stable at q = p, where the self-check's Frobenius
+    # image needs the denominator q * p, past the exponent cap: witness
+    # refuses (exit 4), while analyze and verify still answer
+    path = write(tmp_path, "cubic_line.ci", "p = 65537\nvars = x\ngens = x^3\n")
+    assert main(["witness", path, "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap exceeded: denominator exponent exceeds the cap\n"
+    assert main(["analyze", path, "--json"]) == 0
+    assert main(["verify", path, "--from", "0", "--to", "2", "--json"]) == 0
+
+
 def test_huge_characteristic_is_refused_before_trial_division(tmp_path, capsys):
     # trial division up to sqrt(2^61 - 1) ran past a 20 s timeout; the cap
     # refuses p above 2^31 - 1 as malformed input at once

@@ -441,7 +441,9 @@ def check_collapsed(rows, uncollapsed, ncols, p):
 def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
     # the annihilation rows (of the forms and of tau) and the Frobenius image
     # rows that verify builds, against the tuple-keyed oracle rows under the
-    # same row operations, on every problem file and seeded CIs
+    # same row operations, on every problem file and seeded CIs; verify
+    # builds Phi first, on every coordinate, then A on the coordinates
+    # without a unit image row
     built = []
     packed_rows = localcoh.annihilation_rows
     monkeypatch.setattr(
@@ -461,9 +463,13 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
             check_collapsed(rows, tuple_annihilation_rows(ci.forms, coords, q), len(coords), p)
             built.clear()
             verify_injectivity(ci, t)
-            if len(built) == 2:
-                check_collapsed(built[1], tuple_frobenius_rows(ci, coords, q), len(coords), p)
+            if built:
+                check_collapsed(built[0], tuple_frobenius_rows(ci, coords, q), len(coords), p)
                 images += 1
+            if len(built) == 2:
+                dead = {c for row in built[0] if len(row) == 1 for c in row}
+                alive = [mu for c, mu in enumerate(coords) if c not in dead]
+                check_collapsed(built[1], tuple_annihilation_rows(ci.forms, alive, q), len(alive), p)
         nv = ci.ring.nvars
         for q in [q for q in (p, p * p) if q**nv <= 1000]:
             for s in (0, 1, nv * (q - 1) // 2, nv * (q - 1)):
@@ -474,6 +480,42 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
                     len(coords), p,
                 )
     assert images > 20
+
+
+def test_annihilation_rows_see_only_the_coordinates_frobenius_leaves(rng, monkeypatch):
+    # a unit image row {c: 1} kills coordinate c, so verify builds A on the
+    # other coordinates only: none of 496 for the squares quartic at p = 3,
+    # t = -29, and all 364 for the Fermat cubic surface at p = 3, t = -12,
+    # which has no unit image row; on seeded CIs, ncols minus the oracle's
+    # unit columns
+    seen = []
+    packed_rows = localcoh.annihilation_rows
+
+    def recording(gens, coords, q, max_rows=None):
+        if gens is ci.forms:
+            seen.append(len(coords))
+        return packed_rows(gens, coords, q, max_rows)
+
+    monkeypatch.setattr(localcoh, "annihilation_rows", recording)
+    fermat = hypersurface(3, "x^3 + y^3 + z^3 + w^3", "xyzw")
+    for ci, t, expected, alive in ((squares_ci(3), -29, (118, 0), 0), (fermat, -12, (199, 144), 364)):
+        seen.clear()
+        result = verify_injectivity(ci, t)
+        assert (result.dim_source, result.dim_kernel) == expected
+        assert seen == [alive]
+    assert len(piece_coords(squares_ci(3), -29)[1]) == 496
+    assert len(piece_coords(fermat, -12)[1]) == 364
+    checked = 0
+    for ci in small_cis(rng, 8):
+        top = a_invariant(ci)
+        for t in range(top - 4, top + 1):
+            q, coords = piece_coords(ci, t, 5000)
+            units, _ = collapsed_rows(tuple_frobenius_rows(ci, coords, q))
+            seen.clear()
+            if verify_injectivity(ci, t).dim_source:
+                assert seen == [len(coords) - len(units)]
+                checked += 1
+    assert checked > 10
 
 
 def test_two_ranks_match_the_stacked_dense_route(rng):
