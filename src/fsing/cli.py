@@ -284,11 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument(
-        "--max-q", type=_positive_int, default=None, help="cap on denominators q"
+        "--max-q", type=_positive_int, default=None,
+        help="cap on the witness's denominator q; used by witness only",
     )
     common.add_argument(
         "--max-cols", type=_positive_int, default=None,
-        help="cap on matrix columns and, in verify, on Frobenius image monomials",
+        help="cap on a degree's coordinate monomials and on their Frobenius "
+        "image monomials; used by verify only",
     )
     parser = argparse.ArgumentParser(
         prog="fsing",

@@ -102,8 +102,8 @@ def frobenius_root_principal(h: Polynomial) -> Ideal:
     and group terms by eps; then h = sum over eps of (g_eps)^p * x^eps, and
     the g_eps generate K.  Coefficients carry over unchanged since c^p = c
     on F_p.  The generators returned are an echelon basis of the F_p-span of
-    the g_eps; forms of different degrees share no monomial, so the one
-    elimination reduces each degree on its own.
+    the g_eps, reduced shortest first; forms of different degrees share no
+    monomial, so the one elimination reduces each degree on its own.
     """
     ring = h.ring
     p = ring.p
@@ -112,7 +112,8 @@ def frobenius_root_principal(h: Polynomial) -> Ideal:
         eps = tuple(e % p for e in m)
         # (eps, floor) determines m, so no accumulation is needed
         groups.setdefault(eps, {})[tuple(e // p for e in m)] = c
-    return Ideal(ring, tuple(Polynomial._raw(ring, r) for r in echelon(groups.values(), p)))
+    rows = echelon(sorted(groups.values(), key=len), p)
+    return Ideal(ring, tuple(Polynomial._raw(ring, r) for r in rows))
 
 
 class TauClass(enum.Enum):
@@ -215,14 +216,12 @@ def _check_regular_sequence(ring, forms, degrees):
     # quotient dimension in each degree by linear algebra; when c = n+1,
     # agreement up to degree d forces degree d to be zero: an Artinian quotient
     for s in range(top + 1):
-        basis = monomials_of_degree(ring, s)
-        index = {m: i for i, m in enumerate(basis)}
         rows = []
         for g, dg in zip(forms, degrees):
             terms = g.terms.items()
             for mu in monomials_of_degree(ring, s - dg):
-                rows.append({index[tuple(map(add, m, mu))]: c for m, c in terms})
-        dim = len(basis) - rank(rows, ring.p)
+                rows.append({tuple(map(add, m, mu)): c for m, c in terms})
+        dim = hilbert_function((), nv, s) - rank(rows, ring.p)
         expected = hilbert_function(degrees, nv, s)
         if dim != expected:
             raise RegularSequenceError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InternalError, ResourceLimit
 from .frobenius import (
@@ -138,14 +138,13 @@ def isolated_singularity_test(ci: CompleteIntersection) -> bool:
 class AnalysisReport:
     """Every invariant the library computes for one complete intersection.
 
-    The three optional fields are present exactly when tau is m-primary and
-    proper.  reg_s_mod_tau and ell are one value, the top degree of S/tau,
-    computed once by compute_tau; both keys stay in the report schema, and
-    construction checks that they agree.
+    The two optional fields are present exactly when tau is m-primary and
+    proper.  ell is reg(S/tau), the top degree of S/tau, computed once by
+    compute_tau and stored once; the report schema lists it under both
+    names, reg_s_mod_tau and ell.
     """
 
     a_invariant: int
-    reg_s_mod_tau: int | None
     ell: int | None
     thmA_bound: int | None
     cor_bound: int
@@ -155,23 +154,13 @@ class AnalysisReport:
     isolated_singularity: bool
 
     def __post_init__(self):
-        if None not in (self.reg_s_mod_tau, self.ell) and self.reg_s_mod_tau != self.ell:
-            raise InternalError("reg(S/tau) and ell disagree")
         if self.thmA_bound is not None and self.thmA_bound < self.cor_bound:
             raise InternalError("Theorem A bound below the corollary bound")
 
     def to_json_dict(self) -> dict:
-        return {
-            "a_invariant": self.a_invariant,
-            "reg_s_mod_tau": self.reg_s_mod_tau,
-            "ell": self.ell,
-            "thmA_bound": self.thmA_bound,
-            "cor_bound": self.cor_bound,
-            "thmB_threshold": self.thmB_threshold,
-            "fpure_at_m": self.fpure_at_m,
-            "tau_class": self.tau_class.value,
-            "isolated_singularity": self.isolated_singularity,
-        }
+        data = {"a_invariant": self.a_invariant, "reg_s_mod_tau": self.ell} | asdict(self)
+        data["tau_class"] = self.tau_class.value
+        return data
 
 
 def analyze(ci: CompleteIntersection) -> AnalysisReport:
@@ -187,7 +176,6 @@ def analyze(ci: CompleteIntersection) -> AnalysisReport:
     positive_dimensional = not (tau_result.is_unit or tau_result.is_m_primary)
     return AnalysisReport(
         a_invariant=a_invariant(ci),
-        reg_s_mod_tau=tau_result.ell,
         ell=tau_result.ell,
         thmA_bound=thmA_bound(ci, tau_result) if tau_result.is_m_primary else None,
         cor_bound=cor_bound(ci.ring.n, ci.c, ci.d),

@@ -4,25 +4,21 @@
 `nullspace` back-substitutes them into the reduced echelon form.  Rows with
 one nonzero entry are unit pivots, whose columns are struck from the other
 rows before elimination (structured Gaussian elimination, LaMacchia-Odlyzko
-1990).  An elimination can continue from earlier pivots: verify reduces its
-annihilation rows, built only on the coordinates that no unit Frobenius
-image row kills, against the echelon of the longer image rows.
+1990).  The other rows are reduced in the order given: the span, and so the
+rank and the reduced echelon form, do not depend on it, but the work and the
+pivot rows returned do, so a caller that cares states its order.
 """
 
 
-def echelon(rows, p, pivots=()) -> list[dict]:
+def echelon(rows, p) -> list[dict]:
     """Monic pivot rows, at distinct least columns, spanning the F_p-space of
-    the {column: entry} rows and of pivots, the result of an earlier echelon;
-    columns may be any totally ordered keys.  One pass takes each row with a
-    single entry nonzero mod p as the unit pivot {c: 1}; a pivot of several
-    entries that leads at c gives up c, and what is left is reduced again.
-    The unit columns are struck from the longer rows, a row operation that
-    leaves the span unchanged.  Then, shortest first, each longer row is
-    reduced by its least column against the pivots found so far, and what is
-    left becomes a new pivot."""
-    pivots = {min(row): row for row in pivots}
-    units = {c: None for c, row in pivots.items() if len(row) == 1}
-    longer = []
+    the {column: entry} rows; columns may be any totally ordered keys.  One
+    pass takes each row with a single entry nonzero mod p as the unit pivot
+    {c: 1}, and strikes the unit columns from the longer rows, a row
+    operation that leaves the span unchanged.  Then, in the order given, each
+    longer row is reduced by its least column against the pivots found so
+    far, and what is left becomes a new pivot."""
+    units, pivots, longer = set(), {}, []
     for row in rows:
         # a single-entry row, such as annihilation_rows' unit rows, is not copied
         if len(row) > 1:
@@ -32,11 +28,9 @@ def echelon(rows, p, pivots=()) -> list[dict]:
         else:
             for c, e in row.items():
                 if e % p and c not in units:
-                    units[c] = None
-                    if c in pivots:
-                        longer.append({k: v for k, v in pivots[c].items() if k != c})
+                    units.add(c)
                     pivots[c] = {c: 1}
-    for row in sorted(longer, key=len):
+    for row in longer:
         if units:
             row = {c: e for c, e in row.items() if c not in units}
         while row:
@@ -53,9 +47,9 @@ def echelon(rows, p, pivots=()) -> list[dict]:
     return list(pivots.values())
 
 
-def rank(rows, p, pivots=()) -> int:
-    """Rank over F_p of {column: entry} rows stacked on earlier pivots."""
-    return len(echelon(rows, p, pivots))
+def rank(rows, p) -> int:
+    """Rank over F_p of {column: entry} rows."""
+    return len(echelon(rows, p))
 
 
 def nullspace(rows, ncols, p) -> list[tuple[int, ...]]:

@@ -13,17 +13,18 @@ duality, as R is Gorenstein (Bruns-Herzog, Cohen-Macaulay Rings, ch. 3);
 the rank of A is the tests' oracle for it.  Frobenius is F_p-linear on
 numerators, since c^p = c, so it is a matrix Phi on the same coordinates,
 and its kernel in degree t is one rank, of A stacked on Phi.  Phi is built
-first: its unit rows kill their coordinates, and A is built on the rest.
+first: its unit rows kill their coordinates, A is built on the rest, and
+Phi's other rows go first into the elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InternalError, ResourceLimit
 from .frobenius import CompleteIntersection, TauResult, annihilation_rows, hilbert_function, in_m_bracket
 from .invariants import a_invariant, find_stable_q
-from .linalg import echelon, nullspace, rank
+from .linalg import nullspace, rank
 from .ring import EXPONENT_CAP, Monomial, Polynomial, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_COLUMNS = 20000
@@ -137,10 +138,9 @@ class GradedPieceBasis:
 
 
 def _admissible(q: int, t: int, ci: CompleteIntersection) -> bool:
-    # numerators must have non-negative degree, and every class of internal
-    # degree t must be writable over the denominator x^q
-    nv = ci.ring.nvars
-    return nv * q + t - ci.d >= 0 and q >= ci.d - t - ci.ring.n
+    # every class of internal degree t must be writable over the denominator
+    # x^q; then numerators have non-negative degree, (n+1)q + t - d >= n(q-1)
+    return q >= ci.d - t - ci.ring.n
 
 
 def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
@@ -198,11 +198,7 @@ class InjectivityResult:
         return self.dim_kernel == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dim_source": self.dim_source,
-            "dim_kernel": self.dim_kernel,
-        }
+        return asdict(self)
 
 
 def verify_injectivity(
@@ -218,8 +214,8 @@ def verify_injectivity(
     is killed exactly when its vector is also in the kernel of Phi:
     kernel_dim = ncols - rank([A; Phi]).  Phi comes first: a unit row {c: 1},
     which most coordinates have, forces c to 0, so that rank is their count
-    plus the rank of A, built on the other coordinates alone, on top of Phi's
-    longer rows with the unit columns struck.
+    plus the rank of Phi's longer rows with the unit columns struck, stacked
+    above A, built on the other coordinates alone.
     """
     q, s = _piece(ci, t, None, max_cols)
     p = ci.ring.p
@@ -234,6 +230,6 @@ def verify_injectivity(
     alive = {c: i for i, c in enumerate(c for c in range(len(coords)) if c not in dead)}
     rows = annihilation_rows(ci.forms, [coords[c] for c in alive], q)
     longer = [{alive[c]: e for c, e in row.items() if c in alive} for row in images if len(row) > 1]
-    kernel = len(alive) - rank(rows, p, echelon(longer, p))
+    kernel = len(alive) - rank(longer + rows, p)
     return InjectivityResult(degree=t, dim_source=dim, dim_kernel=kernel)
 

@@ -34,5 +34,8 @@ def diagonal_ci(p, k, names="xyz"):
 
 
 def report_from_json(data):
-    """The AnalysisReport whose to_json_dict() is data."""
-    return AnalysisReport(**dict(data, tau_class=TauClass(data["tau_class"])))
+    """The AnalysisReport whose to_json_dict() is data; the report stores
+    reg_s_mod_tau once, as ell."""
+    assert data["reg_s_mod_tau"] == data["ell"]
+    fields = {k: v for k, v in data.items() if k != "reg_s_mod_tau"}
+    return AnalysisReport(**dict(fields, tau_class=TauClass(data["tau_class"])))

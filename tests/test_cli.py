@@ -462,6 +462,22 @@ def test_verify_json(capsys):
     assert [r["dim_source"] for r in payload["rows"]] == [14, 10, 6, 3, 1, 0]
 
 
+def test_verify_unit_row_on_the_lead_of_an_image_row(tmp_path, capsys):
+    # in degree 0 a unit annihilation row lands on the least column of a
+    # longer Frobenius image row stacked before it: the unit takes the
+    # column, and the rest of the image row is still reduced
+    path = write(tmp_path, "binary.ci", "p = 2\nvars = x, y\ngens = x^2 + y^2, y^2\n")
+    assert main(["verify", path, "--from", "0", "--to", "2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"] == [
+        {"degree": 0, "dim_source": 1, "dim_kernel": 0},
+        {"degree": 1, "dim_source": 2, "dim_kernel": 2},
+        {"degree": 2, "dim_source": 1, "dim_kernel": 1},
+    ]
+    assert payload["consistent"] is True
+    assert payload["checked"] == ["thmA", "thmB"]
+
+
 def test_verify_resource_cap(capsys):
     code = main(
         ["verify", f"{PROBLEMS}/squares_p3.ci", "--from", "-8", "--to", "-6",

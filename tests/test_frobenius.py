@@ -105,6 +105,16 @@ def test_root_of_zero():
     assert frobenius_root_principal(Polynomial.zero(R3)).is_zero()
 
 
+@pytest.mark.parametrize("p", [7, 11])
+def test_root_reduces_its_rows_shortest_first(p):
+    # the root's generators are tau's Buchberger inputs; reduced in input
+    # order, the same 9 generators would carry 14 terms at p = 7, 15 at 11
+    f = poly("x^3 + x*y*z + y^2*z + z^3 + x^2*y", ring(p))
+    generators = frobenius_root_principal(f ** (p - 1)).generators
+    assert len(generators) == 9
+    assert sum(len(g.terms) for g in generators) == 13
+
+
 def test_root_satisfies_defining_containment(rng):
     for _ in range(12):
         p = rng.choice((2, 3, 5))

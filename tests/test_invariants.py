@@ -23,7 +23,6 @@ from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, TauClass, compute_tau, hilbert_function
 from fsing.groebner import Ideal, regularity_artinian
 from fsing.invariants import (
-    AnalysisReport,
     a_invariant,
     analyze,
     cor_bound,
@@ -484,9 +483,8 @@ def test_report_json_roundtrip():
 
 
 def test_report_cross_field_checks():
-    good = dict(SQUARES_P3_REPORT, tau_class=TauClass.ISOLATED_NON_F_PURE_POINT)
-    AnalysisReport(**good)
+    # ell is stored once, so the one check left across fields is Theorem A's
+    # bound against the corollary's
+    good = report_from_json(SQUARES_P3_REPORT)
     with pytest.raises(AssertionError):
-        AnalysisReport(**dict(good, reg_s_mod_tau=2))
-    with pytest.raises(AssertionError):
-        AnalysisReport(**dict(good, thmA_bound=-9))
+        dataclasses.replace(good, thmA_bound=-9)

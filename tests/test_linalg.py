@@ -141,20 +141,22 @@ def test_unit_rows_match_dense_rref(rng, p):
 
 
 def check_seeded_echelon(seed, rest, ncols, p):
-    """echelon(rest, p, echelon(seed, p)) against the dense oracle on all
-    the rows, seed and rest."""
+    """An elimination continued from earlier pivots, by stacking: echelon of
+    the pivots of seed followed by rest, and of seed followed by rest, against
+    the dense oracle on all the rows."""
     pivots = linalg.echelon(seed, p)
     before = [dict(row) for row in pivots]
-    expected = check_pivots(linalg.echelon(rest, p, pivots), seed + rest, ncols, p)
-    assert linalg.rank(rest, p, pivots) == expected
+    for stacked in (pivots + rest, seed + rest):
+        expected = check_pivots(linalg.echelon(stacked, p), seed + rest, ncols, p)
+        assert linalg.rank(stacked, p) == expected
     # the earlier pivots are read, never changed
     assert pivots == before
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
 def test_echelon_continues_from_earlier_pivots(rng, p):
-    # verify reduces its annihilation rows against the pivots of the
-    # Frobenius image rows; any split of a row set gives the same span
+    # verify stacks the longer Frobenius image rows above the annihilation
+    # rows; any split of a row set, stacked again, gives the same span
     for _ in range(300):
         ncols = rng.randint(1, 10)
         if rng.random() < 0.5:
@@ -166,16 +168,29 @@ def test_echelon_continues_from_earlier_pivots(rng, p):
 
 
 def test_unit_row_on_the_lead_of_a_seeded_pivot():
-    # at p = 5 the seeded pivot {0: 1, 1: 2, 2: 3} leads at column 0, where
-    # the unit row {0: 4} lands: the pivot gives up column 0 and what is
-    # left, {1: 2, 2: 3}, is reduced again instead of being lost
+    # at p = 5 the earlier pivot {0: 1, 1: 2, 2: 3} leads at column 0, where
+    # the unit row {0: 4} stacked after it lands: the unit pivot takes
+    # column 0, and what is left of the longer row, {1: 2, 2: 3}, is reduced
+    # instead of being lost
     seed = [{0: 1, 1: 2, 2: 3}]
     pivots = linalg.echelon(seed, 5)
     assert pivots == seed
-    assert linalg.echelon([{0: 4}], 5, pivots) == [{0: 1}, {1: 1, 2: 4}]
-    assert linalg.rank([{0: 4}], 5, pivots) == 2
+    assert linalg.echelon(pivots + [{0: 4}], 5) == [{0: 1}, {1: 1, 2: 4}]
+    assert linalg.rank(pivots + [{0: 4}], 5) == 2
     assert pivots == seed
     check_seeded_echelon(seed, [{0: 4}, {2: 1, 3: 1}], 4, 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_row_order_leaves_rank_and_nullspace_unchanged(rng, p):
+    # the longer rows are reduced in the order given: the work and the pivot
+    # rows returned depend on it, the span does not
+    for _ in range(300):
+        ncols = rng.randint(1, 10)
+        rows = unit_heavy_rows(rng, p, ncols)
+        shuffled = rng.sample(rows, len(rows))
+        assert linalg.rank(shuffled, p) == linalg.rank(rows, p)
+        assert linalg.nullspace(shuffled, ncols, p) == linalg.nullspace(rows, ncols, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
