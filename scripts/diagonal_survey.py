@@ -13,7 +13,7 @@ Usage:
 
 import argparse
 
-from fsing.frobenius import CompleteIntersection, compute_tau
+from fsing.frobenius import CompleteIntersection
 from fsing.invariants import analyze
 from fsing.ring import Polynomial, RingDescriptor
 
@@ -49,7 +49,6 @@ def main():
             for nv in args.vars:
                 ci = diagonal(p, k, nv)
                 report = analyze(ci)
-                tau_kind = compute_tau(ci)
                 rows.append(
                     (
                         str(p),
@@ -57,7 +56,7 @@ def main():
                         str(nv),
                         cell(report.fpure_at_m),
                         report.tau_class.value,
-                        cell(tau_kind.ell),
+                        cell(report.ell),
                         cell(report.thmA_bound),
                         cell(report.cor_bound),
                         cell(report.thmB_threshold),

@@ -48,7 +48,7 @@ def main():
         print_report(report)
 
         tau_result = compute_tau(ci)
-        if not tau_result.is_m_primary:
+        if tau_result.ell is None:
             print("  no sharp witness: tau is not m-primary proper")
             print()
             continue

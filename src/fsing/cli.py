@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InternalError, ParseError, RegularSequenceError, ResourceLimit
-from .frobenius import CompleteIntersection, TauClass, classify_tau, compute_tau
+from .frobenius import CompleteIntersection, TauClass, compute_tau
 from .invariants import analyze
 from .localcoh import DEFAULT_MAX_COLUMNS, kernel_witness, verify_injectivity
 from .ring import RingDescriptor, check_characteristic, parse_polynomial
@@ -141,10 +141,9 @@ def cmd_analyze(args) -> int:
 def cmd_witness(args) -> int:
     problem = load_problem(args.path)
     tau_result = compute_tau(problem.ci)
-    if not tau_result.is_m_primary:
-        kind = classify_tau(tau_result)
-        print(f"no witness: tau is not m-primary proper ({kind.value})", file=sys.stderr)
-        if kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL:
+    if tau_result.ell is None:
+        print(f"no witness: tau is not m-primary proper ({tau_result.kind.value})", file=sys.stderr)
+        if tau_result.kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL:
             gens = ", ".join(str(g) for g in tau_result.tau.groebner())
             print(f"tau = ({gens})", file=sys.stderr)
         return EXIT_NO_WITNESS

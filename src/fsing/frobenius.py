@@ -232,15 +232,14 @@ def _check_regular_sequence(ring, forms, degrees):
 
 @dataclass(frozen=True)
 class TauResult:
-    """tau together with its coarse classification.
+    """tau together with its class, decided once by compute_tau.
 
-    ell is the top degree in which S/tau is nonzero, present exactly when tau
-    is m-primary and proper.
+    ell is the top degree in which S/tau is nonzero, present exactly when
+    kind is ISOLATED_NON_F_PURE_POINT (tau m-primary and proper).
     """
 
     tau: Ideal
-    is_unit: bool
-    is_m_primary: bool
+    kind: TauClass
     ell: int | None
 
     __hash__ = None
@@ -253,25 +252,23 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
     fpow = ci.fpow
     root = frobenius_root_principal(fpow)
     tau = Ideal(ci.ring, ci.forms + root.generators)
-    unit = tau.is_unit()
-    m_primary = False if unit else tau.is_zero_dimensional()
-    ell = regularity_artinian(tau) if m_primary else None
+    ell = None
+    if tau.is_unit():
+        kind = TauClass.EVERYWHERE_F_PURE
+    elif tau.is_zero_dimensional():
+        kind = TauClass.ISOLATED_NON_F_PURE_POINT
+        ell = regularity_artinian(tau)
+    else:
+        kind = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
     # re-check the two defining conditions on the constructed ideal
     if not all(tau.contains(g) for g in ci.forms):
         raise InternalError("tau misses a defining form")
     if not bracket_power(tau, ci.ring.p).contains(fpow):
         raise InternalError("tau^[p] misses f^(p-1)")
-    return TauResult(tau=tau, is_unit=unit, is_m_primary=m_primary, ell=ell)
+    return TauResult(tau=tau, kind=kind, ell=ell)
 
 
 def fedder_test_at_m(ci: CompleteIntersection) -> bool:
     """F-purity at the maximal ideal: f^(p-1) outside (x_0^p, ..., x_n^p)."""
     return not in_m_bracket(ci.fpow, ci.ring.p)
 
-
-def classify_tau(result: TauResult) -> TauClass:
-    if result.is_unit:
-        return TauClass.EVERYWHERE_F_PURE
-    if result.is_m_primary:
-        return TauClass.ISOLATED_NON_F_PURE_POINT
-    return TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL

@@ -307,7 +307,7 @@ class Ideal:
     def standard_monomials(self) -> list[Monomial]:
         """Monomials outside the lead-term ideal, by degree then order."""
         if not self.is_zero_dimensional():
-            raise ValueError("standard monomial basis requires a zero-dimensional ideal")
+            raise ValueError("standard monomials need an Artinian quotient")
         leads = self.leading_monomials()
         out: list[Monomial] = []
         s = 0
@@ -324,11 +324,8 @@ class Ideal:
 
 
 def regularity_artinian(I: Ideal) -> int:
-    """Top degree in which S/I is nonzero, for m-primary proper I."""
-    if I.is_unit():
-        raise ValueError("regularity of the zero ring is undefined")
-    if not I.is_zero_dimensional():
-        raise ValueError("regularity is only computed for Artinian quotients")
+    """Top degree in which S/I is nonzero, for m-primary proper I;
+    standard_monomials raises ValueError for any other I."""
     return max(map(sum, I.standard_monomials()))
 
 

@@ -20,7 +20,6 @@ from .frobenius import (
     TauClass,
     TauResult,
     annihilation_rows,
-    classify_tau,
     compute_tau,
     fedder_test_at_m,
 )
@@ -79,29 +78,20 @@ def a_invariant(ci: CompleteIntersection) -> int:
 def thmA_bound(ci: CompleteIntersection, tau_result: TauResult) -> int:
     """a(R) - reg(S/tau): Frobenius is injective on the top local cohomology
     strictly below this degree, with a guaranteed kernel element at it."""
-    if tau_result.is_unit or not tau_result.is_m_primary:
+    if tau_result.ell is None:
         raise ValueError("the injectivity bound needs m-primary proper tau")
     return a_invariant(ci) - tau_result.ell
 
 
-def _check_bound_args(n: int, c: int, d: int):
-    if not 1 <= c <= n + 1:
-        raise ValueError(f"need 1 <= c <= n+1, got c={c}, n={n}")
-    if d < c:
-        raise ValueError(f"total degree {d} below form count {c}")
-
-
-def cor_bound(n: int, c: int, d: int) -> int:
+def cor_bound(ci: CompleteIntersection) -> int:
     """Uniform injectivity bound -(n+1-c)*d, independent of tau."""
-    _check_bound_args(n, c, d)
-    return -(n + 1 - c) * d
+    return -(ci.n + 1 - ci.c) * ci.d
 
 
-def thmB_threshold(n: int, c: int, d: int) -> int:
+def thmB_threshold(ci: CompleteIntersection) -> int:
     """Primes >= (n+1-c)*(d-c) give Frobenius injectivity in negative
     degrees for isolated singularities."""
-    _check_bound_args(n, c, d)
-    return (n + 1 - c) * (d - c)
+    return (ci.n + 1 - ci.c) * (ci.d - ci.c)
 
 
 def jacobian_ideal(ci: CompleteIntersection) -> Ideal:
@@ -138,10 +128,10 @@ def isolated_singularity_test(ci: CompleteIntersection) -> bool:
 class AnalysisReport:
     """Every invariant the library computes for one complete intersection.
 
-    The two optional fields are present exactly when tau is m-primary and
-    proper.  ell is reg(S/tau), the top degree of S/tau, computed once by
-    compute_tau and stored once; the report schema lists it under both
-    names, reg_s_mod_tau and ell.
+    tau_class is compute_tau's verdict; the two optional fields are present
+    exactly when it is ISOLATED_NON_F_PURE_POINT.  ell is reg(S/tau), the
+    top degree of S/tau, computed once by compute_tau and stored once; the
+    report schema lists it under both names, reg_s_mod_tau and ell.
     """
 
     a_invariant: int
@@ -169,18 +159,18 @@ def analyze(ci: CompleteIntersection) -> AnalysisReport:
     fpure = fedder_test_at_m(ci)
     # Fedder's test and the unit-tau verdict are independent computations
     # of the same fact
-    if fpure != tau_result.is_unit:
+    if fpure != (tau_result.kind is TauClass.EVERYWHERE_F_PURE):
         raise InternalError("Fedder's test and the unit-tau verdict disagree")
     # V(tau), the non-F-pure locus, lies in the singular locus, as regular
     # points are F-pure (Kunz): a positive-dimensional tau is not isolated
-    positive_dimensional = not (tau_result.is_unit or tau_result.is_m_primary)
+    positive_dimensional = tau_result.kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
     return AnalysisReport(
         a_invariant=a_invariant(ci),
         ell=tau_result.ell,
-        thmA_bound=thmA_bound(ci, tau_result) if tau_result.is_m_primary else None,
-        cor_bound=cor_bound(ci.ring.n, ci.c, ci.d),
-        thmB_threshold=thmB_threshold(ci.ring.n, ci.c, ci.d),
+        thmA_bound=None if tau_result.ell is None else thmA_bound(ci, tau_result),
+        cor_bound=cor_bound(ci),
+        thmB_threshold=thmB_threshold(ci),
         fpure_at_m=fpure,
-        tau_class=classify_tau(tau_result),
+        tau_class=tau_result.kind,
         isolated_singularity=not positive_dimensional and isolated_singularity_test(ci),
     )

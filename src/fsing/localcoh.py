@@ -93,7 +93,7 @@ def kernel_witness(
     found: tau's least surviving generator at that q, which the certificate
     puts in degree (n+1)(q-1) - ell, so the class is in degree a(R) - ell.
     """
-    if tau_result.is_unit or not tau_result.is_m_primary:
+    if tau_result.ell is None:
         raise ValueError("kernel witness needs m-primary proper tau")
     q, generator = find_stable_q(tau_result.tau, max_q)
     witness = make_class(generator, q, ci)

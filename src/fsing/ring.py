@@ -417,11 +417,15 @@ def _tokenize(text: str):
         elif ch in "+-*^()":
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # str.isdigit would take '²', which int() refuses
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past Python's digit limit for int(str)
+                raise ParseError(f"{j - i}-digit integer at position {i} is too long", position=i) from None
+            tokens.append(("int", value, i))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i

@@ -27,7 +27,7 @@ from oracles import (
 
 from cases import diagonal_ci, ring, squares_ci
 
-from fsing.frobenius import bracket_power, compute_tau, frobenius_root_principal
+from fsing.frobenius import TauClass, bracket_power, compute_tau, frobenius_root_principal
 from fsing.groebner import Ideal, regularity_artinian
 from fsing.invariants import (
     a_invariant,
@@ -139,7 +139,7 @@ def test_criterion_04_thmA_sharpness(capsys):
         for build, expected_bound in THM_A_SUITE:
             ci = build()
             result = compute_tau(ci)
-            assert result.is_m_primary
+            assert result.kind is TauClass.ISOLATED_NON_F_PURE_POINT
             bound = thmA_bound(ci, result)
             assert bound == expected_bound
             witness = kernel_witness(ci, result)
@@ -157,7 +157,7 @@ def test_criterion_05_thmB_spot_checks(capsys):
         for p in (5, 7):
             ci = diagonal_ci(p, 3)
             assert isolated_singularity_test(ci)
-            assert thmB_threshold(ci.ring.n, ci.c, ci.d) == 4 <= p
+            assert thmB_threshold(ci) == 4 <= p
             dims = []
             for t in range(-5, 0):
                 result = verify_injectivity(ci, t)

@@ -166,6 +166,19 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     assert ":3:14: unknown variable 'w'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "literal, col, fragment",
+    [
+        pytest.param("x^\u00b2", 10, "unexpected character '\u00b2'", id="superscript"),
+        pytest.param("1" * 5000 + "*x", 8, "5000-digit integer", id="5000-digit"),
+    ],
+)
+def test_malformed_integer_literal_is_located(tmp_path, capsys, literal, col, fragment):
+    path = write(tmp_path, "lit.ci", f"p = 3\nvars = x, y\ngens = {literal}, y^2\n")
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}:3:{col}: {fragment}")
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     def broken(ci):
         raise InternalError("self-check failed")

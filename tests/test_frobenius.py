@@ -7,6 +7,7 @@ from oracles import (
     m_bracket,
     maximal_ideal,
     monomial,
+    oracle_quotient_dim,
     per_eps_root,
     poly_vector,
     random_homogeneous,
@@ -21,7 +22,6 @@ from fsing.frobenius import (
     CompleteIntersection,
     TauClass,
     bracket_power,
-    classify_tau,
     compute_tau,
     fedder_test_at_m,
     frobenius_root_principal,
@@ -271,15 +271,13 @@ def test_full_length_ci_check_matches_groebner_artinian_test(rng):
 def test_tau_of_squares_quartic_p3():
     result = compute_tau(squares_ci(3))
     assert result.tau == maximal_ideal(R3)
-    assert not result.is_unit
-    assert result.is_m_primary
+    assert result.kind is TauClass.ISOLATED_NON_F_PURE_POINT
     assert result.ell == 0
 
 
 def test_tau_of_monomial_hypersurface_is_unit():
     result = compute_tau(hypersurface(5, "x*y", names="xy"))
-    assert result.is_unit
-    assert not result.is_m_primary
+    assert result.kind is TauClass.EVERYWHERE_F_PURE
     assert result.ell is None
 
 
@@ -287,6 +285,39 @@ def test_tau_of_diagonal_cubic_two_vars_p2():
     result = compute_tau(diagonal_ci(2, 3, names="xy"))
     assert result.tau == maximal_ideal(ring(2, "xy"))
     assert result.ell == 0
+
+
+def test_tau_kind_matches_hilbert_function_oracle(rng):
+    # S/tau's Hilbert function by dense ranks, without Groebner bases: tau is
+    # generated in degrees <= D, so an Artinian S/tau vanishes from degree
+    # B = (n+1)(D-1)+1 on (over the algebraic closure the degree-D piece
+    # holds a regular sequence of n+1 forms, and Hilbert functions do not
+    # change under field extension), while a positive-dimensional one never does
+    seen = set()
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 7))
+        nv = rng.randint(2, 3)
+        r = ring(p, "xyz"[:nv])
+        forms = tuple(
+            random_homogeneous(rng, r, rng.randint(2, 3)) for _ in range(rng.randint(1, 2))
+        )
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        result = compute_tau(ci)
+        gens = result.tau.generators
+        top = nv * (max(g.degree() for g in gens) - 1) + 1
+        dims = [oracle_quotient_dim(gens, s, r) for s in range(top + 1)]
+        assert (result.kind is TauClass.EVERYWHERE_F_PURE) == (dims[0] == 0), ci.forms
+        positive = result.kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+        assert positive == (dims[top] != 0), ci.forms
+        if result.kind is TauClass.ISOLATED_NON_F_PURE_POINT:
+            assert result.ell == max(s for s, dim in enumerate(dims) if dim), ci.forms
+        else:
+            assert result.ell is None
+        seen.add(result.kind)
+    assert seen == set(TauClass)
 
 
 def test_tau_result_is_unhashable():
@@ -334,14 +365,14 @@ def test_fedder_agrees_with_tau_being_unit():
         diagonal_ci(2, 3, names="xy"),
     ]
     for ci in family:
-        assert fedder_test_at_m(ci) == compute_tau(ci).is_unit
+        assert fedder_test_at_m(ci) == (compute_tau(ci).kind is TauClass.EVERYWHERE_F_PURE)
         # the exponent test against the Groebner membership test in m^[p]
         assert fedder_test_at_m(ci) == (not m_bracket(ci.ring, ci.ring.p).contains(ci.fpow))
 
 
 def test_classification_three_ways():
     def classify(ci):
-        return classify_tau(compute_tau(ci))
+        return compute_tau(ci).kind
 
     assert classify(diagonal_ci(7, 3)) is TauClass.EVERYWHERE_F_PURE
     assert classify(squares_ci(3)) is TauClass.ISOLATED_NON_F_PURE_POINT
@@ -349,4 +380,4 @@ def test_classification_three_ways():
     assert classify(flat) is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
     result = compute_tau(flat)
     assert result.tau == Ideal(flat.ring, (poly("x*y", flat.ring),))
-    assert classify_tau(result) is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+    assert result.ell is None

@@ -290,7 +290,7 @@ def test_thmA_bound_examples():
     assert thmA_bound(ci, compute_tau(ci)) == 1
     fermat2 = diagonal_ci(2, 3)
     result = compute_tau(fermat2)
-    assert result.is_m_primary
+    assert result.kind is TauClass.ISOLATED_NON_F_PURE_POINT
     assert thmA_bound(fermat2, result) == 0 - result.ell
 
 
@@ -304,19 +304,15 @@ def test_thmA_bound_rejects_wrong_tau_shape():
 
 
 def test_closed_form_bounds():
-    assert cor_bound(2, 1, 4) == -8
-    assert thmB_threshold(2, 1, 4) == 6
-    assert cor_bound(1, 2, 2) == 0
-    assert thmB_threshold(1, 2, 2) == 0
-    assert thmB_threshold(2, 1, 3) == 4
-
-
-def test_bound_argument_validation():
-    for bad in ((2, 0, 4), (2, 4, 4), (2, 1, 0)):
-        with pytest.raises(ValueError):
-            cor_bound(*bad)
-        with pytest.raises(ValueError):
-            thmB_threshold(*bad)
+    # (n, c, d) = (2, 1, 4), (1, 2, 2) and (2, 1, 3)
+    quartic = squares_ci(3)
+    assert cor_bound(quartic) == -8
+    assert thmB_threshold(quartic) == 6
+    r2 = ring(3, "xy")
+    lines = CompleteIntersection(r2, (poly("x", r2), poly("y", r2)))
+    assert cor_bound(lines) == 0
+    assert thmB_threshold(lines) == 0
+    assert thmB_threshold(diagonal_ci(5, 3)) == 4
 
 
 def test_thmA_dominates_cor_bound():
@@ -331,8 +327,8 @@ def test_thmA_dominates_cor_bound():
     ]
     for ci in family:
         result = compute_tau(ci)
-        assert result.is_m_primary
-        assert thmA_bound(ci, result) >= cor_bound(ci.ring.n, ci.c, ci.d)
+        assert result.kind is TauClass.ISOLATED_NON_F_PURE_POINT
+        assert thmA_bound(ci, result) >= cor_bound(ci)
 
 
 # ---------------------------------------------------------------------------

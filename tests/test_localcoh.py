@@ -25,7 +25,7 @@ from fsing.frobenius import (
     in_m_bracket,
 )
 from fsing.groebner import Ideal
-from fsing.invariants import a_invariant, analyze, jacobian_ideal, thmA_bound, thmB_threshold
+from fsing.invariants import a_invariant, analyze, jacobian_ideal, thmA_bound
 from fsing.localcoh import (
     CohClass,
     frobenius_action,
@@ -621,7 +621,8 @@ def test_theorem_b_on_generated_cis(rng):
         # c <= n, so that the top local cohomology is not R itself
         nv = rng.randint(2, 3)
         degrees = [rng.randint(2, 4) for _ in range(rng.randint(1, nv - 1))]
-        threshold = thmB_threshold(nv - 1, len(degrees), sum(degrees))
+        # p comes before the ring, so (n+1-c)(d-c) is written out here
+        threshold = (nv - len(degrees)) * (sum(degrees) - len(degrees))
         p = rng.choice([q for q in (2, 3, 5, 7, 11, 13) if q >= threshold])
         r = ring(p, "xyz"[:nv])
         forms = tuple(random_homogeneous(rng, r, k, density=0.4) for k in degrees)
@@ -630,6 +631,7 @@ def test_theorem_b_on_generated_cis(rng):
         except RegularSequenceError:
             continue
         report = analyze(ci)
+        assert report.thmB_threshold == threshold
         if not report.isolated_singularity:
             continue
         assert report.fpure_at_m or report.thmA_bound >= 0, ci.forms

@@ -93,6 +93,12 @@ def test_parse_parentheses_and_signs():
         ("x + @", "unexpected character '@'"),
         ("x^2147483648", "exponent overflow"),
         ("x^2000000000 * x^2000000000", "exponent overflow"),
+        # ASCII digits only: str.isdigit takes both, int() refuses the first
+        ("x^\u00b2", "unexpected character '\u00b2' at position 2"),
+        ("2 + \u0663*x", "unexpected character '\u0663' at position 4"),
+        pytest.param(  # past Python's digit limit for int(str)
+            "x + " + "1" * 5000 + "*y", "5000-digit integer at position 4", id="5000-digit"
+        ),
     ],
 )
 def test_parse_errors(text, fragment):
