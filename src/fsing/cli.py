@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import traceback
 
@@ -34,6 +35,16 @@ EXIT_INTERNAL = 6
 
 _KNOWN_KEYS = ("p", "vars", "gens", "max_q", "t_min", "t_max")
 _MAX_WINDOW = 20
+# the one integer grammar of files and flags, as in gens: int() would also
+# take other scripts' decimal digits, underscores and surrounding blanks
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The integer text spells in ASCII [+-]?[0-9]+; ValueError otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 @dataclass
@@ -68,7 +79,7 @@ def load_problem(path: str) -> ProblemFile:
     def int_entry(k):
         value, line_no, _ = entries[k]
         try:
-            return int(value)
+            return _integer(value)
         except ValueError:
             raise ParseError(
                 f"{path}:{line_no}: {k} must be an integer, got {value!r}",
@@ -267,11 +278,15 @@ def _known_error(exc):
     return None
 
 
-def _positive_int(text) -> int:
+def _int_flag(text) -> int:
     try:
-        value = int(text)
+        return _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text) -> int:
+    value = _int_flag(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -308,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="verify injectivity degree by degree"
     )
     p_verify.add_argument("path")
-    p_verify.add_argument("--from", dest="from_degree", type=int, default=None)
-    p_verify.add_argument("--to", dest="to_degree", type=int, default=None)
+    p_verify.add_argument("--from", dest="from_degree", type=_int_flag, default=None)
+    p_verify.add_argument("--to", dest="to_degree", type=_int_flag, default=None)
     p_verify.set_defaults(handler=cmd_verify)
     p_batch = sub.add_parser(
         "batch", parents=[common], help="analyze every file in a directory"

@@ -44,13 +44,12 @@ def in_m_bracket(poly: Polynomial, q: int) -> bool:
     return all(max(m) >= q for m in poly.terms)
 
 
-def annihilation_rows(gens, coords, q: int, max_rows: int | None = None) -> list[dict]:
+def annihilation_rows(gens, coords, q: int) -> list[dict]:
     """h -> (h*g modulo m^[q] for g in gens) on the span of coords, so the
     kernel is (m^[q] : gens) modulo m^[q] in that span: one row
     {column: coefficient} per generator and product monomial below q, except
     that products one coordinate alone reaches give one unit row {column: 1}
-    per column, first.  With max_rows, raises ResourceLimit once a coordinate
-    takes the count of product monomials past it."""
+    per column, first."""
     if not coords:
         return []
     top = max(map(max, coords)) + max((g.degree() for g in gens if g), default=0)
@@ -72,10 +71,6 @@ def annihilation_rows(gens, coords, q: int, max_rows: int | None = None) -> list
                     else:
                         rows[m] = {first: terms[m - packed[first]], col: c}
                         hits[m] = -1
-            if max_rows is not None and len(hits) > max_rows:
-                raise ResourceLimit(
-                    f"{len(hits)} image monomials exceed the cap {max_rows}"
-                )
     units = dict.fromkeys(hits.values())
     units.pop(-1, None)
     return [{col: 1} for col in units] + list(rows.values())

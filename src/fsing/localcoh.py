@@ -14,7 +14,10 @@ the rank of A is the tests' oracle for it.  Frobenius is F_p-linear on
 numerators, since c^p = c, so it is a matrix Phi on the same coordinates,
 and its kernel in degree t is one rank, of A stacked on Phi.  Phi is built
 first: its unit rows kill their coordinates, A is built on the rest, and
-Phi's other rows go first into the elimination.
+Phi's other rows go first into the elimination.  Two coordinates reach one
+image monomial only through terms of f^(p-1) with the same exponents mod p,
+so a coordinate's images are checked for a second coordinate among those
+terms alone, and stop at the first that has none: that unit row kills it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import InternalError, ResourceLimit
 from .frobenius import CompleteIntersection, TauResult, annihilation_rows, hilbert_function, in_m_bracket
 from .invariants import a_invariant, find_stable_q
 from .linalg import nullspace, rank
-from .ring import EXPONENT_CAP, Monomial, Polynomial, is_power_of, monomials_of_degree
+from .ring import EXPONENT_CAP, Monomial, Polynomial, is_power_of, monomials_of_degree, packing
 
 DEFAULT_MAX_COLUMNS = 20000
 
@@ -201,6 +204,69 @@ class InjectivityResult:
         return asdict(self)
 
 
+def _frobenius_rows(fpow: Polynomial, coords, q: int, max_cols: int):
+    """Phi restricted to the coordinates no unit row kills: (alive, longer).
+    alive lists the coordinates without a unit image row, in order; longer
+    holds Phi's other rows with the killed columns struck, on alive's
+    indices, no row empty.
+
+    The image monomials of mu are m + p*mu below pq over the terms m of fpow.
+    If m + p*mu = m' + p*mu', then m = m' (mod p) in every exponent, so a
+    second coordinate reaches that monomial only through a term m' of the
+    same residues, as mu' = mu + (m - m')/p; one lookup among the packed p-th
+    powers settles each m'.  A monomial with no such mu' is a unit row, which
+    kills mu, and mu's other images are not built.  A term with an exponent
+    of at least p(q - lo), lo the least exponent of a coordinate, reaches no
+    monomial below pq.  Raises ResourceLimit once the distinct image
+    monomials of the coordinates so far, in order, exceed max_cols.
+    """
+    p, nv = fpow.ring.p, fpow.ring.nvars
+    lo = max(0, sum(coords[0]) - (nv - 1) * (q - 1))
+    # a field that m - m' takes below 0 borrows into a value of at least
+    # 2^(w-1), which no packed coordinate has, so the lookups are exact
+    pack, _, offset, guard = packing(nv, p * (q - 1) + fpow.degree(), p * q)
+    groups: dict[Monomial, list[int]] = {}
+    terms = []
+    for m, c in fpow.terms.items():
+        if max(m) < p * (q - lo):
+            group = groups.setdefault(tuple([e % p for e in m]), [])
+            group.append(k := pack(m))
+            terms.append((k, c, group))
+    powers = [p * pack(mu) + offset for mu in coords]
+    if len(coords) * len(terms) > max_cols:
+        images: set[int] = set()
+        for base in powers:
+            images.update(key for key in [base + k for k, _, _ in terms] if not key & guard)
+            if len(images) > max_cols:
+                raise ResourceLimit(f"{len(images)} image monomials exceed the cap {max_cols}")
+    present = set(powers)
+    alive: list[Monomial] = []
+    rows: dict[int, dict] = {}
+    for mu, base in zip(coords, powers):
+        present.discard(base)  # so a hit below is a second coordinate
+        entries = []
+        for k, c, group in terms:
+            key = base + k
+            if key & guard:
+                continue  # in m^[pq]
+            for other in group:
+                if key - other in present:
+                    break
+            else:
+                break  # key is a unit row, which kills mu
+            entries.append((key, c))
+        else:
+            col = len(alive)
+            alive.append(mu)
+            for key, c in entries:
+                if key in rows:
+                    rows[key][col] = c
+                else:
+                    rows[key] = {col: c}
+        present.add(base)
+    return alive, list(rows.values())
+
+
 def verify_injectivity(
     ci: CompleteIntersection, t: int, max_cols: int = DEFAULT_MAX_COLUMNS
 ) -> InjectivityResult:
@@ -212,10 +278,12 @@ def verify_injectivity(
     Frobenius sends a coordinate mu to f^(p-1) mu^p modulo m^[pq]; Phi's rows
     span the image monomials below pq on one column per coordinate.  A class
     is killed exactly when its vector is also in the kernel of Phi:
-    kernel_dim = ncols - rank([A; Phi]).  Phi comes first: a unit row {c: 1},
-    which most coordinates have, forces c to 0, so that rank is their count
-    plus the rank of Phi's longer rows with the unit columns struck, stacked
-    above A, built on the other coordinates alone.
+    kernel_dim = ncols - rank([A; Phi]).  Phi comes first: a unit row, which
+    most coordinates have, forces its coordinate to 0, so that rank is their
+    count plus the rank of Phi's longer rows with those columns struck,
+    stacked above A, built on the other coordinates alone.  A coordinate's
+    images stop at its first unit row, found by residues mod p
+    (_frobenius_rows).
     """
     q, s = _piece(ci, t, None, max_cols)
     p = ci.ring.p
@@ -223,13 +291,7 @@ def verify_injectivity(
     if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
     coords = monomials_of_degree(ci.ring, s, below=q)
-    # Phi's rows are f^(p-1)'s annihilation rows on the coordinates' p-th powers
-    powers = [tuple([e * p for e in mu]) for mu in coords]
-    images = annihilation_rows((ci.fpow,), powers, q * p, max_rows=max_cols)
-    dead = {c for row in images if len(row) == 1 for c in row}
-    alive = {c: i for i, c in enumerate(c for c in range(len(coords)) if c not in dead)}
-    rows = annihilation_rows(ci.forms, [coords[c] for c in alive], q)
-    longer = [{alive[c]: e for c, e in row.items() if c in alive} for row in images if len(row) > 1]
+    alive, longer = _frobenius_rows(ci.fpow, coords, q, max_cols)
+    rows = annihilation_rows(ci.forms, alive, q)
     kernel = len(alive) - rank(longer + rows, p)
     return InjectivityResult(degree=t, dim_source=dim, dim_kernel=kernel)
-

@@ -365,10 +365,11 @@ def tuple_annihilation_rows(gens, coords, q):
 
 
 def tuple_frobenius_rows(ci, coords, q):
-    """The Frobenius image rows of fsing.localcoh.verify_injectivity with
-    image monomials as tuples: mu -> f^(p-1) mu^p modulo m^[pq], one row per
-    image monomial in order of first appearance, without the row cap or
-    the row operations of fsing.frobenius.annihilation_rows."""
+    """The Frobenius image rows, the reference for
+    fsing.localcoh._frobenius_rows: mu -> f^(p-1) mu^p modulo m^[pq] with
+    image monomials as tuples, one row per image monomial in order of first
+    appearance, built for every term and coordinate, with no cap, no
+    residue classes and no stop at a coordinate's first unit row."""
     p = ci.ring.p
     images = {}
     for col, mu in enumerate(coords):

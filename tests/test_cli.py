@@ -114,6 +114,50 @@ def test_non_positive_cap_flags_are_malformed_input(flag, value, capsys):
     assert f"argument {flag}: must be positive, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value,line",
+    [
+        ("p", "٣", 1),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        ("max_q", "2_7", 4),
+        ("t_min", "-1_0", 4),
+        ("t_max", "２", 4),  # FULLWIDTH DIGIT TWO
+        ("t_min", "--1", 4),
+        ("max_q", "0x1b", 4),
+    ],
+)
+def test_file_integers_are_ascii_digits(tmp_path, key, value, line, capsys):
+    # the keys p, max_q, t_min and t_max read the integers gens reads:
+    # [+-]?[0-9]+ in ASCII, refused at file:line otherwise (exit 2)
+    body = {"p": "3", "vars": "x, y", "gens": "x^2 + y^2"}
+    if key == "p":
+        body["p"] = value
+    text = "".join(f"{k} = {v}\n" for k, v in body.items())
+    if key != "p":
+        text += f"{key} = {value}\n"
+    path = write(tmp_path, "a.ci", text)
+    assert main(["verify", path, "--from", "-1", "--to", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path}:{line}: {key} must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to", "--max-q", "--max-cols"])
+@pytest.mark.parametrize("value", ["٣", "1_0", "³", " 3", "+-3"])
+def test_flag_integers_are_ascii_digits(flag, value, capsys):
+    # argparse's own refusal, exit 2; int() took the first two and " 3"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", f"{PROBLEMS}/squares_p3.ci", "--from", "-1", "--to", "0", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+def test_signed_ascii_flags_still_read(capsys):
+    assert main(["verify", f"{PROBLEMS}/squares_p3.ci", "--from", "-1", "--to", "+1",
+                 "--max-cols", "+20000", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["degree"] for r in rows] == [-1, 0, 1]
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(

@@ -439,16 +439,18 @@ def check_collapsed(rows, uncollapsed, ncols, p):
 
 
 def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
-    # the annihilation rows (of the forms and of tau) and the Frobenius image
-    # rows that verify builds, against the tuple-keyed oracle rows under the
-    # same row operations, on every problem file and seeded CIs; verify
-    # builds Phi first, on every coordinate, then A on the coordinates
-    # without a unit image row
+    # the annihilation rows (of the forms and of tau) against the tuple-keyed
+    # oracle rows under the same row operations, on every problem file and
+    # seeded CIs; and verify's Frobenius image rows against the oracle's:
+    # alive is the coordinates without a unit oracle row, in order, and the
+    # longer rows are the oracle's longer rows restricted to alive,
+    # renumbered, empty rows dropped, entry for entry.  verify builds A on
+    # alive alone
     built = []
     packed_rows = localcoh.annihilation_rows
     monkeypatch.setattr(
         localcoh, "annihilation_rows",
-        lambda *args, **kwargs: built.append(packed_rows(*args, **kwargs)) or built[-1],
+        lambda *args: built.append(packed_rows(*args)) or built[-1],
     )
     cis = [load_problem(path).ci for path in sorted(glob.glob("problems/*.ci"))]
     cis += small_cis(rng, 8)
@@ -462,14 +464,18 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
             rows = packed_rows(ci.forms, coords, q)
             check_collapsed(rows, tuple_annihilation_rows(ci.forms, coords, q), len(coords), p)
             built.clear()
-            verify_injectivity(ci, t)
-            if built:
-                check_collapsed(built[0], tuple_frobenius_rows(ci, coords, q), len(coords), p)
-                images += 1
-            if len(built) == 2:
-                dead = {c for row in built[0] if len(row) == 1 for c in row}
-                alive = [mu for c, mu in enumerate(coords) if c not in dead]
-                check_collapsed(built[1], tuple_annihilation_rows(ci.forms, alive, q), len(alive), p)
+            if not verify_injectivity(ci, t).dim_source:
+                assert built == []
+                continue
+            alive, longer = localcoh._frobenius_rows(ci.fpow, coords, q, localcoh.DEFAULT_MAX_COLUMNS)
+            units, oracle_longer = collapsed_rows(tuple_frobenius_rows(ci, coords, q))
+            index = {c: i for i, c in enumerate(c for c in range(len(coords)) if c not in units)}
+            assert alive == [coords[c] for c in index]
+            struck = [{index[c]: e for c, e in row.items() if c in index} for row in oracle_longer]
+            assert sorted(entries(longer)) == sorted(entries(row for row in struck if row))
+            assert len(built) == 1
+            check_collapsed(built[0], tuple_annihilation_rows(ci.forms, alive, q), len(alive), p)
+            images += 1
         nv = ci.ring.nvars
         for q in [q for q in (p, p * p) if q**nv <= 1000]:
             for s in (0, 1, nv * (q - 1) // 2, nv * (q - 1)):
@@ -482,6 +488,45 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
     assert images > 20
 
 
+def oracle_image_counts(ci, coords, q):
+    """The running count of distinct image monomials below pq, one entry
+    per coordinate, taken in order."""
+    p = ci.ring.p
+    seen, counts = set(), []
+    for mu in coords:
+        mu_p = tuple(e * p for e in mu)
+        seen.update(m for m in (tuple(map(sum, zip(t, mu_p))) for t in ci.fpow.terms) if max(m) < q * p)
+        counts.append(len(seen))
+    return counts
+
+
+def test_image_cap_refuses_on_the_oracle_count(rng):
+    # verify refuses exactly when the distinct image monomials pass the cap,
+    # and names their count at the first coordinate that passes it, though
+    # it builds no image of a coordinate past its first unit row
+    refused = passed = 0
+    for ci in small_cis(rng, 10):
+        top = a_invariant(ci)
+        for t in range(top - 4, top + 1):
+            q, coords = piece_coords(ci, t)
+            if not verify_injectivity(ci, t).dim_source:
+                continue
+            counts = oracle_image_counts(ci, coords, q)
+            for cap in {len(coords), (len(coords) + counts[-1]) // 2, counts[-1] - 1, counts[-1]}:
+                if cap < len(coords):
+                    continue
+                crossing = [n for n in counts if n > cap]
+                if not crossing:
+                    verify_injectivity(ci, t, max_cols=cap)
+                    passed += 1
+                else:
+                    with pytest.raises(ResourceLimit) as info:
+                        verify_injectivity(ci, t, max_cols=cap)
+                    assert str(info.value) == f"{crossing[0]} image monomials exceed the cap {cap}"
+                    refused += 1
+    assert refused > 10 and passed > 10
+
+
 def test_annihilation_rows_see_only_the_coordinates_frobenius_leaves(rng, monkeypatch):
     # a unit image row {c: 1} kills coordinate c, so verify builds A on the
     # other coordinates only: none of 496 for the squares quartic at p = 3,
@@ -491,10 +536,10 @@ def test_annihilation_rows_see_only_the_coordinates_frobenius_leaves(rng, monkey
     seen = []
     packed_rows = localcoh.annihilation_rows
 
-    def recording(gens, coords, q, max_rows=None):
+    def recording(gens, coords, q):
         if gens is ci.forms:
             seen.append(len(coords))
-        return packed_rows(gens, coords, q, max_rows)
+        return packed_rows(gens, coords, q)
 
     monkeypatch.setattr(localcoh, "annihilation_rows", recording)
     fermat = hypersurface(3, "x^3 + y^3 + z^3 + w^3", "xyzw")
