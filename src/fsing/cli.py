@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import InternalError, ParseError, RegularSequenceError, ResourceLimit
 from .frobenius import CompleteIntersection, TauClass, compute_tau
-from .invariants import analyze
+from .invariants import analyze, isolated_singularity_test, thmA_bound, thmB_threshold
 from .localcoh import DEFAULT_MAX_COLUMNS, kernel_witness, verify_injectivity
 from .ring import RingDescriptor, check_characteristic, parse_polynomial
 
@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"empty degree window: from {t_min} to {t_max}")
     if t_max - t_min + 1 > _MAX_WINDOW:
         raise ValueError(f"degree window is capped at {_MAX_WINDOW} degrees")
-    report = analyze(problem.ci)
+    tau_result = compute_tau(problem.ci)
     max_cols = args.max_cols or DEFAULT_MAX_COLUMNS
     rows = []
     capped = None
@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
         except ResourceLimit as e:
             capped = str(e)
             break
-    consistent, checked = _consistency(problem.ci, report, rows)
+    consistent, checked = _consistency(problem.ci, tau_result, rows)
     if args.json:
         payload = {
             "rows": [r.to_json_dict() for r in rows],
@@ -211,21 +211,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _consistency(ci, report, rows):
+def _consistency(ci, tau_result, rows):
     """thmA: injective strictly below the bound, a kernel exactly at it.
     thmB: injective in negative degrees once p clears the threshold for an
-    isolated singularity.  Both checked only against the rows at hand."""
+    isolated singularity.  Both checked only against the rows at hand.
+    The rule is analyze's, in a cheaper order: the Jacobian test runs only
+    once p clears the threshold and tau is not positive-dimensional."""
     checked = []
     ok = True
-    bound = report.thmA_bound
-    if bound is not None:
+    if tau_result.ell is not None:
+        bound = thmA_bound(ci, tau_result)
         checked.append("thmA")
         for r in rows:
             if r.degree < bound and r.dim_kernel != 0:
                 ok = False
             if r.degree == bound and r.dim_kernel < 1:
                 ok = False
-    if report.isolated_singularity and ci.ring.p >= report.thmB_threshold:
+    if (ci.ring.p >= thmB_threshold(ci)
+            and tau_result.kind is not TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+            and isolated_singularity_test(ci)):
         checked.append("thmB")
         for r in rows:
             if r.degree < 0 and r.dim_kernel != 0:

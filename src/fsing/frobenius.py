@@ -243,6 +243,8 @@ class TauResult:
 def compute_tau(ci: CompleteIntersection) -> TauResult:
     """The smallest ideal containing the forms whose p-th bracket power
     contains f^(p-1): the defining forms plus the Frobenius root of f^(p-1).
+    Three self-checks follow: tau contains the forms, tau^[p] contains
+    f^(p-1), and Fedder's test agrees with tau being the unit ideal.
     """
     fpow = ci.fpow
     root = frobenius_root_principal(fpow)
@@ -260,6 +262,10 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
         raise InternalError("tau misses a defining form")
     if not bracket_power(tau, ci.ring.p).contains(fpow):
         raise InternalError("tau^[p] misses f^(p-1)")
+    # Fedder's test and the unit-tau verdict are independent computations
+    # of the same fact
+    if fedder_test_at_m(ci) != (kind is TauClass.EVERYWHERE_F_PURE):
+        raise InternalError("Fedder's test and the unit-tau verdict disagree")
     return TauResult(tau=tau, kind=kind, ell=ell)
 
 

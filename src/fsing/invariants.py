@@ -21,7 +21,6 @@ from .frobenius import (
     TauResult,
     annihilation_rows,
     compute_tau,
-    fedder_test_at_m,
 )
 from .groebner import Ideal, regularity_artinian
 from .linalg import nullspace, rank
@@ -77,10 +76,14 @@ def a_invariant(ci: CompleteIntersection) -> int:
 
 def thmA_bound(ci: CompleteIntersection, tau_result: TauResult) -> int:
     """a(R) - reg(S/tau): Frobenius is injective on the top local cohomology
-    strictly below this degree, with a guaranteed kernel element at it."""
+    strictly below this degree, with a guaranteed kernel element at it.
+    It never lies below the corollary bound, which is checked here."""
     if tau_result.ell is None:
         raise ValueError("the injectivity bound needs m-primary proper tau")
-    return a_invariant(ci) - tau_result.ell
+    bound = a_invariant(ci) - tau_result.ell
+    if bound < cor_bound(ci):
+        raise InternalError("Theorem A bound below the corollary bound")
+    return bound
 
 
 def cor_bound(ci: CompleteIntersection) -> int:
@@ -144,6 +147,8 @@ class AnalysisReport:
     isolated_singularity: bool
 
     def __post_init__(self):
+        # thmA_bound checks this too; a report read back from JSON is not
+        # built by it
         if self.thmA_bound is not None and self.thmA_bound < self.cor_bound:
             raise InternalError("Theorem A bound below the corollary bound")
 
@@ -156,11 +161,6 @@ class AnalysisReport:
 def analyze(ci: CompleteIntersection) -> AnalysisReport:
     """Run every test and bound on one complete intersection."""
     tau_result = compute_tau(ci)
-    fpure = fedder_test_at_m(ci)
-    # Fedder's test and the unit-tau verdict are independent computations
-    # of the same fact
-    if fpure != (tau_result.kind is TauClass.EVERYWHERE_F_PURE):
-        raise InternalError("Fedder's test and the unit-tau verdict disagree")
     # V(tau), the non-F-pure locus, lies in the singular locus, as regular
     # points are F-pure (Kunz): a positive-dimensional tau is not isolated
     positive_dimensional = tau_result.kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
@@ -170,7 +170,8 @@ def analyze(ci: CompleteIntersection) -> AnalysisReport:
         thmA_bound=None if tau_result.ell is None else thmA_bound(ci, tau_result),
         cor_bound=cor_bound(ci),
         thmB_threshold=thmB_threshold(ci),
-        fpure_at_m=fpure,
+        # compute_tau has checked this verdict against Fedder's test
+        fpure_at_m=tau_result.kind is TauClass.EVERYWHERE_F_PURE,
         tau_class=tau_result.kind,
         isolated_singularity=not positive_dimensional and isolated_singularity_test(ci),
     )

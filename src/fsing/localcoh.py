@@ -18,6 +18,8 @@ Phi's other rows go first into the elimination.  Two coordinates reach one
 image monomial only through terms of f^(p-1) with the same exponents mod p,
 so a coordinate's images are checked for a second coordinate among those
 terms alone, and stop at the first that has none: that unit row kills it.
+The coordinates are enumerated as packed p-th powers, a range of keys at a
+time, and only those no unit row kills become exponent tuples.
 """
 
 from __future__ import annotations
@@ -204,11 +206,37 @@ class InjectivityResult:
         return asdict(self)
 
 
-def _frobenius_rows(fpow: Polynomial, coords, q: int, max_cols: int):
-    """Phi restricted to the coordinates no unit row kills: (alive, longer).
-    alive lists the coordinates without a unit image row, in order; longer
-    holds Phi's other rows with the killed columns struck, on alive's
-    indices, no row empty.
+def _coordinate_keys(nv: int, s: int, q: int, w: int, scale: int, offset: int) -> list[int]:
+    """scale*pack(mu) + offset for the degree-s monomials mu below q in
+    monomials_of_degree's order, pack putting exponent i in field i of w
+    bits.  As there, the last exponent runs upward outermost; with the first
+    two left to set, moving one unit from x_0 to x_1 adds scale*(2^w - 1),
+    so that innermost level is one range."""
+    if nv == 1:
+        return [scale * s + offset] if 0 <= s < q else []
+    keys: list[int] = []
+    step = scale * ((1 << w) - 1)
+
+    def fill(total, parts, base):
+        # exponents parts..nv-1 are set in base; each range is empty when
+        # high < low, as for total < 0
+        low, high = max(0, total - (parts - 1) * (q - 1)), min(total, q - 1)
+        if parts > 2:
+            for last in range(low, high + 1):
+                fill(total - last, parts - 1, base + scale * (last << w * (parts - 1)))
+        else:
+            start = base + scale * (total - low + (low << w))
+            keys.extend(range(start, start + (high - low) * step + 1, step))
+
+    fill(s, nv, offset)
+    return keys
+
+
+def _frobenius_rows(fpow: Polynomial, s: int, q: int, max_cols: int):
+    """Phi restricted to the degree-s coordinates below q that no unit row
+    kills: (alive, longer).  alive lists those coordinates, in
+    monomials_of_degree's order; longer holds Phi's other rows with the
+    killed columns struck, on alive's indices, no row empty.
 
     The image monomials of mu are m + p*mu below pq over the terms m of fpow.
     If m + p*mu = m' + p*mu', then m = m' (mod p) in every exponent, so a
@@ -217,14 +245,16 @@ def _frobenius_rows(fpow: Polynomial, coords, q: int, max_cols: int):
     powers settles each m'.  A monomial with no such mu' is a unit row, which
     kills mu, and mu's other images are not built.  A term with an exponent
     of at least p(q - lo), lo the least exponent of a coordinate, reaches no
-    monomial below pq.  Raises ResourceLimit once the distinct image
-    monomials of the coordinates so far, in order, exceed max_cols.
+    monomial below pq.  The coordinates are enumerated as packed p-th powers
+    (_coordinate_keys), and only the alive ones are unpacked.  Raises
+    ResourceLimit once the distinct image monomials of the coordinates so
+    far, in order, exceed max_cols.
     """
     p, nv = fpow.ring.p, fpow.ring.nvars
-    lo = max(0, sum(coords[0]) - (nv - 1) * (q - 1))
+    lo = max(0, s - (nv - 1) * (q - 1))
     # a field that m - m' takes below 0 borrows into a value of at least
     # 2^(w-1), which no packed coordinate has, so the lookups are exact
-    pack, _, offset, guard = packing(nv, p * (q - 1) + fpow.degree(), p * q)
+    pack, unpack, offset, guard = packing(nv, p * (q - 1) + fpow.degree(), p * q)
     groups: dict[Monomial, list[int]] = {}
     terms = []
     for m, c in fpow.terms.items():
@@ -232,8 +262,9 @@ def _frobenius_rows(fpow: Polynomial, coords, q: int, max_cols: int):
             group = groups.setdefault(tuple([e % p for e in m]), [])
             group.append(k := pack(m))
             terms.append((k, c, group))
-    powers = [p * pack(mu) + offset for mu in coords]
-    if len(coords) * len(terms) > max_cols:
+    # guard holds the top bit of each of the nv fields
+    powers = _coordinate_keys(nv, s, q, guard.bit_length() // nv, p, offset)
+    if len(powers) * len(terms) > max_cols:
         images: set[int] = set()
         for base in powers:
             images.update(key for key in [base + k for k, _, _ in terms] if not key & guard)
@@ -242,7 +273,7 @@ def _frobenius_rows(fpow: Polynomial, coords, q: int, max_cols: int):
     present = set(powers)
     alive: list[Monomial] = []
     rows: dict[int, dict] = {}
-    for mu, base in zip(coords, powers):
+    for base in powers:
         present.discard(base)  # so a hit below is a second coordinate
         entries = []
         for k, c, group in terms:
@@ -257,7 +288,7 @@ def _frobenius_rows(fpow: Polynomial, coords, q: int, max_cols: int):
             entries.append((key, c))
         else:
             col = len(alive)
-            alive.append(mu)
+            alive.append(unpack((base - offset) // p))
             for key, c in entries:
                 if key in rows:
                     rows[key][col] = c
@@ -290,8 +321,7 @@ def verify_injectivity(
     dim = hilbert_function(ci.degrees, ci.ring.nvars, a_invariant(ci) - t)
     if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
-    coords = monomials_of_degree(ci.ring, s, below=q)
-    alive, longer = _frobenius_rows(ci.fpow, coords, q, max_cols)
+    alive, longer = _frobenius_rows(ci.fpow, s, q, max_cols)
     rows = annihilation_rows(ci.forms, alive, q)
     kernel = len(alive) - rank(longer + rows, p)
     return InjectivityResult(degree=t, dim_source=dim, dim_kernel=kernel)

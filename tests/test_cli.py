@@ -13,7 +13,7 @@ import pytest
 
 from cases import report_from_json
 
-from fsing import cli
+from fsing import cli, frobenius
 from fsing.cli import load_problem, main
 from fsing.errors import InternalError, ParseError, ResourceLimit
 from fsing.frobenius import FPOW_TERM_CAP
@@ -236,6 +236,20 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["file"] for r in records] == ["a.ci", "b.ci"]
     assert all(r["error"]["exit_code"] == 6 for r in records)
+
+
+@pytest.mark.parametrize("command", ["analyze", "witness", "verify"])
+@pytest.mark.parametrize("name", ["squares_p3.ci", "monomial_xy_p5.ci"])
+def test_fedder_disagreement_exit_code(monkeypatch, capsys, command, name):
+    # Fedder's test against the unit-tau verdict is one of compute_tau's
+    # self-checks, so every command that computes tau keeps it
+    fedder = frobenius.fedder_test_at_m
+    monkeypatch.setattr(frobenius, "fedder_test_at_m", lambda ci: not fedder(ci))
+    argv = [command, os.path.join(PROBLEMS, name)]
+    if command == "verify":
+        argv += ["--from", "-1", "--to", "0"]
+    assert main(argv) == 6
+    assert capsys.readouterr().err == "internal error: Fedder's test and the unit-tau verdict disagree\n"
 
 
 def test_regular_sequence_check_cap(tmp_path, capsys):

@@ -19,7 +19,7 @@ from oracles import (
 
 from cases import diagonal_ci, hypersurface, poly, report_from_json, ring, squares_ci
 
-from fsing.errors import RegularSequenceError, ResourceLimit
+from fsing.errors import InternalError, RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, TauClass, compute_tau, hilbert_function
 from fsing.groebner import Ideal, regularity_artinian
 from fsing.invariants import (
@@ -301,6 +301,15 @@ def test_thmA_bound_rejects_wrong_tau_shape():
     pure = hypersurface(5, "x*y", names="xy")
     with pytest.raises(ValueError, match="m-primary"):
         thmA_bound(pure, compute_tau(pure))
+
+
+def test_thmA_bound_checks_the_corollary_bound():
+    # a(R) - ell never lies below -(n+1-c)d; an ell past that is a bug
+    ci = squares_ci(3)
+    result = compute_tau(ci)
+    assert thmA_bound(ci, dataclasses.replace(result, ell=9)) == cor_bound(ci) == -8
+    with pytest.raises(InternalError, match="^Theorem A bound below the corollary bound$"):
+        thmA_bound(ci, dataclasses.replace(result, ell=10))
 
 
 def test_closed_form_bounds():

@@ -1,5 +1,6 @@
 import glob
 import itertools
+import json
 
 import pytest
 
@@ -14,7 +15,7 @@ from oracles import (
     tuple_frobenius_rows,
 )
 
-from fsing import invariants, linalg, localcoh
+from fsing import cli, invariants, linalg, localcoh
 from fsing.cli import _consistency, load_problem, main
 from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import (
@@ -25,7 +26,14 @@ from fsing.frobenius import (
     in_m_bracket,
 )
 from fsing.groebner import Ideal
-from fsing.invariants import a_invariant, analyze, jacobian_ideal, thmA_bound
+from fsing.invariants import (
+    a_invariant,
+    analyze,
+    isolated_singularity_test,
+    jacobian_ideal,
+    thmA_bound,
+    thmB_threshold,
+)
 from fsing.localcoh import (
     CohClass,
     frobenius_action,
@@ -35,7 +43,7 @@ from fsing.localcoh import (
     make_class,
     verify_injectivity,
 )
-from fsing.ring import Polynomial, is_power_of, monomials_of_degree
+from fsing.ring import Polynomial, is_power_of, monomials_of_degree, packing
 
 
 def in_bracket(g, q):
@@ -300,6 +308,7 @@ def test_empty_piece_builds_no_rows(monkeypatch):
 
     monkeypatch.setattr(localcoh, "annihilation_rows", refuse)
     monkeypatch.setattr(localcoh, "monomials_of_degree", refuse)
+    monkeypatch.setattr(localcoh, "_coordinate_keys", refuse)
     r = ring(2, "xyz")
     ci = CompleteIntersection(r, (poly("x^3", r), poly("y^3", r), poly("z^3", r)))
     result = verify_injectivity(ci, -100)
@@ -338,12 +347,27 @@ def test_coordinate_count_matches_enumeration():
                 assert hilbert_function((q,) * nv, nv, s) == expected, (nv, q, s)
 
 
+def test_coordinate_keys_follow_monomials_of_degree():
+    # verify enumerates a degree's coordinates as packed p-th powers, in
+    # monomials_of_degree's order, in the fields _frobenius_rows packs with
+    for nv in range(1, 6):
+        r = ring(2, "xyzwv"[:nv])
+        for q in range(1, 10):
+            for p in (2, 3, 5):
+                pack, _, offset, guard = packing(nv, p * (q - 1) + 4, p * q)
+                w = guard.bit_length() // nv
+                for s in range(-1, nv * q + 1):
+                    expected = [p * pack(mu) + offset for mu in monomials_of_degree(r, s, below=q)]
+                    assert localcoh._coordinate_keys(nv, s, q, w, p, offset) == expected, (nv, q, p, s)
+
+
 def test_column_cap_refuses_before_enumerating(monkeypatch):
     # 32,020,003 coordinates at t = -8000 (q = 3^9): counted, never built
     def refuse(*args, **kwargs):
         raise AssertionError("coordinates enumerated past the cap")
 
     monkeypatch.setattr(localcoh, "monomials_of_degree", refuse)
+    monkeypatch.setattr(localcoh, "_coordinate_keys", refuse)
     with pytest.raises(ResourceLimit, match="^32020003 coordinate monomials exceed the cap 20000$"):
         verify_injectivity(SQUARES3, -8000)
 
@@ -460,14 +484,15 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
         top = a_invariant(ci)
         p = ci.ring.p
         for t in range(top - 4, top + 1):
-            q, coords = piece_coords(ci, t, 5000)
+            q, s = localcoh._piece(ci, t, None, 5000)
+            coords = monomials_of_degree(ci.ring, s, below=q)
             rows = packed_rows(ci.forms, coords, q)
             check_collapsed(rows, tuple_annihilation_rows(ci.forms, coords, q), len(coords), p)
             built.clear()
             if not verify_injectivity(ci, t).dim_source:
                 assert built == []
                 continue
-            alive, longer = localcoh._frobenius_rows(ci.fpow, coords, q, localcoh.DEFAULT_MAX_COLUMNS)
+            alive, longer = localcoh._frobenius_rows(ci.fpow, s, q, localcoh.DEFAULT_MAX_COLUMNS)
             units, oracle_longer = collapsed_rows(tuple_frobenius_rows(ci, coords, q))
             index = {c: i for i, c in enumerate(c for c in range(len(coords)) if c not in units)}
             assert alive == [coords[c] for c in index]
@@ -644,17 +669,85 @@ def test_theorem_a_on_generated_cis(rng, p):
             ci = CompleteIntersection(r, forms)
         except RegularSequenceError:
             continue
-        report = analyze(ci)
-        if report.thmA_bound is None:
+        tau_result = compute_tau(ci)
+        if tau_result.ell is None:
             continue
-        top = report.thmA_bound
+        top = thmA_bound(ci, tau_result)
         rows = [verify_injectivity(ci, t) for t in range(top - 2, top + 1)]
-        consistent, checked = _consistency(ci, report, rows)
+        consistent, checked = _consistency(ci, tau_result, rows)
         assert "thmA" in checked
         assert consistent
-        ells.append(report.ell)
+        ells.append(tau_result.ell)
     # the draws reach tau other than m, where the bound sits below a(R)
     assert any(ells)
+
+
+def report_consistency(ci, report, rows):
+    """The reference rule, read off analyze's full report: thmA at
+    report.thmA_bound, thmB when the report says isolated and p clears
+    report.thmB_threshold."""
+    checked, ok = [], True
+    if report.thmA_bound is not None:
+        checked.append("thmA")
+        for r in rows:
+            if r.degree < report.thmA_bound and r.dim_kernel != 0:
+                ok = False
+            if r.degree == report.thmA_bound and r.dim_kernel < 1:
+                ok = False
+    if report.isolated_singularity and ci.ring.p >= report.thmB_threshold:
+        checked.append("thmB")
+        for r in rows:
+            if r.degree < 0 and r.dim_kernel != 0:
+                ok = False
+    return ok, checked
+
+
+def test_consistency_from_tau_matches_the_report_rule(rng):
+    # verify decides its checks from compute_tau and runs the Jacobian test
+    # only where Theorem B can apply; on seeded CIs at p from 2 to 13, below
+    # and above the threshold, that gives the report's verdict
+    below = above = thmB = 0
+    while below < 8 or above < 8:
+        nv = rng.randint(2, 3)
+        r = ring(rng.choice((2, 3, 5, 7, 11, 13)), "xyz"[:nv])
+        forms = tuple(
+            random_homogeneous(rng, r, rng.randint(2, 3), density=0.4)
+            for _ in range(rng.randint(1, nv - 1))
+        )
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        top = a_invariant(ci)
+        rows = [verify_injectivity(ci, t) for t in range(top - 3, top + 1)]
+        verdict = _consistency(ci, compute_tau(ci), rows)
+        assert verdict == report_consistency(ci, analyze(ci), rows), ci.forms
+        thmB += "thmB" in verdict[1]
+        if r.p >= thmB_threshold(ci):
+            above += 1
+        else:
+            below += 1
+    assert thmB > 0
+
+
+def test_verify_runs_the_jacobian_test_only_past_the_threshold(monkeypatch, capsys):
+    # the squares quartic at p = 3 sits below thmB_threshold 6, so verify
+    # never runs the Jacobian test there; the Fermat cubic at p = 5 clears
+    # its threshold 4 and runs it once
+    def refuse(ci):
+        raise AssertionError("Jacobian test run below the threshold")
+
+    monkeypatch.setattr(cli, "isolated_singularity_test", refuse)
+    assert main(["verify", "problems/squares_p3.ci", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == ["thmA"]
+    calls = []
+    monkeypatch.setattr(
+        cli, "isolated_singularity_test",
+        lambda ci: calls.append(ci) or isolated_singularity_test(ci),
+    )
+    assert main(["verify", "problems/fermat_cubic_p5.ci", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == ["thmA", "thmB"]
+    assert len(calls) == 1
 
 
 def test_theorem_b_on_generated_cis(rng):
