@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import InternalError, ParseError, RegularSequenceError, ResourceLimit
 from .frobenius import CompleteIntersection, TauClass, compute_tau
-from .invariants import analyze, isolated_singularity_test, thmA_bound, thmB_threshold
+from .invariants import analyze, isolated_singularity, thmA_bound, thmB_threshold
 from .localcoh import DEFAULT_MAX_COLUMNS, kernel_witness, verify_injectivity
 from .ring import RingDescriptor, check_characteristic, parse_polynomial
 
@@ -215,8 +215,8 @@ def _consistency(ci, tau_result, rows):
     """thmA: injective strictly below the bound, a kernel exactly at it.
     thmB: injective in negative degrees once p clears the threshold for an
     isolated singularity.  Both checked only against the rows at hand.
-    The rule is analyze's, in a cheaper order: the Jacobian test runs only
-    once p clears the threshold and tau is not positive-dimensional."""
+    isolated_singularity, analyze's rule, runs only once p clears the
+    threshold."""
     checked = []
     ok = True
     if tau_result.ell is not None:
@@ -227,9 +227,7 @@ def _consistency(ci, tau_result, rows):
                 ok = False
             if r.degree == bound and r.dim_kernel < 1:
                 ok = False
-    if (ci.ring.p >= thmB_threshold(ci)
-            and tau_result.kind is not TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
-            and isolated_singularity_test(ci)):
+    if ci.ring.p >= thmB_threshold(ci) and isolated_singularity(ci, tau_result):
         checked.append("thmB")
         for r in rows:
             if r.degree < 0 and r.dim_kernel != 0:

@@ -1,6 +1,7 @@
-"""Characteristic-p ideal operations: bracket powers, Frobenius roots of
-principal ideals, the minimal ideal tau attached to a graded complete
-intersection, and the F-purity test at the irrelevant maximal ideal.
+"""Characteristic-p ideal operations: bracket powers, the rows of
+multiplication maps modulo them, Frobenius roots of principal ideals, the
+minimal ideal tau attached to a graded complete intersection, and the
+F-purity test at the irrelevant maximal ideal.
 
 tau is the smallest ideal containing the defining forms whose p-th bracket
 power contains (f_1*...*f_c)^(p-1); the quotient is F-pure at the maximal
@@ -44,36 +45,95 @@ def in_m_bracket(poly: Polynomial, q: int) -> bool:
     return all(max(m) >= q for m in poly.terms)
 
 
-def annihilation_rows(gens, coords, q: int) -> list[dict]:
-    """h -> (h*g modulo m^[q] for g in gens) on the span of coords, so the
-    kernel is (m^[q] : gens) modulo m^[q] in that span: one row
-    {column: coefficient} per generator and product monomial below q, except
-    that products one coordinate alone reaches give one unit row {column: 1}
-    per column, first."""
-    if not coords:
-        return []
-    top = max(map(max, coords)) + max((g.degree() for g in gens if g), default=0)
-    pack, _, offset, guard = packing(len(coords[0]), top, q)
-    packed = [pack(mu) + offset for mu in coords]
-    # a row's key: the generator's index above the packed product plus offset;
-    # hits holds the first column to reach a key, and -1 once a second does
-    hits: dict[int, int] = {}
-    rows: dict[int, dict] = {}
-    setdefault = hits.setdefault
-    for j, g in enumerate(gens):
-        terms = {pack(m) + (j << guard.bit_length()): c for m, c in g.terms.items()}
-        for col, mu in enumerate(packed):
-            for m, c in terms.items():
-                m += mu
-                if not m & guard and (first := setdefault(m, col)) != col:
-                    if first < 0:
-                        rows[m][col] = c
-                    else:
-                        rows[m] = {first: terms[m - packed[first]], col: c}
-                        hits[m] = -1
-    units = dict.fromkeys(hits.values())
-    units.pop(-1, None)
-    return [{col: 1} for col in units] + list(rows.values())
+def kernel_rows(maps, nvars: int, s: int, q: int, max_images: int | None = None):
+    """The maps h -> g*h^scale modulo m^[scale*q], one per (g, scale) in
+    maps, on the degree-s monomials below q, as rows: (alive, rows).  alive
+    lists, ascending, the positions in monomials_of_degree(ring, s, below=q)
+    of the coordinates that no unit row kills; rows holds each map's other
+    rows in turn, on alive's indices, none empty.  The kernel of the maps
+    together has dimension len(alive) - rank(rows).
+
+    A unit row, an image monomial one coordinate alone reaches, forces that
+    coordinate to 0 in every kernel vector: its column is struck from every
+    row, and its images past that row are not built.  With big the largest
+    scale, each map's images are multiplied by big/scale, so every map sends
+    the coordinate mu to big*mu plus its scaled terms, below big*q.  If
+    k + big*mu = k' + big*mu', then k = k' mod big in every exponent, so a
+    second coordinate reaches an image only through a term of the same
+    residues, one lookup each; a term with an exponent of at least
+    big*(q - lo), lo the least exponent of a coordinate, reaches no image.
+    The coordinates are enumerated packed, in monomials_of_degree's order,
+    a range of keys at a time: with the first two exponents left to set,
+    moving one unit from x_0 to x_1 adds big*(2^w - 1).  Raises
+    ResourceLimit once the first map's distinct images, coordinate by
+    coordinate, exceed max_images; they are counted only when the
+    coordinates times that map's terms could.
+    """
+    big = max(scale for _, scale in maps)
+    lo = max(0, s - (nvars - 1) * (q - 1))
+    # a field that k - k' takes below 0 borrows into a value of at least
+    # 2^(w-1), which no packed coordinate has, so the lookups are exact
+    top = max(big // scale * g.degree() for g, scale in maps)
+    pack, _, offset, guard = packing(nvars, top, big * q)
+    w = guard.bit_length() // nvars  # guard holds the top bit of each field
+    step = big * ((1 << w) - 1)
+    keys: list[int] = [big * s + offset] if nvars == 1 and 0 <= s < q else []
+
+    def fill(total, parts, base):
+        # exponents parts..nvars-1 are set in base; each range is empty when
+        # high < low, as for total < 0
+        low, high = max(0, total - (parts - 1) * (q - 1)), min(total, q - 1)
+        if parts > 2:
+            for last in range(low, high + 1):
+                fill(total - last, parts - 1, base + big * (last << w * (parts - 1)))
+        else:
+            start = base + big * (total - low + (low << w))
+            keys.extend(range(start, start + (high - low) * step + 1, step))
+
+    if nvars > 1:
+        fill(s, nvars, offset)
+    terms, tables = [], []
+    for g, scale in maps:
+        groups: dict[Monomial, list[int]] = {}
+        tables.append(rows := {})
+        for m, c in g.terms.items():
+            m = [big // scale * e for e in m]
+            if max(m) < big * (q - lo):
+                group = groups.setdefault(tuple([e % big for e in m]), [])
+                group.append(k := pack(m))
+                terms.append((k, c, group, rows))
+    # a second coordinate reaches an image only through another term
+    terms = [(k, c, [o for o in group if o != k], rows) for k, c, group, rows in terms]
+    first = [k for k, _, _, rows in terms if rows is tables[0]]
+    if max_images is not None and len(keys) * len(first) > max_images:
+        images: set[int] = set()
+        for base in keys:
+            images.update(key for key in [base + k for k in first] if not key & guard)
+            if len(images) > max_images:
+                raise ResourceLimit(f"{len(images)} image monomials exceed the cap {max_images}")
+    present = set(keys)
+    alive: list[int] = []
+    for index, base in enumerate(keys):
+        entries = []
+        for k, c, others, rows in terms:
+            key = base + k
+            if key & guard:
+                continue  # in the bracket power
+            for other in others:
+                if key - other in present:
+                    break
+            else:
+                break  # key is a unit row, which kills mu
+            entries.append((rows, key, c))
+        else:
+            col = len(alive)
+            alive.append(index)
+            for rows, key, c in entries:
+                if key in rows:
+                    rows[key][col] = c
+                else:
+                    rows[key] = {col: c}
+    return alive, [row for rows in tables for row in rows.values()]
 
 
 def bracket_power(I: Ideal, q: int) -> Ideal:

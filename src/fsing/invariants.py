@@ -19,8 +19,8 @@ from .frobenius import (
     CompleteIntersection,
     TauClass,
     TauResult,
-    annihilation_rows,
     compute_tau,
+    kernel_rows,
 )
 from .groebner import Ideal, regularity_artinian
 from .linalg import nullspace, rank
@@ -47,14 +47,19 @@ def stabilization_check(I: Ideal, q: int) -> Polynomial | None:
     if not is_power_of(q, ring.p):
         raise ValueError(f"{q} is not a power of {ring.p}")
     s = ring.nvars * (q - 1) - regularity_artinian(I)
-    below = monomials_of_degree(ring, s - 1, below=q)
-    if rank(annihilation_rows(I.generators, below, q), ring.p) < len(below):
+    maps = [(g, 1) for g in I.generators]
+    alive, rows = kernel_rows(maps, ring.nvars, s - 1, q)
+    if rank(rows, ring.p) < len(alive):
         return None
-    coords = monomials_of_degree(ring, s, below=q)[::-1]
-    kernel = nullspace(annihilation_rows(I.generators, coords, q), len(coords), ring.p)
+    alive, rows = kernel_rows(maps, ring.nvars, s, q)
+    last = len(alive) - 1
+    # ascending coordinates: monomials_of_degree lists the largest first
+    rows = [{last - col: c for col, c in row.items()} for row in rows]
+    kernel = nullspace(rows, len(alive), ring.p)
     if not kernel:
         return None
-    return Polynomial._raw(ring, {m: c for m, c in zip(coords, kernel[-1]) if c})
+    coords = monomials_of_degree(ring, s, below=q)
+    return Polynomial._raw(ring, {coords[i]: c for i, c in zip(reversed(alive), kernel[-1]) if c})
 
 
 def find_stable_q(I: Ideal, max_q: int | None = None) -> tuple[int, Polynomial]:
@@ -127,6 +132,15 @@ def isolated_singularity_test(ci: CompleteIntersection) -> bool:
     return critical.is_zero_dimensional()
 
 
+def isolated_singularity(ci: CompleteIntersection, tau_result: TauResult) -> bool:
+    """The isolated-singularity test, settled by tau where it can be: V(tau),
+    the non-F-pure locus, lies in the singular locus, as regular points are
+    F-pure (Kunz), so a positive-dimensional tau is not isolated and needs
+    no Jacobian basis."""
+    positive_dimensional = tau_result.kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+    return not positive_dimensional and isolated_singularity_test(ci)
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Every invariant the library computes for one complete intersection.
@@ -161,9 +175,6 @@ class AnalysisReport:
 def analyze(ci: CompleteIntersection) -> AnalysisReport:
     """Run every test and bound on one complete intersection."""
     tau_result = compute_tau(ci)
-    # V(tau), the non-F-pure locus, lies in the singular locus, as regular
-    # points are F-pure (Kunz): a positive-dimensional tau is not isolated
-    positive_dimensional = tau_result.kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
     return AnalysisReport(
         a_invariant=a_invariant(ci),
         ell=tau_result.ell,
@@ -173,5 +184,5 @@ def analyze(ci: CompleteIntersection) -> AnalysisReport:
         # compute_tau has checked this verdict against Fedder's test
         fpure_at_m=tau_result.kind is TauClass.EVERYWHERE_F_PURE,
         tau_class=tau_result.kind,
-        isolated_singularity=not positive_dimensional and isolated_singularity_test(ci),
+        isolated_singularity=isolated_singularity(ci, tau_result),
     )

@@ -20,7 +20,7 @@ def echelon(rows, p) -> list[dict]:
     far, and what is left becomes a new pivot."""
     units, pivots, longer = set(), {}, []
     for row in rows:
-        # a single-entry row, such as annihilation_rows' unit rows, is not copied
+        # a single-entry row is not copied
         if len(row) > 1:
             row = {c: e % p for c, e in row.items() if e % p}
         if len(row) > 1:

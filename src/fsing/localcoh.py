@@ -12,14 +12,9 @@ piece is the kernel of A, of dimension HF_R(a(R) - t) by graded local
 duality, as R is Gorenstein (Bruns-Herzog, Cohen-Macaulay Rings, ch. 3);
 the rank of A is the tests' oracle for it.  Frobenius is F_p-linear on
 numerators, since c^p = c, so it is a matrix Phi on the same coordinates,
-and its kernel in degree t is one rank, of A stacked on Phi.  Phi is built
-first: its unit rows kill their coordinates, A is built on the rest, and
-Phi's other rows go first into the elimination.  Two coordinates reach one
-image monomial only through terms of f^(p-1) with the same exponents mod p,
-so a coordinate's images are checked for a second coordinate among those
-terms alone, and stop at the first that has none: that unit row kills it.
-The coordinates are enumerated as packed p-th powers, a range of keys at a
-time, and only those no unit row kills become exponent tuples.
+and its kernel in degree t is one nullity, of Phi stacked on A.  Both are
+multiplication maps modulo a bracket power, whose rows come from one
+builder, frobenius.kernel_rows.
 """
 
 from __future__ import annotations
@@ -27,10 +22,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .errors import InternalError, ResourceLimit
-from .frobenius import CompleteIntersection, TauResult, annihilation_rows, hilbert_function, in_m_bracket
+from .frobenius import CompleteIntersection, TauResult, hilbert_function, in_m_bracket, kernel_rows
 from .invariants import a_invariant, find_stable_q
 from .linalg import nullspace, rank
-from .ring import EXPONENT_CAP, Monomial, Polynomial, is_power_of, monomials_of_degree, packing
+from .ring import EXPONENT_CAP, Monomial, Polynomial, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_COLUMNS = 20000
 
@@ -187,9 +182,15 @@ def graded_piece_basis(
     """
     q, s = _piece(ci, t, q, max_cols)
     coords = monomials_of_degree(ci.ring, s, below=q)
-    rows = annihilation_rows(ci.forms, coords, q)
-    vectors = tuple(nullspace(rows, len(coords), ci.ring.p))
-    return GradedPieceBasis(t, q, tuple(coords), vectors, ci)
+    alive, rows = kernel_rows([(g, 1) for g in ci.forms], ci.ring.nvars, s, q)
+    vectors = []
+    # a killed coordinate is 0 in every vector
+    for short in nullspace(rows, len(alive), ci.ring.p):
+        v = [0] * len(coords)
+        for i, c in zip(alive, short):
+            v[i] = c
+        vectors.append(tuple(v))
+    return GradedPieceBasis(t, q, tuple(coords), tuple(vectors), ci)
 
 
 @dataclass(frozen=True)
@@ -206,98 +207,6 @@ class InjectivityResult:
         return asdict(self)
 
 
-def _coordinate_keys(nv: int, s: int, q: int, w: int, scale: int, offset: int) -> list[int]:
-    """scale*pack(mu) + offset for the degree-s monomials mu below q in
-    monomials_of_degree's order, pack putting exponent i in field i of w
-    bits.  As there, the last exponent runs upward outermost; with the first
-    two left to set, moving one unit from x_0 to x_1 adds scale*(2^w - 1),
-    so that innermost level is one range."""
-    if nv == 1:
-        return [scale * s + offset] if 0 <= s < q else []
-    keys: list[int] = []
-    step = scale * ((1 << w) - 1)
-
-    def fill(total, parts, base):
-        # exponents parts..nv-1 are set in base; each range is empty when
-        # high < low, as for total < 0
-        low, high = max(0, total - (parts - 1) * (q - 1)), min(total, q - 1)
-        if parts > 2:
-            for last in range(low, high + 1):
-                fill(total - last, parts - 1, base + scale * (last << w * (parts - 1)))
-        else:
-            start = base + scale * (total - low + (low << w))
-            keys.extend(range(start, start + (high - low) * step + 1, step))
-
-    fill(s, nv, offset)
-    return keys
-
-
-def _frobenius_rows(fpow: Polynomial, s: int, q: int, max_cols: int):
-    """Phi restricted to the degree-s coordinates below q that no unit row
-    kills: (alive, longer).  alive lists those coordinates, in
-    monomials_of_degree's order; longer holds Phi's other rows with the
-    killed columns struck, on alive's indices, no row empty.
-
-    The image monomials of mu are m + p*mu below pq over the terms m of fpow.
-    If m + p*mu = m' + p*mu', then m = m' (mod p) in every exponent, so a
-    second coordinate reaches that monomial only through a term m' of the
-    same residues, as mu' = mu + (m - m')/p; one lookup among the packed p-th
-    powers settles each m'.  A monomial with no such mu' is a unit row, which
-    kills mu, and mu's other images are not built.  A term with an exponent
-    of at least p(q - lo), lo the least exponent of a coordinate, reaches no
-    monomial below pq.  The coordinates are enumerated as packed p-th powers
-    (_coordinate_keys), and only the alive ones are unpacked.  Raises
-    ResourceLimit once the distinct image monomials of the coordinates so
-    far, in order, exceed max_cols.
-    """
-    p, nv = fpow.ring.p, fpow.ring.nvars
-    lo = max(0, s - (nv - 1) * (q - 1))
-    # a field that m - m' takes below 0 borrows into a value of at least
-    # 2^(w-1), which no packed coordinate has, so the lookups are exact
-    pack, unpack, offset, guard = packing(nv, p * (q - 1) + fpow.degree(), p * q)
-    groups: dict[Monomial, list[int]] = {}
-    terms = []
-    for m, c in fpow.terms.items():
-        if max(m) < p * (q - lo):
-            group = groups.setdefault(tuple([e % p for e in m]), [])
-            group.append(k := pack(m))
-            terms.append((k, c, group))
-    # guard holds the top bit of each of the nv fields
-    powers = _coordinate_keys(nv, s, q, guard.bit_length() // nv, p, offset)
-    if len(powers) * len(terms) > max_cols:
-        images: set[int] = set()
-        for base in powers:
-            images.update(key for key in [base + k for k, _, _ in terms] if not key & guard)
-            if len(images) > max_cols:
-                raise ResourceLimit(f"{len(images)} image monomials exceed the cap {max_cols}")
-    present = set(powers)
-    alive: list[Monomial] = []
-    rows: dict[int, dict] = {}
-    for base in powers:
-        present.discard(base)  # so a hit below is a second coordinate
-        entries = []
-        for k, c, group in terms:
-            key = base + k
-            if key & guard:
-                continue  # in m^[pq]
-            for other in group:
-                if key - other in present:
-                    break
-            else:
-                break  # key is a unit row, which kills mu
-            entries.append((key, c))
-        else:
-            col = len(alive)
-            alive.append(unpack((base - offset) // p))
-            for key, c in entries:
-                if key in rows:
-                    rows[key][col] = c
-                else:
-                    rows[key] = {col: c}
-        present.add(base)
-    return alive, list(rows.values())
-
-
 def verify_injectivity(
     ci: CompleteIntersection, t: int, max_cols: int = DEFAULT_MAX_COLUMNS
 ) -> InjectivityResult:
@@ -306,22 +215,17 @@ def verify_injectivity(
     The piece is the kernel of the annihilation rows A on the coordinate
     monomials; its dimension is HF_R(a(R) - t) by graded local duality
     (Bruns-Herzog, ch. 3), with ncols - rank(A) the tests' oracle.
-    Frobenius sends a coordinate mu to f^(p-1) mu^p modulo m^[pq]; Phi's rows
-    span the image monomials below pq on one column per coordinate.  A class
-    is killed exactly when its vector is also in the kernel of Phi:
-    kernel_dim = ncols - rank([A; Phi]).  Phi comes first: a unit row, which
-    most coordinates have, forces its coordinate to 0, so that rank is their
-    count plus the rank of Phi's longer rows with those columns struck,
-    stacked above A, built on the other coordinates alone.  A coordinate's
-    images stop at its first unit row, found by residues mod p
-    (_frobenius_rows).
+    Frobenius sends a coordinate mu to f^(p-1) mu^p modulo m^[pq], so a
+    class is killed exactly when its vector is in the kernel of Phi stacked
+    on A: one nullity of kernel_rows, Phi first.  max_cols caps both the
+    coordinates and Phi's image monomials.
     """
     q, s = _piece(ci, t, None, max_cols)
     p = ci.ring.p
     dim = hilbert_function(ci.degrees, ci.ring.nvars, a_invariant(ci) - t)
     if dim == 0:
         return InjectivityResult(degree=t, dim_source=0, dim_kernel=0)
-    alive, longer = _frobenius_rows(ci.fpow, s, q, max_cols)
-    rows = annihilation_rows(ci.forms, alive, q)
-    kernel = len(alive) - rank(longer + rows, p)
+    maps = [(ci.fpow, p)] + [(g, 1) for g in ci.forms]
+    alive, rows = kernel_rows(maps, ci.ring.nvars, s, q, max_cols)
+    kernel = len(alive) - rank(rows, p)
     return InjectivityResult(degree=t, dim_source=dim, dim_kernel=kernel)

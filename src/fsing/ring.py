@@ -5,10 +5,9 @@ Monomial orders are realized as sort keys on exponent tuples.  Everything in
 the package uses graded reverse lexicographic order with the first declared
 variable largest; `grevlex_desc` is that order's one key, largest first.
 
-Monomials are tuples wherever a caller sees them; `Polynomial.__pow__`,
-`frobenius.annihilation_rows` and verify's Frobenius image rows
-(`localcoh._frobenius_rows`) pack each into one int (`packing`), so a
-product is one add and "all exponents below q" one mask.
+Monomials are tuples wherever a caller sees them; `Polynomial.__pow__` and
+`frobenius.kernel_rows` pack each into one int (`packing`), so a product is
+one add and "all exponents below q" one mask.
 """
 
 from __future__ import annotations

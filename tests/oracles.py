@@ -16,7 +16,6 @@ import itertools
 import numpy as np
 
 from fsing.errors import InternalError
-from fsing.frobenius import annihilation_rows
 from fsing.groebner import Ideal, regularity_artinian
 from fsing.linalg import nullspace as sparse_nullspace
 from fsing.ring import Polynomial, is_power_of, monomials_of_degree
@@ -279,7 +278,7 @@ def least_surviving_generator(I, q):
     ring, pick = I.ring, None
     for s in range(ring.nvars * (q - 1), -1, -1):
         coords = monomials_of_degree(ring, s, below=q)[::-1]
-        kernel = sparse_nullspace(annihilation_rows(I.generators, coords, q), len(coords), ring.p)
+        kernel = sparse_nullspace(tuple_annihilation_rows(I.generators, coords, q), len(coords), ring.p)
         if not kernel:
             break
         pick = Polynomial(ring, {m: c for m, c in zip(coords, kernel[-1]) if c})
@@ -350,43 +349,47 @@ def pow_binary(f, e):
     return result
 
 
-def tuple_annihilation_rows(gens, coords, q):
-    """fsing.frobenius.annihilation_rows with product monomials as tuples and
-    no row operations: one row per (generator index, monomial), in order of
-    first appearance, single-entry rows included as they come."""
+def tuple_map_rows(g, scale, coords, q):
+    """h -> g*h^scale modulo m^[scale*q] on the span of coords, the reference
+    for one map of fsing.frobenius.kernel_rows: image monomials as tuples,
+    one row per image monomial in order of first appearance, built for every
+    term and coordinate, with no cap, no residue classes and no stop at a
+    coordinate's first unit row."""
     rows = {}
-    for j, g in enumerate(gens):
-        for col, mu in enumerate(coords):
-            for m, c in g.terms.items():
-                m = mono_mul(m, mu)
-                if max(m) < q:
-                    rows.setdefault((j, m), {})[col] = c
+    for col, mu in enumerate(coords):
+        mu = tuple(e * scale for e in mu)
+        for m, c in g.terms.items():
+            m = mono_mul(m, mu)
+            if max(m) < scale * q:
+                rows.setdefault(m, {})[col] = c
     return list(rows.values())
 
 
+def tuple_annihilation_rows(gens, coords, q):
+    """The annihilation rows, h -> (h*g modulo m^[q] for g in gens) on the
+    span of coords: one row per (generator index, monomial), in order of
+    first appearance, single-entry rows included as they come."""
+    return [row for g in gens for row in tuple_map_rows(g, 1, coords, q)]
+
+
 def tuple_frobenius_rows(ci, coords, q):
-    """The Frobenius image rows, the reference for
-    fsing.localcoh._frobenius_rows: mu -> f^(p-1) mu^p modulo m^[pq] with
-    image monomials as tuples, one row per image monomial in order of first
-    appearance, built for every term and coordinate, with no cap, no
-    residue classes and no stop at a coordinate's first unit row."""
-    p = ci.ring.p
-    images = {}
-    for col, mu in enumerate(coords):
-        mu_p = tuple(e * p for e in mu)
-        for m, c in ci.fpow.terms.items():
-            m = mono_mul(m, mu_p)
-            if max(m) < q * p:
-                images.setdefault(m, {})[col] = c
-    return list(images.values())
+    """The Frobenius image rows, mu -> f^(p-1) mu^p modulo m^[pq]."""
+    return tuple_map_rows(ci.fpow, ci.ring.p, coords, q)
 
 
-def collapsed_rows(rows):
-    """The row operations fsing.frobenius.annihilation_rows applies to
-    uncollapsed rows: the set of columns of the single-entry rows, each of
-    which it gives as the unit row {column: 1}, and the longer rows as they
-    are."""
-    return {c for row in rows if len(row) == 1 for c in row}, [row for row in rows if len(row) > 1]
+def struck_rows(rows_by_map, ncols):
+    """What fsing.frobenius.kernel_rows makes of uncollapsed rows, given one
+    list per map: alive, the columns of no single-entry row of any map,
+    ascending, and for each map its longer rows restricted to alive and
+    renumbered, the empty ones dropped."""
+    units = {c for rows in rows_by_map for row in rows if len(row) == 1 for c in row}
+    alive = [c for c in range(ncols) if c not in units]
+    index = {c: i for i, c in enumerate(alive)}
+    struck = []
+    for rows in rows_by_map:
+        restricted = ({index[c]: e for c, e in row.items() if c in index} for row in rows if len(row) > 1)
+        struck.append([row for row in restricted if row])
+    return alive, struck
 
 
 # ---------------------------------------------------------------------------

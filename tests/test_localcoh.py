@@ -7,23 +7,24 @@ import pytest
 from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
 from oracles import (
     as_matrix,
-    collapsed_rows,
     m_bracket,
     random_homogeneous,
     rank,
+    struck_rows,
     tuple_annihilation_rows,
     tuple_frobenius_rows,
+    tuple_map_rows,
 )
 
-from fsing import cli, invariants, linalg, localcoh
+from fsing import invariants, linalg, localcoh
 from fsing.cli import _consistency, load_problem, main
 from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import (
     CompleteIntersection,
-    annihilation_rows,
     compute_tau,
     hilbert_function,
     in_m_bracket,
+    kernel_rows,
 )
 from fsing.groebner import Ideal
 from fsing.invariants import (
@@ -43,7 +44,7 @@ from fsing.localcoh import (
     make_class,
     verify_injectivity,
 )
-from fsing.ring import Polynomial, is_power_of, monomials_of_degree, packing
+from fsing.ring import Polynomial, is_power_of, monomials_of_degree
 
 
 def in_bracket(g, q):
@@ -129,6 +130,24 @@ def test_frobenius_degree_law_over_graded_pieces():
                 assert frobenius_action(alpha).degree == p * t
 
 
+def test_piece_basis_is_the_nullspace_on_every_coordinate(rng):
+    # graded_piece_basis solves on the coordinates no unit row kills and
+    # puts 0 at the others: the vectors are those of the nullspace of the
+    # tuple oracle rows on every coordinate, where a killed column is a unit
+    # pivot, never free
+    killed = 0
+    cis = [load_problem(path).ci for path in sorted(glob.glob("problems/*.ci"))]
+    for ci in cis + small_cis(rng, 12):
+        top = a_invariant(ci)
+        for t in range(top - 6, top + 1):
+            basis = graded_piece_basis(ci, t, max_cols=5000)
+            coords, q = list(basis.coordinates), basis.q
+            rows = tuple_annihilation_rows(ci.forms, coords, q)
+            assert basis.vectors == tuple(linalg.nullspace(rows, len(coords), ci.ring.p))
+            killed += any(len(row) == 1 for row in rows) and basis.dim > 0
+    assert killed >= 5
+
+
 def test_frobenius_denominator_overflow():
     huge = CohClass(
         numerator=poly("(x*y*z)^2", R3), q=3**19, ci=SQUARES3, degree=0
@@ -177,10 +196,9 @@ def test_kernel_witness_scans_the_stable_q_once(monkeypatch):
     # per q tried, at the degree ell predicts and the one below, and none
     # repeated for the witness
     calls = []
-    rows = invariants.annihilation_rows
     monkeypatch.setattr(
-        invariants, "annihilation_rows",
-        lambda gens, coords, q: calls.append(q) or rows(gens, coords, q),
+        invariants, "kernel_rows",
+        lambda maps, nvars, s, q: calls.append(q) or kernel_rows(maps, nvars, s, q),
     )
     witness = kernel_witness(SQUARES3, compute_tau(SQUARES3))
     assert calls == [witness.q] * 2 == [3, 3]
@@ -306,9 +324,8 @@ def test_empty_piece_builds_no_rows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("coordinates or rows built for an empty piece")
 
-    monkeypatch.setattr(localcoh, "annihilation_rows", refuse)
+    monkeypatch.setattr(localcoh, "kernel_rows", refuse)
     monkeypatch.setattr(localcoh, "monomials_of_degree", refuse)
-    monkeypatch.setattr(localcoh, "_coordinate_keys", refuse)
     r = ring(2, "xyz")
     ci = CompleteIntersection(r, (poly("x^3", r), poly("y^3", r), poly("z^3", r)))
     result = verify_injectivity(ci, -100)
@@ -347,18 +364,28 @@ def test_coordinate_count_matches_enumeration():
                 assert hilbert_function((q,) * nv, nv, s) == expected, (nv, q, s)
 
 
-def test_coordinate_keys_follow_monomials_of_degree():
-    # verify enumerates a degree's coordinates as packed p-th powers, in
-    # monomials_of_degree's order, in the fields _frobenius_rows packs with
+def test_kernel_rows_enumerate_in_monomials_of_degree_order(rng):
+    # kernel_rows enumerates a degree's coordinates as packed keys, a range
+    # at a time; its alive positions and rows match the tuple oracle's on
+    # monomials_of_degree's list, for a map at scale p, one at scale 1 and
+    # both; x^q at scale 1 sends every coordinate into m^[q], so all are alive
+    checked = 0
     for nv in range(1, 6):
-        r = ring(2, "xyzwv"[:nv])
-        for q in range(1, 10):
-            for p in (2, 3, 5):
-                pack, _, offset, guard = packing(nv, p * (q - 1) + 4, p * q)
-                w = guard.bit_length() // nv
+        for p in (2, 3, 5):
+            r = ring(p, "xyzwv"[:nv])
+            for q in [q for q in range(1, 10) if q**nv <= 3000]:
+                frobenius = (random_homogeneous(rng, r, rng.randint(1, 3)), p)
+                form = (random_homogeneous(rng, r, rng.randint(1, 2)), 1)
                 for s in range(-1, nv * q + 1):
-                    expected = [p * pack(mu) + offset for mu in monomials_of_degree(r, s, below=q)]
-                    assert localcoh._coordinate_keys(nv, s, q, w, p, offset) == expected, (nv, q, p, s)
+                    coords = monomials_of_degree(r, s, below=q)
+                    alive, rows = kernel_rows([(poly(f"x^{q}", r), 1)], nv, s, q)
+                    assert (alive, rows) == (list(range(len(coords))), [])
+                    for maps in ([frobenius], [form], [frobenius, form]):
+                        alive, rows = kernel_rows(maps, nv, s, q)
+                        expected = [tuple_map_rows(g, scale, coords, q) for g, scale in maps]
+                        check_struck(alive, rows, expected, len(coords))
+                        checked += len(alive) > 0 and len(rows) > 0
+    assert checked > 300
 
 
 def test_column_cap_refuses_before_enumerating(monkeypatch):
@@ -367,7 +394,7 @@ def test_column_cap_refuses_before_enumerating(monkeypatch):
         raise AssertionError("coordinates enumerated past the cap")
 
     monkeypatch.setattr(localcoh, "monomials_of_degree", refuse)
-    monkeypatch.setattr(localcoh, "_coordinate_keys", refuse)
+    monkeypatch.setattr(localcoh, "kernel_rows", refuse)
     with pytest.raises(ResourceLimit, match="^32020003 coordinate monomials exceed the cap 20000$"):
         verify_injectivity(SQUARES3, -8000)
 
@@ -441,40 +468,36 @@ def test_two_ranks_match_the_per_class_route(rng):
 
 
 def entries(rows):
-    return [list(row.items()) for row in rows]
+    return sorted(sorted(row.items()) for row in rows)
 
 
 def dense_rank(rows, ncols, p):
     return rank(as_matrix([[row.get(c, 0) for c in range(ncols)] for row in rows], ncols), p)
 
 
-def check_collapsed(rows, uncollapsed, ncols, p):
-    """rows are the tuple-keyed oracle rows after annihilation_rows' row
-    operations: unit rows {column: 1} first, one per column of a
-    single-entry oracle row, then the longer oracle rows entry for entry in
-    some order; and they span what the oracle rows span."""
-    units, longer = collapsed_rows(uncollapsed)
-    head = rows[: len(units)]
-    assert all(list(row.values()) == [1] for row in head)
-    assert sorted(c for row in head for c in row) == sorted(units)
-    assert sorted(entries(rows[len(units):])) == sorted(entries(longer))
-    assert (dense_rank(rows, ncols, p) == dense_rank(uncollapsed, ncols, p)
-            == dense_rank(rows + uncollapsed, ncols, p))
+def check_struck(alive, rows, rows_by_map, ncols):
+    """alive and rows are kernel_rows' strike of the uncollapsed oracle rows,
+    one list per map: alive the columns with no single-entry row in any
+    map, and the rows each map's longer rows restricted to alive, map by
+    map, entry for entry in some order within a map."""
+    expected_alive, struck = struck_rows(rows_by_map, ncols)
+    assert alive == expected_alive
+    start = 0
+    for expected in struck:
+        assert entries(rows[start:start + len(expected)]) == entries(expected)
+        start += len(expected)
+    assert start == len(rows)
 
 
 def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
-    # the annihilation rows (of the forms and of tau) against the tuple-keyed
-    # oracle rows under the same row operations, on every problem file and
-    # seeded CIs; and verify's Frobenius image rows against the oracle's:
-    # alive is the coordinates without a unit oracle row, in order, and the
-    # longer rows are the oracle's longer rows restricted to alive,
-    # renumbered, empty rows dropped, entry for entry.  verify builds A on
-    # alive alone
+    # kernel_rows against the tuple-keyed oracle rows, struck as it strikes
+    # them, on every problem file and seeded CIs: the forms' annihilation
+    # rows, verify's Frobenius image rows stacked above them, and tau's
+    # annihilation rows at q and q^2, which stabilization_check builds
     built = []
-    packed_rows = localcoh.annihilation_rows
     monkeypatch.setattr(
-        localcoh, "annihilation_rows",
-        lambda *args: built.append(packed_rows(*args)) or built[-1],
+        localcoh, "kernel_rows",
+        lambda *args: built.append(args) or kernel_rows(*args),
     )
     cis = [load_problem(path).ci for path in sorted(glob.glob("problems/*.ci"))]
     cis += small_cis(rng, 8)
@@ -482,34 +505,30 @@ def test_packed_rows_equal_the_tuple_keyed_rows(rng, monkeypatch):
     for ci in cis:
         tau = compute_tau(ci).tau
         top = a_invariant(ci)
-        p = ci.ring.p
+        p, nv = ci.ring.p, ci.ring.nvars
         for t in range(top - 4, top + 1):
             q, s = localcoh._piece(ci, t, None, 5000)
             coords = monomials_of_degree(ci.ring, s, below=q)
-            rows = packed_rows(ci.forms, coords, q)
-            check_collapsed(rows, tuple_annihilation_rows(ci.forms, coords, q), len(coords), p)
+            forms = [(g, 1) for g in ci.forms]
+            alive, rows = kernel_rows(forms, nv, s, q)
+            check_struck(alive, rows, [tuple_map_rows(g, 1, coords, q) for g in ci.forms], len(coords))
             built.clear()
             if not verify_injectivity(ci, t).dim_source:
                 assert built == []
                 continue
-            alive, longer = localcoh._frobenius_rows(ci.fpow, s, q, localcoh.DEFAULT_MAX_COLUMNS)
-            units, oracle_longer = collapsed_rows(tuple_frobenius_rows(ci, coords, q))
-            index = {c: i for i, c in enumerate(c for c in range(len(coords)) if c not in units)}
-            assert alive == [coords[c] for c in index]
-            struck = [{index[c]: e for c, e in row.items() if c in index} for row in oracle_longer]
-            assert sorted(entries(longer)) == sorted(entries(row for row in struck if row))
-            assert len(built) == 1
-            check_collapsed(built[0], tuple_annihilation_rows(ci.forms, alive, q), len(alive), p)
+            maps = [(ci.fpow, p)] + forms
+            assert built == [(maps, nv, s, q, localcoh.DEFAULT_MAX_COLUMNS)]
+            alive, rows = kernel_rows(maps, nv, s, q)
+            expected = [tuple_frobenius_rows(ci, coords, q)]
+            expected += [tuple_map_rows(g, 1, coords, q) for g in ci.forms]
+            check_struck(alive, rows, expected, len(coords))
             images += 1
-        nv = ci.ring.nvars
         for q in [q for q in (p, p * p) if q**nv <= 1000]:
             for s in (0, 1, nv * (q - 1) // 2, nv * (q - 1)):
-                coords = monomials_of_degree(ci.ring, s, below=q)[::-1]
-                check_collapsed(
-                    annihilation_rows(tau.generators, coords, q),
-                    tuple_annihilation_rows(tau.generators, coords, q),
-                    len(coords), p,
-                )
+                coords = monomials_of_degree(ci.ring, s, below=q)
+                alive, rows = kernel_rows([(g, 1) for g in tau.generators], nv, s, q)
+                expected = [tuple_map_rows(g, 1, coords, q) for g in tau.generators]
+                check_struck(alive, rows, expected, len(coords))
     assert images > 20
 
 
@@ -552,38 +571,48 @@ def test_image_cap_refuses_on_the_oracle_count(rng):
     assert refused > 10 and passed > 10
 
 
-def test_annihilation_rows_see_only_the_coordinates_frobenius_leaves(rng, monkeypatch):
-    # a unit image row {c: 1} kills coordinate c, so verify builds A on the
-    # other coordinates only: none of 496 for the squares quartic at p = 3,
-    # t = -29, and all 364 for the Fermat cubic surface at p = 3, t = -12,
-    # which has no unit image row; on seeded CIs, ncols minus the oracle's
-    # unit columns
+def test_unit_rows_of_any_map_kill_their_coordinates(rng, monkeypatch):
+    # a unit row {c: 1} of any map kills coordinate c, so verify's rank runs
+    # on the other coordinates only: none of 496 for the squares quartic at
+    # p = 3, t = -29, and all 364 for the Fermat cubic surface at p = 3,
+    # t = -12, which has no unit row; for x^2 + y^2, y^2 at p = 2, t = 0, a
+    # form's unit row kills one of the 3 coordinates that Frobenius leaves;
+    # on seeded CIs, ncols minus the oracle's unit columns of every map
     seen = []
-    packed_rows = localcoh.annihilation_rows
 
-    def recording(gens, coords, q):
-        if gens is ci.forms:
-            seen.append(len(coords))
-        return packed_rows(gens, coords, q)
+    def recording(*args):
+        alive, rows = kernel_rows(*args)
+        seen.append(len(alive))
+        return alive, rows
 
-    monkeypatch.setattr(localcoh, "annihilation_rows", recording)
+    monkeypatch.setattr(localcoh, "kernel_rows", recording)
     fermat = hypersurface(3, "x^3 + y^3 + z^3 + w^3", "xyzw")
-    for ci, t, expected, alive in ((squares_ci(3), -29, (118, 0), 0), (fermat, -12, (199, 144), 364)):
+    r = ring(2, "xy")
+    binary = CompleteIntersection(r, (poly("x^2 + y^2", r), poly("y^2", r)))
+    for ci, t, expected, alive in (
+        (squares_ci(3), -29, (118, 0), 0),
+        (fermat, -12, (199, 144), 364),
+        (binary, 0, (1, 0), 2),
+    ):
         seen.clear()
         result = verify_injectivity(ci, t)
         assert (result.dim_source, result.dim_kernel) == expected
         assert seen == [alive]
     assert len(piece_coords(squares_ci(3), -29)[1]) == 496
     assert len(piece_coords(fermat, -12)[1]) == 364
+    q, coords = piece_coords(binary, 0)
+    frobenius_alive, _ = struck_rows([tuple_frobenius_rows(binary, coords, q)], len(coords))
+    assert len(frobenius_alive) == len(coords) == 3
     checked = 0
     for ci in small_cis(rng, 8):
         top = a_invariant(ci)
         for t in range(top - 4, top + 1):
             q, coords = piece_coords(ci, t, 5000)
-            units, _ = collapsed_rows(tuple_frobenius_rows(ci, coords, q))
+            rows_by_map = [tuple_frobenius_rows(ci, coords, q)]
+            rows_by_map += [tuple_map_rows(g, 1, coords, q) for g in ci.forms]
             seen.clear()
             if verify_injectivity(ci, t).dim_source:
-                assert seen == [len(coords) - len(units)]
+                assert seen == [len(struck_rows(rows_by_map, len(coords))[0])]
                 checked += 1
     assert checked > 10
 
@@ -634,9 +663,9 @@ def test_whole_kernel_is_the_nullity_of_the_tau_rows(rng):
     # lies in m^[q], so Frobenius kills exactly the vectors of the piece
     # that tau's annihilation rows at q kill: a route without Phi
     def tau_nullity(ci, tau, t):
-        q, coords = piece_coords(ci, t)
-        rows = annihilation_rows(tau.generators, coords, q)
-        return len(coords) - linalg.rank(rows, ci.ring.p)
+        q, s = localcoh._piece(ci, t, None, localcoh.DEFAULT_MAX_COLUMNS)
+        alive, rows = kernel_rows([(g, 1) for g in tau.generators], ci.ring.nvars, s, q)
+        return len(alive) - linalg.rank(rows, ci.ring.p)
 
     files = [load_problem(path).ci for path in sorted(glob.glob("problems/*.ci"))]
     kernels = 0
@@ -737,17 +766,31 @@ def test_verify_runs_the_jacobian_test_only_past_the_threshold(monkeypatch, caps
     def refuse(ci):
         raise AssertionError("Jacobian test run below the threshold")
 
-    monkeypatch.setattr(cli, "isolated_singularity_test", refuse)
+    monkeypatch.setattr(invariants, "isolated_singularity_test", refuse)
     assert main(["verify", "problems/squares_p3.ci", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["checked"] == ["thmA"]
     calls = []
     monkeypatch.setattr(
-        cli, "isolated_singularity_test",
+        invariants, "isolated_singularity_test",
         lambda ci: calls.append(ci) or isolated_singularity_test(ci),
     )
     assert main(["verify", "problems/fermat_cubic_p5.ci", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["checked"] == ["thmA", "thmB"]
     assert len(calls) == 1
+
+
+def test_positive_dimensional_tau_skips_the_jacobian_test(monkeypatch, capsys):
+    # tau = (x*y) for x^2*y^2 at p = 3 cuts out two lines, and p clears
+    # thmB_threshold 3: analyze and verify both take isolated_singularity
+    # = false from tau, through the one rule, without the Jacobian test
+    def refuse(ci):
+        raise AssertionError("Jacobian test run on a positive-dimensional tau")
+
+    monkeypatch.setattr(invariants, "isolated_singularity_test", refuse)
+    assert main(["analyze", "problems/nonisolated_p3.ci", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["isolated_singularity"] is False
+    assert main(["verify", "problems/nonisolated_p3.ci", "--from", "-2", "--to", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == []
 
 
 def test_theorem_b_on_generated_cis(rng):
