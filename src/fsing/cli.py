@@ -64,12 +64,12 @@ def load_problem(path: str) -> ProblemFile:
             continue
         key, eq, value = line.partition("=")
         if not eq:
-            raise ParseError(f"{path}:{line_no}: expected 'key = value'", line=line_no)
+            raise ParseError(f"{path}:{line_no}: expected 'key = value'")
         k = key.strip()
         if k not in _KNOWN_KEYS:
-            raise ParseError(f"{path}:{line_no}: unknown key {k!r}", line=line_no)
+            raise ParseError(f"{path}:{line_no}: unknown key {k!r}")
         if k in entries:
-            raise ParseError(f"{path}:{line_no}: duplicate key {k!r}", line=line_no)
+            raise ParseError(f"{path}:{line_no}: duplicate key {k!r}")
         value_col = len(key) + 1 + (len(value) - len(value.lstrip()))
         entries[k] = (value.strip(), line_no, value_col)
     for k in ("p", "vars", "gens"):
@@ -81,22 +81,19 @@ def load_problem(path: str) -> ProblemFile:
         try:
             return _integer(value)
         except ValueError:
-            raise ParseError(
-                f"{path}:{line_no}: {k} must be an integer, got {value!r}",
-                line=line_no,
-            ) from None
+            raise ParseError(f"{path}:{line_no}: {k} must be an integer, got {value!r}") from None
 
     p = int_entry("p")
     try:
         check_characteristic(p)
     except ValueError as e:
         line_no = entries["p"][1]
-        raise ParseError(f"{path}:{line_no}: {e}", line=line_no) from None
+        raise ParseError(f"{path}:{line_no}: {e}") from None
     names, line_no, _ = entries["vars"]
     try:
         ring = RingDescriptor(p, tuple(s.strip() for s in names.split(",")))
     except ValueError as e:
-        raise ParseError(f"{path}:{line_no}: {e}", line=line_no) from None
+        raise ParseError(f"{path}:{line_no}: {e}") from None
     gens_value, gens_line, gens_col = entries["gens"]
     forms = []
     offset = 0
@@ -106,9 +103,7 @@ def load_problem(path: str) -> ProblemFile:
             forms.append(parse_polynomial(chunk, ring))
         except ParseError as e:
             col = gens_col + start + (e.position or 0) + 1
-            raise ParseError(
-                f"{path}:{gens_line}:{col}: {e}", position=e.position, line=gens_line
-            ) from None
+            raise ParseError(f"{path}:{gens_line}:{col}: {e}") from None
         except ResourceLimit as e:
             # a size cap names the generator it refused
             raise ResourceLimit(f"{path}:{gens_line}:{gens_col + start + 1}: {e}") from None
@@ -116,7 +111,7 @@ def load_problem(path: str) -> ProblemFile:
     max_q = int_entry("max_q") if "max_q" in entries else None
     if max_q is not None and max_q < 1:
         line_no = entries["max_q"][1]
-        raise ParseError(f"{path}:{line_no}: max_q must be positive, got {max_q}", line=line_no)
+        raise ParseError(f"{path}:{line_no}: max_q must be positive, got {max_q}")
     return ProblemFile(
         ci=CompleteIntersection(ring, tuple(forms)),
         max_q=max_q,

@@ -4,14 +4,13 @@
 class ParseError(ValueError):
     """Malformed polynomial or problem-file text.
 
-    `position` is a 0-based offset into the parsed string when known; the
-    problem-file loader additionally sets `line` (1-based).
+    `position` is a 0-based offset into the parsed polynomial string when
+    known; the problem-file loader puts file, line and column in the message.
     """
 
-    def __init__(self, message, position=None, line=None):
+    def __init__(self, message, position=None):
         super().__init__(message)
         self.position = position
-        self.line = line
 
 
 class RingMismatch(ValueError):

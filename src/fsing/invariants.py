@@ -2,10 +2,10 @@
 
 For m-primary I, M_q(I) is the largest ell with (m^[q] : I) contained in
 m^[q] + m^ell: the least degree in which the colon has an element outside
-m^[q].  It stabilizes: (n+1)q - M_q(I) equals reg(S/I) + (n+1) once q is
-large enough.  `stabilization_check` certifies that identity at a concrete q
-by two kernels modulo m^[q], in the degree reg(S/I) predicts for M_q(I) and
-the one below, which is how "q large enough" is made effective throughout.
+m^[q].  By Matlis duality M_q(I) >= (n+1)(q-1) - reg(S/I) at every q, with
+equality once q is large enough.  `stabilization_check` certifies equality
+at a concrete q by one kernel modulo m^[q], in the degree reg(S/I) predicts,
+which is how "q large enough" is made effective throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .frobenius import (
     kernel_rows,
 )
 from .groebner import Ideal, regularity_artinian
-from .linalg import nullspace, rank
+from .linalg import nullspace
 from .ring import Polynomial, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_Q_EXPONENT = 6
@@ -34,24 +34,21 @@ def stabilization_check(I: Ideal, q: int) -> Polynomial | None:
     proper I; the certificate is I's least surviving generator at q, None
     when the identity fails.
 
-    Modulo m^[q] the colon (m^[q] : I) in degree s is the kernel of I's
-    annihilation rows on the degree-s monomials below q.  That kernel is
-    nonzero exactly from M_q(I) up to the socle degree (n+1)(q-1), as below
-    it some x_i*g of a surviving g survives too; so the identity holds iff
-    the kernel is zero one degree below s = (n+1)(q-1) - ell and nonzero at
-    s.  On ascending coordinates the last nullspace vector is the
-    reduced-basis element with the largest lead, the one the basis lists
-    first.
+    Modulo m^[q] the colon (m^[q] : I) in degree t is the kernel of I's
+    annihilation rows on the degree-t monomials below q, the annihilator of
+    I in the Gorenstein ring A = S/m^[q] of socle degree (n+1)(q-1).  By
+    Matlis duality its dimension is that of (A/IA) in degree (n+1)(q-1) - t,
+    a quotient of S/I there.  Below s = (n+1)(q-1) - reg(S/I) that degree
+    passes reg(S/I), where S/I is zero, so the kernel is zero: M_q(I) >= s
+    always, with equality iff the kernel at s is nonzero.  On
+    ascending coordinates the last nullspace vector is the reduced-basis
+    element with the largest lead, the one the basis lists first.
     """
     ring = I.ring
     if not is_power_of(q, ring.p):
         raise ValueError(f"{q} is not a power of {ring.p}")
     s = ring.nvars * (q - 1) - regularity_artinian(I)
-    maps = [(g, 1) for g in I.generators]
-    alive, rows = kernel_rows(maps, ring.nvars, s - 1, q)
-    if rank(rows, ring.p) < len(alive):
-        return None
-    alive, rows = kernel_rows(maps, ring.nvars, s, q)
+    alive, rows = kernel_rows([(g, 1) for g in I.generators], ring.nvars, s, q)
     last = len(alive) - 1
     # ascending coordinates: monomials_of_degree lists the largest first
     rows = [{last - col: c for col, c in row.items()} for row in rows]

@@ -17,7 +17,6 @@ import numpy as np
 
 from fsing.errors import InternalError
 from fsing.groebner import Ideal, regularity_artinian
-from fsing.linalg import nullspace as sparse_nullspace
 from fsing.ring import Polynomial, is_power_of, monomials_of_degree
 
 
@@ -38,6 +37,11 @@ def as_matrix(rows, ncols):
     if not rows:
         return np.zeros((0, ncols), dtype=np.int64)
     return np.array(rows, dtype=np.int64)
+
+
+def rows_matrix(rows, ncols):
+    """The dense (len(rows), ncols) matrix of sparse {column: entry} rows."""
+    return as_matrix([[row.get(c, 0) for c in range(ncols)] for row in rows], ncols)
 
 
 def rref(matrix, p):
@@ -278,10 +282,11 @@ def least_surviving_generator(I, q):
     ring, pick = I.ring, None
     for s in range(ring.nvars * (q - 1), -1, -1):
         coords = monomials_of_degree(ring, s, below=q)[::-1]
-        kernel = sparse_nullspace(tuple_annihilation_rows(I.generators, coords, q), len(coords), ring.p)
+        rows = tuple_annihilation_rows(I.generators, coords, q)
+        kernel = nullspace(rows_matrix(rows, len(coords)), ring.p)
         if not kernel:
             break
-        pick = Polynomial(ring, {m: c for m, c in zip(coords, kernel[-1]) if c})
+        pick = Polynomial(ring, {m: int(c) for m, c in zip(coords, kernel[-1]) if c})
     if pick is None:
         # the socle monomial (x_0...x_n)^(q-1) kills every form of positive degree
         raise InternalError("colon collapsed to the bracket power")

@@ -9,12 +9,16 @@ from oracles import (
     m_q,
     maximal_ideal,
     monomial,
+    nullspace,
     oracle_m_q,
+    oracle_quotient_dim,
     power_containment,
     random_homogeneous,
     random_ideal_gens,
     random_m_primary_gens,
+    rows_matrix,
     scan_stabilization_check,
+    tuple_annihilation_rows,
 )
 
 from cases import diagonal_ci, hypersurface, poly, report_from_json, ring, squares_ci
@@ -194,7 +198,7 @@ def test_stabilization_examples():
 
 
 def test_stabilization_check_matches_the_scan(rng):
-    # two kernels at the predicted degree against the top-down scan, on
+    # one kernel at the predicted degree against the top-down scan, on
     # m-primary ideals at q = p, p^2, p^3 while q^nv stays small; about one
     # pair in nine is not certified
     pairs = uncertified = 0
@@ -210,6 +214,34 @@ def test_stabilization_check_matches_the_scan(rng):
                     pairs += 1
                     uncertified += certificate is None
     assert pairs >= 400 and uncertified >= 20, (pairs, uncertified)
+
+
+def test_kernel_below_the_predicted_degree_is_zero(rng):
+    # Matlis duality over S/m^[q]: the colon modulo m^[q] in degree t has the
+    # dimension of S/(I + m^[q]) in degree (n+1)(q-1) - t.  So it is zero one
+    # degree below s = (n+1)(q-1) - reg(S/I), and at s it has the dimension
+    # of that quotient in degree reg(S/I); dense kernels of the tuple-keyed
+    # rows, on m-primary ideals at q = p, p^2, p^3 while q^nv stays small
+    pairs = nonzero = 0
+    for p in (2, 3, 5, 7):
+        for nv in (2, 3):
+            r = ring(p, "xyz"[:nv])
+            qs = [q for q in (p, p**2, p**3) if q**nv <= 3000]
+            for _ in range(10):
+                I = Ideal(r, random_m_primary_gens(rng, r, 4))
+                reg = regularity_artinian(I)
+                for q in qs:
+                    s = nv * (q - 1) - reg
+                    dims = []
+                    for t in (s - 1, s):
+                        coords = monomials_of_degree(r, t, below=q)
+                        rows = tuple_annihilation_rows(I.generators, coords, q)
+                        dims.append(len(nullspace(rows_matrix(rows, len(coords)), p)))
+                    bracket = m_bracket(r, q).generators
+                    assert dims == [0, oracle_quotient_dim(I.generators + bracket, reg, r)], (I, q)
+                    pairs += 1
+                    nonzero += dims[1] > 0
+    assert pairs >= 150 and 0 < nonzero < pairs, (pairs, nonzero)
 
 
 def test_find_stable_q():
