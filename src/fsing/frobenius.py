@@ -268,8 +268,15 @@ def _check_regular_sequence(ring, forms, degrees):
         raise ResourceLimit(f"regular-sequence check spans {size} monomials, cap {REGULAR_CHECK_CAP}")
     if len(forms) == 1:
         return  # S is a domain: one nonzero form is a regular sequence
-    # quotient dimension in each degree by linear algebra; when c = n+1,
-    # agreement up to degree d forces degree d to be zero: an Artinian quotient
+    # forms whose grevlex leads are pairwise coprime are a Groebner basis
+    # (Buchberger's product criterion), so in(J) is generated by coprime
+    # monomials of their degrees, a regular sequence, and S/J has the Hilbert
+    # function of S/in(J)
+    leads = [g.leading_monomial() for g in forms]
+    if not any(any(map(min, a, b)) for k, a in enumerate(leads) for b in leads[:k]):
+        return
+    # otherwise quotient dimensions degree by degree; when c = n+1, agreement
+    # up to degree d forces degree d to be zero: an Artinian quotient
     for s in range(top + 1):
         rows = []
         for g, dg in zip(forms, degrees):

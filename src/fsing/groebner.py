@@ -104,8 +104,9 @@ def _interreduce(terms_list: list, leads: list, desc, p: int) -> list:
     return out
 
 
-def _buchberger(inputs: list, desc, p: int) -> list:
-    """Reduced Groebner basis of the ideal spanned by `inputs` (term dicts)."""
+def _buchberger(inputs: list, desc, p: int, stop=None) -> list | None:
+    """Reduced Groebner basis of the ideal spanned by `inputs` (term dicts);
+    None as soon as stop, when given, holds for a new element's lead."""
     seeds = [t for t in inputs if t]
     basis_terms: list[dict] = []
     basis_leads: list[Monomial] = []
@@ -128,14 +129,15 @@ def _buchberger(inputs: list, desc, p: int) -> list:
                 continue  # coprime leads: S-polynomial reduces to zero
             pending.add((i, j))
             insort(queue, (desc(lcm), -i, -j))
+        return stop is not None and stop(lmj)
 
     while queue:
         _, i, j = queue.pop()
         if i == 1:
             # an input, reduced against the basis so far; zero makes no pairs
             h = _normal_form_dict(seeds[j], basis_leads, basis_terms, desc, p)
-            if h:
-                insert(h)
+            if h and insert(h):
+                return None
             continue
         i, j = -i, -j
         pending.discard((i, j))
@@ -167,8 +169,8 @@ def _buchberger(inputs: list, desc, p: int) -> list:
             spoly[mm] = (get(mm, 0) - c) % p
         spoly = {m: c for m, c in spoly.items() if c}
         h = _normal_form_dict(spoly, basis_leads, basis_terms, desc, p)
-        if h:
-            insert(h)
+        if h and insert(h):
+            return None
 
     return _interreduce(basis_terms, basis_leads, desc, p)
 

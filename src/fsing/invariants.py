@@ -22,9 +22,9 @@ from .frobenius import (
     compute_tau,
     kernel_rows,
 )
-from .groebner import Ideal, regularity_artinian
+from .groebner import Ideal, _buchberger, regularity_artinian
 from .linalg import nullspace
-from .ring import Polynomial, is_power_of, monomials_of_degree
+from .ring import Monomial, Polynomial, grevlex_desc, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_Q_EXPONENT = 6
 
@@ -60,7 +60,12 @@ def stabilization_check(I: Ideal, q: int) -> Polynomial | None:
 
 
 def find_stable_q(I: Ideal, max_q: int | None = None) -> tuple[int, Polynomial]:
-    """Smallest q = p^e, e >= 1, certified stable, and its certificate."""
+    """Smallest q = p^e, e >= 1, certified stable, and its certificate.
+
+    It is at most the least power of p above ell = reg(S/I): past ell,
+    m^[q] is zero in degree ell, so by stabilization_check's duality the
+    kernel at s has the dimension of (S/I)_ell, nonzero.  Hence the default
+    cap p^6 refuses only when ell >= p^6."""
     p = I.ring.p
     cap = max_q if max_q is not None else p**DEFAULT_MAX_Q_EXPONENT
     q = p
@@ -122,11 +127,27 @@ def jacobian_ideal(ci: CompleteIntersection) -> Ideal:
 
 
 def isolated_singularity_test(ci: CompleteIntersection) -> bool:
-    """Whether the Jacobian ideal plus the forms cuts out at most the origin."""
-    critical = Ideal(ci.ring, jacobian_ideal(ci).generators + ci.forms)
-    if critical.is_unit():
-        return True
-    return critical.is_zero_dimensional()
+    """Whether the Jacobian ideal plus the forms, C, cuts out at most the
+    origin: C is the unit ideal or S/C is finite-dimensional.
+
+    g vanishes at the coordinate point e_i exactly when it lacks the term
+    x_i^deg(g); if every generator does, the line through e_i lies in V(C).
+    Else Buchberger runs only until its leads hold a power of every variable
+    (1 is a power of each), whence S/C is finite-dimensional; such powers in
+    LT(C) are multiples of leads that are powers too, so a basis completed
+    without them answers no.
+    """
+    nv = ci.ring.nvars
+    gens = [g.terms for g in jacobian_ideal(ci).generators + ci.forms]
+    if len({i for g in gens for m in g for i, e in enumerate(m) if e == sum(m)}) < nv:
+        return False  # some e_i, and so the line through it, lies in V(C)
+    pure: set[int] = set()
+
+    def holds_every_power(lead: Monomial) -> bool:
+        pure.update(i for i, e in enumerate(lead) if e == sum(lead))
+        return len(pure) == nv
+
+    return _buchberger(gens, grevlex_desc, ci.ring.p, holds_every_power) is None
 
 
 def isolated_singularity(ci: CompleteIntersection, tau_result: TauResult) -> bool:

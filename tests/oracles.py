@@ -12,6 +12,7 @@ powering and tuple-keyed rows.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -334,6 +335,78 @@ def cofactor_jacobian_minors(ci):
         cofactor_det([partials[i] for i in rows])
         for rows in itertools.combinations(range(ci.ring.nvars), ci.c)
     ]
+
+
+def oracle_isolated_singularity(ci):
+    """Whether the Jacobian minors plus the forms, C, cut out at most the
+    origin, by one dense rank, the reference for
+    fsing.invariants.isolated_singularity_test.  C is generated in degrees
+    <= D, so S/C vanishes in degree B = (n+1)(D-1)+1 exactly when it is
+    finite-dimensional: over the algebraic closure the ideal that C's
+    degree-D piece generates has the same zero set and, when m-primary, holds
+    a regular sequence of n+1 forms of degree D.  The unit ideal vanishes in
+    every degree."""
+    gens = [g for g in cofactor_jacobian_minors(ci) if g] + list(ci.forms)
+    top = ci.ring.nvars * (max(g.degree() for g in gens) - 1) + 1
+    return oracle_quotient_dim(gens, top, ci.ring) == 0
+
+
+# ---------------------------------------------------------------------------
+# F_p-rational points, and Fedder's criterion at one of them, the reference
+# for the zero set of fsing.frobenius.compute_tau's tau
+
+
+def projective_points(ring):
+    """One representative of each F_p-rational point of P^n, its first
+    nonzero coordinate 1."""
+    for k in range(ring.nvars):
+        for rest in itertools.product(range(ring.p), repeat=ring.nvars - k - 1):
+            yield (0,) * k + (1,) + rest
+
+
+def evaluate(g, point):
+    """g at a point of F_p^(n+1)."""
+    p = g.ring.p
+    total = 0
+    for m, c in g.terms.items():
+        for a, e in zip(point, m):
+            c = c * pow(a, e, p) % p
+        total += c
+    return total % p
+
+
+def _dict_mul(a, b, p):
+    out = {}
+    for m, c in a.items():
+        for n, d in b.items():
+            k = mono_mul(m, n)
+            out[k] = (out.get(k, 0) + c * d) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def non_f_pure_at(ci, point):
+    """Fedder's criterion at a point P of V(forms): dehomogenize at a
+    coordinate where P is 1, move P to the origin, and P is non-F-pure iff
+    every term of the moved f^(p-1) has an exponent of at least p, that is
+    f^(p-1) lies in the bracket power of P's maximal ideal.  Plain dict
+    arithmetic on the product of the forms, binomial by binomial."""
+    p, k, nv = ci.ring.p, point.index(1), ci.ring.nvars
+    moved = {}
+    for m, c in ci.f.terms.items():
+        # x_k -> 1, and x_j -> x_j + a_j for every other j
+        term = {(0,) * nv: c}
+        for j, (e, a) in enumerate(zip(m, point)):
+            if j != k:
+                term = _dict_mul(term, {
+                    tuple(t * (i == j) for i in range(nv)): math.comb(e, t) * pow(a, e - t, p)
+                    for t in range(e + 1)
+                }, p)
+        for b, c in term.items():
+            moved[b] = (moved.get(b, 0) + c) % p
+    power = {(0,) * nv: 1}
+    for _ in range(p - 1):
+        power = _dict_mul(power, moved, p)
+    return all(max(m) >= p for m in power)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 import dataclasses
+import time
 
 import pytest
 
 from oracles import (
     degree_index,
+    evaluate,
+    grevlex_key,
     m_bracket,
     maximal_ideal,
     monomial,
+    non_f_pure_at,
     oracle_quotient_dim,
     per_eps_root,
     poly_vector,
+    projective_points,
     random_homogeneous,
     random_ideal_gens,
     rank,
@@ -17,6 +22,7 @@ from oracles import (
 
 from cases import SQUARES_QUARTIC, diagonal_ci, hypersurface, poly, ring, squares_ci
 
+from fsing import frobenius
 from fsing.errors import RegularSequenceError, RingMismatch
 from fsing.frobenius import (
     CompleteIntersection,
@@ -25,6 +31,7 @@ from fsing.frobenius import (
     compute_tau,
     fedder_test_at_m,
     frobenius_root_principal,
+    hilbert_function,
 )
 from fsing.groebner import Ideal
 from fsing.ring import Polynomial, monomials_of_degree
@@ -264,6 +271,67 @@ def test_full_length_ci_check_matches_groebner_artinian_test(rng):
     assert 10 <= sum(verdicts) <= 50
 
 
+def coprime_lead_forms(rng, r, max_degree):
+    """2 to n+1 forms whose grevlex leads have disjoint supports: the
+    variables, shuffled, are cut into one run per form, each form's lead is
+    a random monomial on its run, and its other terms lie below the lead."""
+    variables = list(range(r.nvars))
+    rng.shuffle(variables)
+    c = rng.randint(2, r.nvars)
+    cuts = [0] + sorted(rng.sample(range(1, r.nvars), c - 1)) + [r.nvars]
+    forms = []
+    for run in (variables[a:b] for a, b in zip(cuts, cuts[1:])):
+        degree = rng.randint(1, max_degree)
+        lead = [0] * r.nvars
+        for _ in range(degree):
+            lead[rng.choice(run)] += 1
+        lead = tuple(lead)
+        terms = {m: rng.randrange(r.p) for m in monomials_of_degree(r, degree)
+                 if grevlex_key(m) < grevlex_key(lead) and rng.random() < 0.5}
+        terms[lead] = rng.randrange(1, r.p)
+        forms.append(Polynomial(r, terms))
+        assert forms[-1].leading_monomial() == lead
+    return tuple(forms)
+
+
+def test_coprime_leads_construct_without_a_rank(rng, monkeypatch):
+    # forms with pairwise coprime leads are a Groebner basis whose leads are
+    # a regular sequence of monomials, so construction ranks no degree; the
+    # dense quotient dimensions confirm the Hilbert function of a regular
+    # sequence in every degree up to d
+    def refuse(*args):
+        raise AssertionError("the regular-sequence check took a rank")
+
+    monkeypatch.setattr(frobenius, "rank", refuse)
+    for _ in range(40):
+        p = rng.choice((2, 3, 5, 7))
+        nv = rng.randint(2, 4)
+        r = ring(p, "xyzw"[:nv])
+        forms = coprime_lead_forms(rng, r, 3 if nv < 4 else 2)
+        ci = CompleteIntersection(r, forms)
+        for s in range(ci.d + 1):
+            assert oracle_quotient_dim(forms, s, r) == hilbert_function(ci.degrees, nv, s), (forms, s)
+
+
+def test_leads_that_share_a_variable_take_the_rank_check(monkeypatch):
+    r = ring(5, "xyzw")
+    real, ranked = frobenius.rank, []
+
+    def counted(rows, p):
+        ranked.append(len(rows))
+        return real(rows, p)
+
+    monkeypatch.setattr(frobenius, "rank", counted)
+    forms = (poly("x^2 + y^2 + z^2 + w^2", r), poly("x*y + z*w", r))
+    assert CompleteIntersection(r, forms).degrees == (2, 2)
+    assert len(ranked) == 5  # leads x^2 and x*y share x: degrees 0 to 4
+    with pytest.raises(
+        RegularSequenceError,
+        match=r"^not a regular sequence: quotient dimension 5 in degree 3, expected 4$",
+    ):
+        CompleteIntersection(R3, (poly("x*y", R3), poly("x*z", R3)))
+
+
 # ---------------------------------------------------------------------------
 # tau
 
@@ -368,6 +436,36 @@ def test_fedder_agrees_with_tau_being_unit():
         assert fedder_test_at_m(ci) == (compute_tau(ci).kind is TauClass.EVERYWHERE_F_PURE)
         # the exponent test against the Groebner membership test in m^[p]
         assert fedder_test_at_m(ci) == (not m_bracket(ci.ring, ci.ring.p).contains(ci.fpow))
+
+
+def test_tau_vanishes_exactly_at_the_non_f_pure_points(rng):
+    # Fedder's criterion point by point: at every F_p-rational point P of
+    # V(forms), f^(p-1) moved to P lies in the bracket power of P's maximal
+    # ideal exactly when every generator of tau vanishes at P.  Sparse draws
+    # are singular along whole lines often enough to give both answers; the
+    # draws take about a second, and the budget fails a run far slower
+    deadline = time.perf_counter() + 60
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 150:
+        assert time.perf_counter() < deadline, seen
+        p = rng.choice((2, 3, 5, 7))
+        nv = rng.randint(2, 3)
+        r = ring(p, "xyz"[:nv])
+        forms = tuple(
+            random_homogeneous(rng, r, rng.randint(2, 4 if p < 5 else 3), rng.choice((0.2, 0.6)))
+            for _ in range(rng.randint(1, nv - 1))
+        )
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        tau = compute_tau(ci).tau.generators
+        for point in projective_points(r):
+            if any(evaluate(g, point) for g in forms):
+                continue
+            bad = non_f_pure_at(ci, point)
+            assert bad == all(evaluate(g, point) == 0 for g in tau), (forms, point)
+            seen[bad] += 1
 
 
 def test_classification_three_ways():

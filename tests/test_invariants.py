@@ -1,15 +1,19 @@
 import dataclasses
 
+from collections import Counter
+
 import pytest
 
 from oracles import (
     cofactor_jacobian_minors,
+    evaluate,
     least_surviving_generator,
     m_bracket,
     m_q,
     maximal_ideal,
     monomial,
     nullspace,
+    oracle_isolated_singularity,
     oracle_m_q,
     oracle_quotient_dim,
     power_containment,
@@ -23,6 +27,7 @@ from oracles import (
 
 from cases import diagonal_ci, hypersurface, poly, report_from_json, ring, squares_ci
 
+from fsing import invariants
 from fsing.errors import InternalError, RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, TauClass, compute_tau, hilbert_function
 from fsing.groebner import Ideal, regularity_artinian
@@ -253,6 +258,26 @@ def test_find_stable_q():
         find_stable_q(I2, max_q=2)
 
 
+def test_stable_q_is_at_most_the_least_power_above_ell(rng):
+    # past ell = reg(S/I), m^[q] is zero in degree ell, so by duality the
+    # kernel at s has the dimension of (S/I)_ell, which is nonzero: the
+    # search stops at the least power of p above ell, or earlier
+    later = attained = 0
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7))
+        nv = rng.randint(2, 3)
+        r = ring(p, "xyz"[:nv])
+        I = Ideal(r, random_m_primary_gens(rng, r, rng.randint(1, 4 if nv == 2 else 3)))
+        bound = p
+        while bound <= regularity_artinian(I):
+            bound *= p
+        q, _ = find_stable_q(I)
+        assert q <= bound, (I, q, bound)
+        later += q > p
+        attained += q == bound > p
+    assert later > attained > 0
+
+
 def test_containment_iff_m_q_bound(rng):
     # for stable q: (n+1)q - M_q(I) <= n + ell exactly when m^ell lies in I
     for _ in range(6):
@@ -410,6 +435,9 @@ def test_jacobian_examples():
     )
     assert isolated_singularity_test(fermat)
     assert not isolated_singularity_test(squares_ci(3))
+    # linear forms: a constant minor makes the critical ideal the unit ideal
+    assert isolated_singularity_test(CompleteIntersection(R3, (poly("x", R3), poly("y + z", R3))))
+    assert isolated_singularity_test(hypersurface(3, "x + y"))
 
 
 def test_jacobian_codimension_two_snapshot():
@@ -442,6 +470,49 @@ def test_jacobian_minors_match_cofactor_expansion(rng):
         assert minors.generators == reference.generators
         assert minors.groebner() == reference.groebner()
         checked += 1
+
+
+def test_isolated_singularity_test_matches_the_dense_oracle(rng, monkeypatch):
+    # two families: random forms, which often lack some x_i^deg, and forms
+    # holding x_i^deg for every i, which no coordinate point satisfies; each
+    # verdict matches the dense oracle and the complete reduced basis, and
+    # the route is the one the generators call for: a coordinate point
+    # exactly when every minor and form vanishes at some e_i, else the basis
+    # stopped at pure-power leads exactly when the answer is yes
+    real, routes = invariants._buchberger, []
+
+    def spy(*args):
+        basis = real(*args)
+        routes.append("pure powers" if basis is None else "complete basis")
+        return basis
+
+    monkeypatch.setattr(invariants, "_buchberger", spy)
+    seen = Counter()
+    while len(seen) < 3 or min(seen.values()) < 25:
+        p = rng.choice((2, 3, 5, 7))
+        nv = rng.randint(2, 3)
+        r = ring(p, "xyz"[:nv])
+        forms = [random_homogeneous(rng, r, rng.randint(2, 4)) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            degree = forms[0].degree()
+            powers = [tuple(degree * (j == i) for j in range(nv)) for i in range(nv)]
+            forms[0] = Polynomial(r, forms[0].terms | {m: rng.randrange(1, p) for m in powers})
+        try:
+            ci = CompleteIntersection(r, tuple(forms))
+        except RegularSequenceError:
+            continue
+        routes.clear()
+        verdict = isolated_singularity_test(ci)
+        route = routes[0] if routes else "coordinate point"
+        gens = cofactor_jacobian_minors(ci) + list(ci.forms)
+        axes = [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
+        on_axis = any(not any(evaluate(g, e) for g in gens) for e in axes)
+        assert (route == "coordinate point") == on_axis, ci.forms
+        assert verdict == (route == "pure powers"), ci.forms
+        assert verdict == oracle_isolated_singularity(ci), ci.forms
+        critical = Ideal(r, jacobian_ideal(ci).generators + ci.forms)
+        assert verdict == (critical.is_unit() or critical.is_zero_dimensional()), ci.forms
+        seen[route] += 1
 
 
 def test_positive_dimensional_tau_is_never_an_isolated_singularity(rng):
