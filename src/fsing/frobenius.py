@@ -16,7 +16,7 @@ import functools
 import math
 
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, floordiv, mod
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
 from .groebner import Ideal, regularity_artinian
@@ -27,6 +27,7 @@ from .ring import (
     Monomial,
     Polynomial,
     RingDescriptor,
+    exact_quotient,
     is_power_of,
     monomials_of_degree,
     packing,
@@ -34,8 +35,8 @@ from .ring import (
 
 # monomials of degree d(p-1) that f^(p-1) may span: a bound, not the true
 # term count, whose cap would refuse other inputs.  At p = 101 the squares
-# quartic spans 80,601 (`analyze` 0.35 s on a 2-core machine) and
-# x^3 + x*y*z + y^2*z + z^3 + x^2*y 45,451 (2.8 s)
+# quartic spans 80,601 (`analyze` 0.24 s on a 2-core machine) and
+# x^3 + x*y*z + y^2*z + z^3 + x^2*y 45,451 (0.42 s)
 FPOW_TERM_CAP = 10**5
 
 
@@ -162,11 +163,11 @@ def frobenius_root_principal(h: Polynomial) -> Ideal:
     """
     ring = h.ring
     p = ring.p
+    ps = (p,) * ring.nvars
     groups: dict[Monomial, dict] = {}
     for m, c in h.terms.items():
-        eps = tuple(e % p for e in m)
         # (eps, floor) determines m, so no accumulation is needed
-        groups.setdefault(eps, {})[tuple(e // p for e in m)] = c
+        groups.setdefault(tuple(map(mod, m, ps)), {})[tuple(map(floordiv, m, ps))] = c
     rows = echelon(sorted(groups.values(), key=len), p)
     return Ideal(ring, tuple(Polynomial._raw(ring, r) for r in rows))
 
@@ -234,7 +235,12 @@ class CompleteIntersection:
                 f"f^(p-1) spans {size} monomials of degree {degree}, "
                 f"cap {FPOW_TERM_CAP}"
             )
-        return self.f ** (ring.p - 1)
+        # f^p is a term map of f, so f^(p-1) = f^p / f; one product (p <= 3) costs
+        # less, and a single term's power is a term map, whose f^p may pass the cap
+        f, p = self.f, ring.p
+        if p <= 3 or len(f.terms) == 1:
+            return f ** (p - 1)
+        return exact_quotient(f.frobenius_power(p), f)
 
     @property
     def c(self) -> int:

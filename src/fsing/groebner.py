@@ -21,6 +21,7 @@ from .ring import (
     Monomial,
     Polynomial,
     RingDescriptor,
+    exact_quotient,
     grevlex_desc,
     mono_divides,
     monomials_of_degree,
@@ -106,7 +107,7 @@ def _interreduce(terms_list: list, leads: list, desc, p: int) -> list:
 
 def _buchberger(inputs: list, desc, p: int, stop=None) -> list | None:
     """Reduced Groebner basis of the ideal spanned by `inputs` (term dicts);
-    None as soon as stop, when given, holds for a new element's lead."""
+    with stop, None once it holds for a new element's lead, else the basis unreduced."""
     seeds = [t for t in inputs if t]
     basis_terms: list[dict] = []
     basis_leads: list[Monomial] = []
@@ -172,7 +173,7 @@ def _buchberger(inputs: list, desc, p: int, stop=None) -> list | None:
         if h and insert(h):
             return None
 
-    return _interreduce(basis_terms, basis_leads, desc, p)
+    return basis_terms if stop else _interreduce(basis_terms, basis_leads, desc, p)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ class Ideal:
         if g.degree() == 0:
             return self
         meet = self.intersection(Ideal(self.ring, (g,)))
-        return Ideal(self.ring, tuple(_exact_divide(h, g) for h in meet.generators))
+        return Ideal(self.ring, tuple(exact_quotient(h, g) for h in meet.generators))
 
     # -- dimension-zero structure ----------------------------------------------
 
@@ -361,29 +362,3 @@ def _intersection_elimination(I: Ideal, J: Ideal) -> Ideal:
         if not any(m[0] for m in d):
             gens.append(Polynomial._raw(ring, {m[1:]: c for m, c in d.items()}))
     return Ideal(ring, tuple(gens))
-
-
-def _exact_divide(h: Polynomial, g: Polynomial) -> Polynomial:
-    """h / g for h in the principal ideal (g); division must come out exact."""
-    ring = h.ring
-    p = ring.p
-    glm = g.leading_monomial()
-    ginv = pow(g.leading_coefficient(), -1, p)
-    work = dict(h.terms)
-    get, pop = work.get, work.pop
-    quotient: dict[Monomial, int] = {}
-    while work:
-        m = min(work, key=grevlex_desc)
-        if not all(map(le, glm, m)):
-            raise ArithmeticError(f"{h} is not divisible by {g}")
-        c = (work[m] * ginv) % p
-        shift = tuple(map(sub, m, glm))
-        quotient[shift] = c
-        for bm, bc in g.terms.items():
-            mm = tuple(map(add, bm, shift))
-            nv = (get(mm, 0) - c * bc) % p
-            if nv:
-                work[mm] = nv
-            else:
-                pop(mm, None)
-    return Polynomial._raw(ring, quotient)

@@ -105,7 +105,12 @@ def thmB_threshold(ci: CompleteIntersection) -> int:
 
 
 def jacobian_ideal(ci: CompleteIntersection) -> Ideal:
-    """Ideal of c x c minors of the Jacobian matrix (df_j/dx_i).
+    """Ideal of c x c minors of the Jacobian matrix (df_j/dx_i)."""
+    return Ideal(ci.ring, _jacobian_minors(ci))
+
+
+def _jacobian_minors(ci: CompleteIntersection) -> tuple[Polynomial, ...]:
+    """The c x c minors of the Jacobian matrix, zeros included.
 
     Each k x k minor on the first k columns expands along column k into the
     (k-1) x (k-1) minors on its other rows, so all of them together take
@@ -123,7 +128,7 @@ def jacobian_ideal(ci: CompleteIntersection) -> Ideal:
                 total = total - term if (t + k) % 2 else total + term
             larger[rows] = total
         minors = larger
-    return Ideal(ring, tuple(minors.values()))
+    return tuple(minors.values())
 
 
 def isolated_singularity_test(ci: CompleteIntersection) -> bool:
@@ -138,7 +143,7 @@ def isolated_singularity_test(ci: CompleteIntersection) -> bool:
     without them answers no.
     """
     nv = ci.ring.nvars
-    gens = [g.terms for g in jacobian_ideal(ci).generators + ci.forms]
+    gens = [g.terms for g in _jacobian_minors(ci) + ci.forms]
     if len({i for g in gens for m in g for i, e in enumerate(m) if e == sum(m)}) < nv:
         return False  # some e_i, and so the line through it, lies in V(C)
     pure: set[int] = set()

@@ -5,19 +5,22 @@ Monomial orders are realized as sort keys on exponent tuples.  Everything in
 the package uses graded reverse lexicographic order with the first declared
 variable largest; `grevlex_desc` is that order's one key, largest first.
 
-Monomials are tuples wherever a caller sees them; `Polynomial.__pow__` and
-`frobenius.kernel_rows` pack each into one int (`packing`), so a product is
-one add and "all exponents below q" one mask.
+Monomials are tuples wherever a caller sees them; `Polynomial.__pow__`,
+`exact_quotient` and `frobenius.kernel_rows` pack each into one int, a whole
+byte field per exponent (`packing`), so a product is one add, "all exponents
+below q" one mask, and unpacking one `struct` call.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import struct
 
 from dataclasses import dataclass
 from operator import add, le, lshift
 
-from .errors import ParseError, ResourceLimit, RingMismatch
+from .errors import InternalError, ParseError, ResourceLimit, RingMismatch
 
 # cap on exponents, degrees and powers q, and on the characteristic p, whose
 # primality test is trial division (about 46,000 divisions at the cap)
@@ -139,19 +142,21 @@ def _compositions(total, parts, bound):
 
 def packing(nvars: int, top: int, q: int = 0):
     """(pack, unpack, offset, guard) for exponent vectors in one int, entry i
-    in field i of w = max(top, q).bit_length() + 1 bits.  While entries stay
-    at most top, pack(a) + pack(b) == pack(a + b), and the entries of k are
-    all below q iff not (k + offset) & guard: offset adds 2^(w-1) - q to
-    each field, guard holds each field's top bit."""
-    w = max(top, q).bit_length() + 1
+    in field i of w bits, the least of 8, 16, 32, 64 above max(top, q).bit_length().
+    While entries stay at most top, pack(a) + pack(b) == pack(a + b), and the
+    entries of k are all below q iff not (k + offset) & guard: offset adds
+    2^(w-1) - q to each field, guard holds each field's top bit.  Packed ints
+    compare as lex with the last variable most significant, a monomial order."""
+    w = max(8, 1 << max(top, q).bit_length().bit_length())
     shifts = range(0, w * nvars, w)
     ones = sum(1 << s for s in shifts)
+    fields = struct.Struct(f"<{nvars}{'BHIQ'[w.bit_length() - 4]}")
 
     def pack(m):
         return sum(map(lshift, m, shifts))
 
     def unpack(k):
-        return tuple(k >> s & (1 << w) - 1 for s in shifts)
+        return fields.unpack(k.to_bytes(fields.size, "little"))
 
     return pack, unpack, ((1 << (w - 1)) - q) * ones, (1 << (w - 1)) * ones
 
@@ -394,6 +399,38 @@ class Polynomial:
         return f"<{self} over {self.ring!r}>"
 
 
+def exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
+    """h / g for forms g | h on packed keys, largest remainder key first from a
+    heap (Johnson 1974; Monagan-Pearce 2011), g's lead its largest key.  A key the
+    lead does not divide borrows into a guard bit (& is two's complement): InternalError."""
+    p = h.ring.p
+    pack, unpack, _, guard = packing(h.ring.nvars, h.degree() or 0)
+    divisor = {pack(m): c for m, c in g.terms.items()}
+    lead = max(divisor)
+    inv = pow(divisor.pop(lead), -1, p)
+    rest = [(k - lead, c) for k, c in divisor.items()]
+    work = {pack(m): c for m, c in h.terms.items()}
+    heap = sorted(-k for k in work)
+    push, pop, get = heapq.heappush, heapq.heappop, work.get
+    quotient = {}
+    # a key enters the heap with work, and is final when popped: new keys are smaller
+    while heap:
+        k = -pop(heap)
+        c = work.pop(k) * inv % p
+        if not c:
+            continue
+        shift = k - lead
+        if shift & guard:
+            raise InternalError("exact division left a remainder")
+        quotient[unpack(shift)] = c
+        for d, cd in rest:
+            key = k + d
+            if (old := get(key)) is None:
+                push(heap, -key)
+            work[key] = (old or 0) - c * cd
+    return Polynomial._raw(h.ring, quotient)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 #
@@ -439,11 +476,14 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    # a value is a term (exponents, coefficient mod p; zero as self.one, 0) or,
+    # from a parenthesized sum of several terms on, a Polynomial; sums fill one dict
     def __init__(self, tokens, ring):
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
-        self.index = {name: i for i, name in enumerate(ring.variables)}
+        self.one = one = (0,) * ring.nvars
+        self.index = {v: (one[:i] + (1,) + one[i + 1 :], 1) for i, v in enumerate(ring.variables)}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -454,32 +494,40 @@ class _Parser:
         return tok
 
     def parse(self):
-        poly = self.expression()
+        terms = self.expression()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(
                 f"unexpected {value!r} at position {pos} (missing operator?)", position=pos
             )
-        return poly
+        return Polynomial._raw(self.ring, terms)
 
     def expression(self):
-        negate = False
-        if self.peek()[0] in "+-":
-            negate = self.advance()[0] == "-"
-        result = self.product()
-        if negate:
-            result = -result
-        while self.peek()[0] in "+-":
-            op = self.advance()[0]
-            term = self.product()
-            result = result - term if op == "-" else result + term
-        return result
+        p = self.ring.p
+        acc: dict[Monomial, int] = {}
+        sign = -1 if self.peek()[0] in "+-" and self.advance()[0] == "-" else 1
+        while True:
+            value = self.product()
+            for m, c in value.terms.items() if isinstance(value, Polynomial) else [value]:
+                acc[m] = acc.get(m, 0) + sign * c
+            if self.peek()[0] not in "+-":
+                return {m: c % p for m, c in acc.items() if c % p}
+            sign = -1 if self.advance()[0] == "-" else 1
 
     def product(self):
         result = self.power()
         while self.peek()[0] == "*":
             self.advance()
             factor = self.power()
+            if isinstance(result, tuple) and isinstance(factor, tuple):
+                # a zero factor zeroes the product before its degree counts
+                c = result[1] * factor[1] % self.ring.p
+                result = tuple(map(add, result[0], factor[0])) if c else self.one, c
+                if sum(result[0]) > EXPONENT_CAP:
+                    raise OverflowError("product degree exceeds the exponent cap")
+                continue
+            result, factor = (Polynomial(self.ring, [v]) if isinstance(v, tuple) else v
+                              for v in (result, factor))
             if len(result.terms) > 1 and len(factor.terms) > 1:
                 self.check_size(result.degree() + factor.degree())
             result = result * factor
@@ -503,9 +551,13 @@ class _Parser:
         self.advance()
         if value > EXPONENT_CAP:
             raise ParseError(f"exponent overflow at position {pos}", position=pos)
-        if value > 1 and len(base.terms) > 1:
-            self.check_size(base.degree() * value)
         try:
+            if isinstance(base, tuple):
+                if sum(base[0]) * value > EXPONENT_CAP:  # zero is (0, ..., 0), 0
+                    raise OverflowError
+                return tuple(e * value for e in base[0]), pow(base[1], value, self.ring.p)
+            if value > 1:
+                self.check_size(base.degree() * value)
             return base**value
         except OverflowError:
             raise ParseError(f"exponent overflow at position {pos}", position=pos) from None
@@ -513,17 +565,19 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "int":
-            return Polynomial.constant(self.ring, value)
+            return self.one, value % self.ring.p
         if kind == "name":
             if value not in self.index:
                 raise ParseError(f"unknown variable {value!r} at position {pos}", position=pos)
-            return Polynomial.variable(self.ring, self.index[value])
+            return self.index[value]
         if kind == "(":
-            inner = self.expression()
+            terms = self.expression()
             kind2, _, pos2 = self.advance()
             if kind2 != ")":
                 raise ParseError(f"expected ')' at position {pos2}", position=pos2)
-            return inner
+            if len(terms) > 1:
+                return Polynomial._raw(self.ring, terms)
+            return next(iter(terms.items()), (self.one, 0))
         if kind == "end":
             raise ParseError(f"unexpected end of input at position {pos}", position=pos)
         raise ParseError(f"unexpected {value!r} at position {pos}", position=pos)

@@ -8,7 +8,8 @@ The named ideals (`m_bracket`, `maximal_ideal`) and `power_containment` are
 the exception: test helpers built on fsing.groebner.Ideal.  So are the
 references that `src/` once used and replaced by a shorter route: the
 top-down kernel scan for M_q, cofactor expansion for Jacobian minors, binary
-powering and tuple-keyed rows.
+powering, grevlex division and tuple-keyed rows.  Expression trees are the
+parser's reference.
 """
 
 import itertools
@@ -18,7 +19,7 @@ import numpy as np
 
 from fsing.errors import InternalError
 from fsing.groebner import Ideal, regularity_artinian
-from fsing.ring import Polynomial, is_power_of, monomials_of_degree
+from fsing.ring import Polynomial, grevlex_desc, is_power_of, mono_divides, monomials_of_degree
 
 
 def monomial(ring, mono, c=1):
@@ -427,6 +428,32 @@ def pow_binary(f, e):
     return result
 
 
+def _exact_divide(h, g):
+    """h / g for h in the principal ideal (g), by grevlex division on
+    exponent tuples, the reference for fsing.ring.exact_quotient; raises
+    ArithmeticError when the division leaves a remainder."""
+    p = h.ring.p
+    glm = g.leading_monomial()
+    ginv = pow(g.leading_coefficient(), -1, p)
+    work = dict(h.terms)
+    quotient = {}
+    while work:
+        m = min(work, key=grevlex_desc)
+        if not mono_divides(glm, m):
+            raise ArithmeticError(f"{h} is not divisible by {g}")
+        c = (work[m] * ginv) % p
+        shift = mono_quotient(m, glm)
+        quotient[shift] = c
+        for bm, bc in g.terms.items():
+            mm = mono_mul(bm, shift)
+            nv = (work.get(mm, 0) - c * bc) % p
+            if nv:
+                work[mm] = nv
+            else:
+                work.pop(mm, None)
+    return Polynomial(h.ring, quotient)
+
+
 def tuple_map_rows(g, scale, coords, q):
     """h -> g*h^scale modulo m^[scale*q] on the span of coords, the reference
     for one map of fsing.frobenius.kernel_rows: image monomials as tuples,
@@ -508,3 +535,103 @@ def random_m_primary_gens(rng, ring, max_degree):
     for _ in range(rng.randint(0, 2)):
         gens.append(random_homogeneous(rng, ring, rng.randint(1, max_degree)))
     return tuple(gens)
+
+
+# ---------------------------------------------------------------------------
+# expression trees over the polynomial grammar, the reference for the parser:
+# ("sum", [(sign, product), ...]) with sign "", "+" or "-" (only the first
+# may be ""), ("prod", [power, ...]), ("pow", atom, exponent or None), and
+# atoms ("int", n), ("var", name) and ("paren", sum)
+
+
+def random_expression(rng, ring, depth=3, max_degree=12):
+    """A random tree whose degree bound stays at most max_degree; constants
+    include 0, p, multiples of p and values past p, and exponents include 0."""
+    p = ring.p
+
+    def sum_(d):
+        signs = [rng.choice(("", "+", "-"))] + [rng.choice("+-") for _ in range(rng.randint(0, 2))]
+        return ("sum", [(sign, ("prod", [power(d) for _ in range(rng.randint(1, 3))])) for sign in signs])
+
+    def power(d):
+        return ("pow", atom(d), rng.choice((None, None, 0, 1, 2, 3)))
+
+    def atom(d):
+        r = rng.random()
+        if d and r < 0.3:
+            return ("paren", sum_(d - 1))
+        if r < 0.55:
+            return ("int", rng.choice((0, 1, p - 1, p, 3 * p, p + 2, rng.randrange(10**6))))
+        return ("var", rng.choice(ring.variables))
+
+    while True:
+        tree = sum_(depth)
+        if degree_bound(tree) <= max_degree:
+            return tree
+
+
+def subexpressions(node):
+    """The tree's nodes, node first."""
+    yield node
+    kind = node[0]
+    if kind == "sum":
+        children = [product for _, product in node[1]]
+    elif kind == "prod":
+        children = node[1]
+    else:
+        children = [node[1]] if kind in ("pow", "paren") else []
+    for child in children:
+        yield from subexpressions(child)
+
+
+def degree_bound(node):
+    kind = node[0]
+    if kind == "sum":
+        return max(degree_bound(product) for _, product in node[1])
+    if kind == "prod":
+        return sum(map(degree_bound, node[1]))
+    if kind == "pow":
+        return degree_bound(node[1]) * (1 if node[2] is None else node[2])
+    if kind == "paren":
+        return degree_bound(node[1])
+    return 1 if kind == "var" else 0
+
+
+def render_expression(node):
+    kind = node[0]
+    if kind == "sum":
+        head, *rest = node[1]
+        return head[0] + render_expression(head[1]) + "".join(
+            f" {sign} {render_expression(product)}" for sign, product in rest
+        )
+    if kind == "prod":
+        return "*".join(map(render_expression, node[1]))
+    if kind == "pow":
+        return render_expression(node[1]) + ("" if node[2] is None else f"^{node[2]}")
+    if kind == "paren":
+        return f"({render_expression(node[1])})"
+    return str(node[1])
+
+
+def evaluate_expression(node, ring):
+    """The tree's value by Polynomial's +, - and * alone."""
+    kind = node[0]
+    if kind == "sum":
+        total = Polynomial.zero(ring)
+        for sign, product in node[1]:
+            value = evaluate_expression(product, ring)
+            total = total - value if sign == "-" else total + value
+        return total
+    if kind == "prod":
+        result = Polynomial.constant(ring, 1)
+        for factor in node[1]:
+            result = result * evaluate_expression(factor, ring)
+        return result
+    if kind == "pow":
+        base = evaluate_expression(node[1], ring)
+        return base if node[2] is None else pow_binary(base, node[2])
+    if kind == "paren":
+        return evaluate_expression(node[1], ring)
+    if kind == "int":
+        return Polynomial.constant(ring, node[1])
+    return Polynomial.variable(ring, ring.variables.index(node[1]))

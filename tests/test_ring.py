@@ -7,20 +7,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    _exact_divide,
+    evaluate_expression,
     mono_gcd,
     mono_lcm,
     mono_mul,
     mono_quotient,
     monomial,
     pow_binary,
+    random_expression,
     random_homogeneous,
+    render_expression,
+    subexpressions,
 )
 
-from fsing.errors import ParseError, RingMismatch
+from fsing.errors import InternalError, ParseError, ResourceLimit, RingMismatch
 from fsing.ring import (
     EXPONENT_CAP,
     Polynomial,
     RingDescriptor,
+    exact_quotient,
     grevlex_desc,
     is_power_of,
     is_prime,
@@ -111,6 +117,65 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("x + qq", R3)
     assert err.value.position == 4
+
+
+def test_parse_matches_tree_evaluation(rng):
+    # random trees rendered to text against their value by Polynomial
+    # arithmetic; the draws must reach each corner of the grammar
+    seen = dict.fromkeys(("nested parentheses", "^0", "leading minus", "constant >= p", "constant 0 mod p"), 0)
+    for p in (2, 3, 5, 7, 101):
+        ring = RingDescriptor(p, ("x", "y", "z"))
+        for _ in range(60):
+            tree = random_expression(rng, ring)
+            text = render_expression(tree)
+            assert parse_polynomial(text, ring) == evaluate_expression(tree, ring), text
+            nodes = list(subexpressions(tree))
+            constants = [node[1] for node in nodes if node[0] == "int"]
+            parens = [node for node in nodes if node[0] == "paren"]
+            seen["nested parentheses"] += any(len([n for n in subexpressions(n) if n[0] == "paren"]) > 1 for n in parens)
+            seen["^0"] += any(node[0] == "pow" and node[2] == 0 for node in nodes)
+            seen["leading minus"] += any(node[0] == "sum" and node[1][0][0] == "-" for node in nodes)
+            seen["constant >= p"] += any(c >= p for c in constants)
+            seen["constant 0 mod p"] += any(c % p == 0 for c in constants)
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "text, error, message, position",
+    [
+        ("(x^2000000000)^2", ParseError, "exponent overflow at position 15", 15),
+        ("(y*x^1073741824)^2", ParseError, "exponent overflow at position 17", 17),
+        ("x^2147483648", ParseError, "exponent overflow at position 2", 2),
+        # a product's degree passes the cap left to right, whatever follows
+        ("x^2000000000*x^2000000000", ParseError, "exponent overflow", None),
+        ("x^2000000000*x^2000000000*0", ParseError, "exponent overflow", None),
+        ("x^2000000000*(y+z)*x^2000000000", ParseError, "exponent overflow", None),
+        ("x*y + q", ParseError, "unknown variable 'q' at position 6", 6),
+        ("(x+y+z)^400", ResourceLimit, "a product of degree 400 spans 10827401 monomials, cap 1000000", None),
+        ("(x+y+z)^200*(x+y+z)^200", ResourceLimit,
+         "a product of degree 200 spans 1373701 monomials, cap 1000000", None),
+    ],
+)
+def test_parse_error_corpus(text, error, message, position):
+    with pytest.raises(error) as err:
+        parse_polynomial(text, R3)
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        # a zero factor zeroes the product before any degree counts
+        ("0*x^2000000000*x^2000000000", "0"),
+        ("0^2147483647 + (x-x)^2147483647", "0"),
+        ("2^2147483647*x", "2*x"),
+        ("(x+y)^0*z", "z"),
+        ("-(x+y+z)^2", "2*x^2 + x*y + 2*y^2 + x*z + y*z + 2*z^2"),
+    ],
+)
+def test_parse_corner_values(text, value):
+    assert str(parse_polynomial(text, R3)) == value
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +345,78 @@ def test_packed_guard_on_wide_fields(data):
     pack, _, offset, guard = packing(nvars, top, q)
     m = data.draw(st.lists(st.integers(0, top), min_size=nvars, max_size=nvars))
     assert (not (pack(m) + offset) & guard) == (max(m) < q)
+
+
+@pytest.mark.parametrize("top", [127, 128, 32767, 32768, 2**31 - 1])
+def test_packing_round_trip_at_field_boundaries(top, rng):
+    # each top sits at the edge of an 8, 16 or 32-bit field; entries at most
+    # top leave every guard bit clear, and the guard reads "below q" at q = top
+    # and q = top + 1
+    for nvars in (1, 2, 3, 4):
+        pack, unpack, _, guard = packing(nvars, top)
+        vectors = [(0,) * nvars, (top,) * nvars]
+        vectors += [tuple(rng.randint(0, top) for _ in range(nvars)) for _ in range(30)]
+        for q in (top, top + 1):
+            qpack, _, offset, qguard = packing(nvars, top, q)
+            for m in vectors + [(q - 1,) * nvars]:
+                assert (not (qpack(m) + offset) & qguard) == (max(m) < q), (m, q)
+        for a in vectors:
+            assert not pack(a) & guard
+            assert unpack(pack(a)) == a
+            b = tuple(rng.randint(0, top - e) for e in a)
+            total = tuple(map(sum, zip(a, b)))
+            assert pack(a) + pack(b) == pack(total)
+            assert unpack(pack(a) + pack(b)) == total
+        # packed ints compare as lex with the last variable most significant
+        assert sorted(vectors, key=pack) == sorted(vectors, key=lambda m: m[::-1])
+
+
+def _division_forms(rng, ring):
+    # sparse and dense forms of small degree, and a binomial
+    forms = [random_homogeneous(rng, ring, rng.randint(1, 3), density) for density in (0.3, 1.0)]
+    if ring.nvars > 1:
+        forms.append(parse_polynomial(f"x^2 + {ring.p - 1}*{ring.variables[-1]}^2", ring))
+    return forms
+
+
+def test_exact_quotient_is_the_power_and_the_tuple_division(rng):
+    # f^(p-1) three ways: f^p / f on packed keys, Polynomial.__pow__, and
+    # grevlex division on tuples; and a product of two forms divides back
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        for nvars in (1, 2, 3, 4):
+            ring = RingDescriptor(p, ("x", "y", "z", "w")[:nvars])
+            forms = _division_forms(rng, ring)
+            for f in forms:
+                # f^(p-1) has at most the monomials of its degree, and at most
+                # the compositions of p - 1 into one part per term of f
+                dense = math.comb(f.degree() * (p - 1) + nvars - 1, nvars - 1)
+                if min(dense, math.comb(p - 2 + len(f.terms), len(f.terms) - 1)) <= 800:
+                    fp = f.frobenius_power(p)
+                    assert exact_quotient(fp, f) == f ** (p - 1) == _exact_divide(fp, f), (f, p)
+                    checked += 1
+            for g, h in itertools.combinations(forms, 2):
+                assert exact_quotient(g * h, h) == g == _exact_divide(g * h, h)
+                assert exact_quotient(g * h, g) == h
+    assert checked >= 60
+
+
+def test_exact_quotient_refuses_a_remainder(rng):
+    # a monomial that the lead of g does not divide, alone or added to a
+    # multiple of g; y / x leaves a field below 0 that borrows into a guard
+    # bit, x / y one that makes the key negative
+    x, y = Polynomial.variable(R3, 0), Polynomial.variable(R3, 1)
+    for h, g in ((x, y), (y, x), (y * y, x * y + x * x), (x * x * y, x * x * y + y * y * y)):
+        with pytest.raises(InternalError):
+            exact_quotient(h, g)
+    for p in (2, 3, 5, 101):
+        ring = RingDescriptor(p, ("x", "y", "z"))
+        for _ in range(20):
+            g, h = (random_homogeneous(rng, ring, rng.randint(1, 3)) for _ in range(2))
+            m = monomial(ring, rng.choice(monomials_of_degree(ring, g.degree() + h.degree())))
+            if len(h.terms) > 1:  # then h divides no monomial
+                with pytest.raises(InternalError):
+                    exact_quotient(g * h + m, h)
 
 
 def test_integer_coercion():
