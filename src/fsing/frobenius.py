@@ -16,7 +16,7 @@ import functools
 import math
 
 from dataclasses import dataclass, field
-from operator import add, floordiv, mod
+from operator import floordiv, mod
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
 from .groebner import Ideal, regularity_artinian
@@ -29,7 +29,6 @@ from .ring import (
     RingDescriptor,
     exact_quotient,
     is_power_of,
-    monomials_of_degree,
     packing,
 )
 
@@ -52,7 +51,9 @@ def kernel_rows(maps, nvars: int, s: int, q: int, max_images: int | None = None)
     lists, ascending, the positions in monomials_of_degree(ring, s, below=q)
     of the coordinates that no unit row kills; rows holds each map's other
     rows in turn, on alive's indices, none empty.  The kernel of the maps
-    together has dimension len(alive) - rank(rows).
+    together has dimension len(alive) - rank(rows).  q is any positive
+    integer: beside localcoh and stabilization_check, the third caller,
+    _check_regular_sequence, takes one above a quotient degree.
 
     A unit row, an image monomial one coordinate alone reaches, forces that
     coordinate to 0 in every kernel vector: its column is struck from every
@@ -206,13 +207,11 @@ class CompleteIntersection:
             raise RegularSequenceError(
                 f"need between 1 and {nv} forms, got {len(forms)}"
             )
-        for g in forms:
+        for j, g in enumerate(forms, 1):
             if g.ring != self.ring:
                 raise RingMismatch(f"{g.ring} vs {self.ring}")
             if not g or not g.is_homogeneous() or g.degree() < 1:
-                raise RegularSequenceError(
-                    f"form {g} is not homogeneous of positive degree"
-                )
+                raise RegularSequenceError(f"form {j} ({g}) is not homogeneous of positive degree")
         degrees = tuple(g.degree() for g in forms)
         _check_regular_sequence(self.ring, forms, degrees)
         product = forms[0]
@@ -281,15 +280,14 @@ def _check_regular_sequence(ring, forms, degrees):
     leads = [g.leading_monomial() for g in forms]
     if not any(any(map(min, a, b)) for k, a in enumerate(leads) for b in leads[:k]):
         return
-    # otherwise quotient dimensions degree by degree; when c = n+1, agreement
-    # up to degree d forces degree d to be zero: an Artinian quotient
+    # otherwise quotient dimensions up to degree d: m^[s+1] is zero in degree
+    # s, so by the duality of stabilization_check's docstring (S/J)_s has the
+    # dimension of the forms' annihilator modulo m^[s+1] in degree (nv-1)s,
+    # for any J.  Argued for c = n+1: agreement up to d forces an Artinian
+    # quotient; c < n+1 is not argued, a test against Krull dimension guards it
     for s in range(top + 1):
-        rows = []
-        for g, dg in zip(forms, degrees):
-            terms = g.terms.items()
-            for mu in monomials_of_degree(ring, s - dg):
-                rows.append({tuple(map(add, m, mu)): c for m, c in terms})
-        dim = hilbert_function((), nv, s) - rank(rows, ring.p)
+        alive, rows = kernel_rows([(g, 1) for g in forms], nv, (nv - 1) * s, s + 1)
+        dim = len(alive) - rank(rows, ring.p)
         expected = hilbert_function(degrees, nv, s)
         if dim != expected:
             raise RegularSequenceError(

@@ -5,10 +5,10 @@ Monomial orders are realized as sort keys on exponent tuples.  Everything in
 the package uses graded reverse lexicographic order with the first declared
 variable largest; `grevlex_desc` is that order's one key, largest first.
 
-Monomials are tuples wherever a caller sees them; `Polynomial.__pow__`,
-`exact_quotient` and `frobenius.kernel_rows` pack each into one int, a whole
-byte field per exponent (`packing`), so a product is one add, "all exponents
-below q" one mask, and unpacking one `struct` call.
+Monomials are tuples wherever a caller sees them; `exact_quotient` and
+`frobenius.kernel_rows` pack each into one int, a whole byte field per
+exponent (`packing`), so a product is one add, "all exponents below q" one
+mask, and unpacking one `struct` call.
 """
 
 from __future__ import annotations
@@ -159,17 +159,6 @@ def packing(nvars: int, top: int, q: int = 0):
         return fields.unpack(k.to_bytes(fields.size, "little"))
 
     return pack, unpack, ((1 << (w - 1)) - q) * ones, (1 << (w - 1)) * ones
-
-
-def _packed_mul(a: dict, b: dict, p: int) -> dict:
-    # product of {packed monomial: coefficient} dicts, reduced mod p
-    acc: dict[int, int] = {}
-    get = acc.get
-    for kb, cb in b.items():
-        for ka, ca in a.items():
-            k = ka + kb
-            acc[k] = get(k, 0) + ca * cb
-    return {k: v % p for k, v in acc.items() if v % p}
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +346,9 @@ class Polynomial:
             k *= p
         # then multiply by the r-term base, r*T per step for T result terms,
         # where binary powering's last squaring of two halves costs T^2/4
-        pack, unpack, _, _ = packing(self.ring.nvars, self.degree() * rest)
-        base = acc = {pack(m): c for m, c in self.terms.items()}
+        power = self
         for _ in range(rest - 1):
-            acc = _packed_mul(acc, base, p)
-        power = Polynomial._raw(self.ring, {unpack(m): c for m, c in acc.items()})
+            power = self * power
         return power.frobenius_power(k) if k > 1 else power
 
     def partial_derivative(self, index: int) -> "Polynomial":

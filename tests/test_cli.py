@@ -204,6 +204,16 @@ def test_analyze_bad_regular_sequence_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("not a complete intersection:")
 
 
+@pytest.mark.parametrize("gens, named", [("x^2, 1", "form 2 (1)"), ("0, x", "form 1 (0)")])
+def test_bad_form_refusal_names_its_position_and_the_form(tmp_path, capsys, gens, named):
+    # positions count from 1, as make_class's do; the form follows in parentheses
+    path = write(tmp_path, "bad_form.ci", f"p = 5\nvars = x, y\ngens = {gens}\n")
+    assert main(["analyze", path]) == 3
+    assert capsys.readouterr().err == (
+        f"not a complete intersection: {named} is not homogeneous of positive degree\n"
+    )
+
+
 def test_analyze_parse_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.ci", "p = 3\nvars = x, y\ngens = x^2 + w\n")
     assert main(["analyze", path]) == 2

@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import itertools
+import re
 import time
 
 import pytest
@@ -330,6 +333,75 @@ def test_leads_that_share_a_variable_take_the_rank_check(monkeypatch):
         match=r"^not a regular sequence: quotient dimension 5 in degree 3, expected 4$",
     ):
         CompleteIntersection(R3, (poly("x*y", R3), poly("x*z", R3)))
+
+
+def krull_dimension(forms, r):
+    # dim S/J = dim S/in(J): the most variables no lead is supported on alone
+    supports = [{i for i, e in enumerate(m) if e} for m in Ideal(r, forms).leading_monomials()]
+    return max(len(free) for k in range(r.nvars + 1)
+               for free in map(set, itertools.combinations(range(r.nvars), k))
+               if not any(support <= free for support in supports))
+
+
+def non_regular_draw(rng, r, c, family):
+    # both families lie in an ideal of height below c
+    if family == "linear":
+        # every form passes through the common linear space of k < c linear forms
+        linear = [random_homogeneous(rng, r, 1) for _ in range(rng.randint(1, c - 1))]
+        cofactor_degrees = [rng.randint(0, 2) for _ in range(c)]
+        return tuple(sum((l * random_homogeneous(rng, r, e) for l in linear), Polynomial.zero(r))
+                     for e in cofactor_degrees)
+    # forms in the first m < c variables, each times a random factor
+    m = rng.randint(1, c - 1)
+    pad = (0,) * (r.nvars - m)
+    small = (random_homogeneous(rng, ring(r.p, r.variables[:m]), rng.randint(1, 2)) for _ in range(c))
+    return tuple(Polynomial(r, {e + pad: a for e, a in g.terms.items()})
+                 * random_homogeneous(rng, r, rng.randint(0, 1)) for g in small)
+
+
+def test_regular_sequence_check_matches_krull_dimension(rng, monkeypatch):
+    # the check compares Hilbert functions up to degree d = sum d_j; its
+    # comment argues the bound for c = n+1, and these draws, most with
+    # c < n+1, guard it there: refused exactly when dim S/J > nv - c, at the
+    # first degree where the dense quotient dimension leaves the complete
+    # intersection's Hilbert function
+    real, ranked = frobenius.rank, []
+    monkeypatch.setattr(frobenius, "rank", lambda rows, p: ranked.append(1) or real(rows, p))
+    message = re.compile(r"^not a regular sequence: quotient dimension (\d+) in degree (\d+), expected (\d+)$")
+    verdicts = collections.Counter()
+    for draw in range(330):
+        r = ring(rng.choice((2, 3, 5, 7)), "xyzw"[:rng.randint(3, 4)])
+        c = rng.randint(2, r.nvars)
+        family = ("random", "linear", "factor")[draw % 3]
+        while True:
+            if family == "random":
+                forms = tuple(random_homogeneous(rng, r, rng.randint(1, 3 if r.nvars < 4 else 2))
+                              for _ in range(c))
+            else:
+                forms = non_regular_draw(rng, r, c, family)
+            leads = [g.leading_monomial() for g in forms if g]
+            if len(leads) == c and any(any(map(min, a, b)) for k, a in enumerate(leads) for b in leads[:k]):
+                break
+        ranked.clear()
+        degrees = tuple(g.degree() for g in forms)
+        regular = krull_dimension(forms, r) == r.nvars - c
+        try:
+            CompleteIntersection(r, forms)
+        except RegularSequenceError as e:
+            dim, s, expected = map(int, message.match(str(e)).groups())
+            first = next(t for t in range(sum(degrees) + 1)
+                         if oracle_quotient_dim(forms, t, r) != hilbert_function(degrees, r.nvars, t))
+            assert (s, dim, expected) == (first, oracle_quotient_dim(forms, first, r),
+                                          hilbert_function(degrees, r.nvars, first)), forms
+            accepted = False
+        else:
+            accepted = True
+        assert ranked, forms  # the rank route ran
+        assert accepted == regular, (forms, family)
+        verdicts[family, accepted, c < r.nvars] += 1
+    # c < n+1 draws are accepted and refused, and only the random family is accepted
+    assert all(verdicts[family, family == "random", True] for family in ("random", "linear", "factor"))
+    assert {family for family, accepted, _ in verdicts if accepted} == {"random"}
 
 
 # ---------------------------------------------------------------------------

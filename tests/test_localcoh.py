@@ -712,6 +712,46 @@ def test_theorem_a_on_generated_cis(rng, p):
     assert any(ells)
 
 
+def test_theorems_a_and_b_over_every_degree(rng):
+    # Theorem A: Frobenius is injective in every degree from the corollary
+    # bound -(n+1-c)d up to below a(R) - reg(S/tau), with a kernel at it.
+    # Theorem B: for an isolated singularity with p >= (n+1-c)(d-c), it is
+    # injective in every negative degree from the corollary bound on (below
+    # it Theorem A's sweep applies).  Each kernel is a dense rank of the
+    # tuple-built rows, A stacked on Phi, not kernel_rows'; the draws are
+    # trimmed so that no piece has more than a few hundred coordinates
+    def frobenius_kernel(ci, t):
+        q, coords = piece_coords(ci, t)
+        n = len(coords)
+        rows = tuple_annihilation_rows(ci.forms, coords, q) + tuple_frobenius_rows(ci, coords, q)
+        return n - dense_rank(rows, n, ci.ring.p)
+
+    swept = {"thmA": [], "thmB": []}
+    while min(map(len, swept.values())) < 16:
+        # f^(p-1) and Phi grow with p, d and the variables: in 4, p <= 3 and quadrics
+        nv = rng.randint(2, 4)
+        r = ring(rng.choice((2, 3, 5, 7, 11) if nv < 4 else (2, 3)), "xyzw"[:nv])
+        forms = tuple(random_homogeneous(rng, r, rng.randint(2, 4 if nv < 4 else 2), density=0.5)
+                      for _ in range(rng.randint(1, 2)))
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        report = analyze(ci)
+        if report.thmA_bound is not None and len(swept["thmA"]) < 16:
+            for t in range(report.cor_bound, report.thmA_bound + 1):
+                kernel = frobenius_kernel(ci, t)
+                assert kernel >= 1 if t == report.thmA_bound else kernel == 0, (forms, t)
+            swept["thmA"].append(report.ell)
+        if report.isolated_singularity and r.p >= report.thmB_threshold and len(swept["thmB"]) < 16:
+            for t in range(report.cor_bound, 0):
+                assert frobenius_kernel(ci, t) == 0, (forms, t)
+            swept["thmB"].append(report.fpure_at_m)
+    # tau other than m puts the Theorem A bound below a(R), and Theorem B is
+    # tested where R is not F-pure, so that Frobenius has a kernel somewhere
+    assert any(swept["thmA"]) and not all(swept["thmB"])
+
+
 def report_consistency(ci, report, rows):
     """The reference rule, read off analyze's full report: thmA at
     report.thmA_bound, thmB when the report says isolated and p clears
