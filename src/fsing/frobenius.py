@@ -20,7 +20,7 @@ from operator import floordiv, mod
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
 from .groebner import Ideal, regularity_artinian
-from .linalg import echelon, rank
+from .linalg import echelon, nullspace, rank
 from .ring import (
     EXPONENT_CAP,
     REGULAR_CHECK_CAP,
@@ -29,6 +29,7 @@ from .ring import (
     RingDescriptor,
     exact_quotient,
     is_power_of,
+    monomials_of_degree,
     packing,
 )
 
@@ -52,8 +53,7 @@ def kernel_rows(maps, nvars: int, s: int, q: int, max_images: int | None = None)
     of the coordinates that no unit row kills; rows holds each map's other
     rows in turn, on alive's indices, none empty.  The kernel of the maps
     together has dimension len(alive) - rank(rows).  q is any positive
-    integer: beside localcoh and stabilization_check, the third caller,
-    _check_regular_sequence, takes one above a quotient degree.
+    integer: _check_regular_sequence takes one above a quotient degree.
 
     A unit row, an image monomial one coordinate alone reaches, forces that
     coordinate to 0 in every kernel vector: its column is struck from every
@@ -136,6 +136,19 @@ def kernel_rows(maps, nvars: int, s: int, q: int, max_images: int | None = None)
                 else:
                     rows[key] = {col: c}
     return alive, [row for rows in tables for row in rows.values()]
+
+
+def colon_piece(gens, ring: RingDescriptor, s: int, q: int) -> list[Polynomial]:
+    """The degree-s piece of (m^[q] : (gens)) modulo m^[q] as its reduced
+    basis, monic forms with leads ascending: on ascending columns (reversed
+    monomials_of_degree), each nullspace vector's largest column is its own
+    free column, where every other vector is 0."""
+    alive, rows = kernel_rows([(g, 1) for g in gens], ring.nvars, s, q)
+    last = len(alive) - 1
+    kernel = nullspace([{last - col: c for col, c in row.items()} for row in rows], last + 1, ring.p)
+    coords = monomials_of_degree(ring, s, below=q)
+    columns = [coords[i] for i in reversed(alive)]
+    return [Polynomial._raw(ring, {m: c for m, c in zip(columns, v) if c}) for v in kernel]
 
 
 def bracket_power(I: Ideal, q: int) -> Ideal:
@@ -283,8 +296,8 @@ def _check_regular_sequence(ring, forms, degrees):
     # otherwise quotient dimensions up to degree d: m^[s+1] is zero in degree
     # s, so by the duality of stabilization_check's docstring (S/J)_s has the
     # dimension of the forms' annihilator modulo m^[s+1] in degree (nv-1)s,
-    # for any J.  Argued for c = n+1: agreement up to d forces an Artinian
-    # quotient; c < n+1 is not argued, a test against Krull dimension guards it
+    # for any J.  Only c = n+1 expects 0, at d - n, and then S/J, generated in
+    # degree 0, is Artinian; c < n+1 is not argued, a Krull-dimension test guards it
     for s in range(top + 1):
         alive, rows = kernel_rows([(g, 1) for g in forms], nv, (nv - 1) * s, s + 1)
         dim = len(alive) - rank(rows, ring.p)
@@ -294,6 +307,8 @@ def _check_regular_sequence(ring, forms, degrees):
                 f"not a regular sequence: quotient dimension {dim} in degree {s}, "
                 f"expected {expected}"
             )
+        if not expected:
+            return
 
 
 @dataclass(frozen=True)
@@ -314,8 +329,8 @@ class TauResult:
 def compute_tau(ci: CompleteIntersection) -> TauResult:
     """The smallest ideal containing the forms whose p-th bracket power
     contains f^(p-1): the defining forms plus the Frobenius root of f^(p-1).
-    Three self-checks follow: tau contains the forms, tau^[p] contains
-    f^(p-1), and Fedder's test agrees with tau being the unit ideal.
+    Three self-checks follow: for proper tau, tau contains the forms and
+    tau^[p] contains f^(p-1); Fedder's test agrees with tau being the unit ideal.
     """
     fpow = ci.fpow
     root = frobenius_root_principal(fpow)
@@ -328,14 +343,15 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
         ell = regularity_artinian(tau)
     else:
         kind = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
-    # re-check the two defining conditions on the constructed ideal
-    if not all(tau.contains(g) for g in ci.forms):
+    # re-check the defining conditions on proper tau; the unit ideal meets both
+    unit = kind is TauClass.EVERYWHERE_F_PURE
+    if not unit and not all(tau.contains(g) for g in ci.forms):
         raise InternalError("tau misses a defining form")
-    if not bracket_power(tau, ci.ring.p).contains(fpow):
+    if not unit and not bracket_power(tau, ci.ring.p).contains(fpow):
         raise InternalError("tau^[p] misses f^(p-1)")
     # Fedder's test and the unit-tau verdict are independent computations
     # of the same fact
-    if fedder_test_at_m(ci) != (kind is TauClass.EVERYWHERE_F_PURE):
+    if fedder_test_at_m(ci) != unit:
         raise InternalError("Fedder's test and the unit-tau verdict disagree")
     return TauResult(tau=tau, kind=kind, ell=ell)
 

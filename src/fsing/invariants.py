@@ -19,12 +19,11 @@ from .frobenius import (
     CompleteIntersection,
     TauClass,
     TauResult,
+    colon_piece,
     compute_tau,
-    kernel_rows,
 )
 from .groebner import Ideal, _buchberger, regularity_artinian
-from .linalg import nullspace
-from .ring import Monomial, Polynomial, grevlex_desc, is_power_of, monomials_of_degree
+from .ring import Monomial, Polynomial, grevlex_desc, is_power_of
 
 DEFAULT_MAX_Q_EXPONENT = 6
 
@@ -40,23 +39,16 @@ def stabilization_check(I: Ideal, q: int) -> Polynomial | None:
     Matlis duality its dimension is that of (A/IA) in degree (n+1)(q-1) - t,
     a quotient of S/I there.  Below s = (n+1)(q-1) - reg(S/I) that degree
     passes reg(S/I), where S/I is zero, so the kernel is zero: M_q(I) >= s
-    always, with equality iff the kernel at s is nonzero.  On
-    ascending coordinates the last nullspace vector is the reduced-basis
-    element with the largest lead, the one the basis lists first.
+    always, with equality iff the kernel at s is nonzero.  colon_piece
+    lists the kernel's reduced basis with leads ascending, so the
+    certificate, its last form, is the element with the largest lead.
     """
     ring = I.ring
     if not is_power_of(q, ring.p):
         raise ValueError(f"{q} is not a power of {ring.p}")
     s = ring.nvars * (q - 1) - regularity_artinian(I)
-    alive, rows = kernel_rows([(g, 1) for g in I.generators], ring.nvars, s, q)
-    last = len(alive) - 1
-    # ascending coordinates: monomials_of_degree lists the largest first
-    rows = [{last - col: c for col, c in row.items()} for row in rows]
-    kernel = nullspace(rows, len(alive), ring.p)
-    if not kernel:
-        return None
-    coords = monomials_of_degree(ring, s, below=q)
-    return Polynomial._raw(ring, {coords[i]: c for i, c in zip(reversed(alive), kernel[-1]) if c})
+    piece = colon_piece(I.generators, ring, s, q)
+    return piece[-1] if piece else None
 
 
 def find_stable_q(I: Ideal, max_q: int | None = None) -> tuple[int, Polynomial]:

@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .errors import InternalError, ResourceLimit
-from .frobenius import CompleteIntersection, TauResult, hilbert_function, in_m_bracket, kernel_rows
+from .frobenius import (
+    CompleteIntersection, TauResult, colon_piece, hilbert_function, in_m_bracket, kernel_rows,
+)
 from .invariants import a_invariant, find_stable_q
-from .linalg import nullspace, rank
+from .linalg import rank
 from .ring import EXPONENT_CAP, Monomial, Polynomial, is_power_of, monomials_of_degree
 
 DEFAULT_MAX_COLUMNS = 20000
@@ -78,10 +80,14 @@ def frobenius_action(alpha: CohClass) -> CohClass:
     p = ci.ring.p
     if alpha.q * p > EXPONENT_CAP:
         raise OverflowError("denominator exponent exceeds the cap")
-    image = make_class(ci.fpow * alpha.numerator**p, alpha.q * p, ci)
-    if image.degree != p * alpha.degree:
+    # make_class's checks hold for the image of a valid class: S is a domain,
+    # so the product is nonzero and homogeneous, and f_j*f^(p-1)*g^p is a
+    # multiple of (f_j*g)^p, which lies in m^[pq]
+    numerator = ci.fpow * alpha.numerator**p
+    degree = numerator.degree() - ci.ring.nvars * alpha.q * p + ci.d
+    if degree != p * alpha.degree:
         raise InternalError("Frobenius did not multiply the degree by p")
-    return image
+    return CohClass(numerator=numerator, q=alpha.q * p, ci=ci, degree=degree)
 
 
 def kernel_witness(
@@ -113,28 +119,18 @@ class GradedPieceBasis:
     """Basis of the degree-t piece of the top local cohomology.
 
     Coordinates are the degree-s monomials with all exponents below q, where
-    s = t - d + (n+1)q; vectors span the solutions of the annihilation
-    constraints in those coordinates.
+    s = t - d + (n+1)q; the classes are [g/x^q] for g over the reduced basis
+    of (m^[q] : J)_s modulo m^[q], leads ascending, each checked by make_class.
     """
 
     degree: int
     q: int
     coordinates: tuple[Monomial, ...]
-    vectors: tuple[tuple[int, ...], ...]
-    ci: CompleteIntersection
+    classes: tuple[CohClass, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
-
-    def polynomial(self, vector) -> Polynomial:
-        ring = self.ci.ring
-        return Polynomial._raw(
-            ring, {m: c for m, c in zip(self.coordinates, vector) if c}
-        )
-
-    def class_for(self, vector) -> CohClass:
-        return make_class(self.polynomial(vector), self.q, self.ci)
+        return len(self.classes)
 
 
 def _admissible(q: int, t: int, ci: CompleteIntersection) -> bool:
@@ -170,10 +166,7 @@ def _piece(ci: CompleteIntersection, t: int, q: int | None, max_cols: int):
 
 
 def graded_piece_basis(
-    ci: CompleteIntersection,
-    t: int,
-    q: int | None = None,
-    max_cols: int = DEFAULT_MAX_COLUMNS,
+    ci: CompleteIntersection, t: int, q: int | None = None, max_cols: int = DEFAULT_MAX_COLUMNS
 ) -> GradedPieceBasis:
     """Solve the annihilation constraints for internal degree t.
 
@@ -181,16 +174,8 @@ def graded_piece_basis(
     gives the same dimension.
     """
     q, s = _piece(ci, t, q, max_cols)
-    coords = monomials_of_degree(ci.ring, s, below=q)
-    alive, rows = kernel_rows([(g, 1) for g in ci.forms], ci.ring.nvars, s, q)
-    vectors = []
-    # a killed coordinate is 0 in every vector
-    for short in nullspace(rows, len(alive), ci.ring.p):
-        v = [0] * len(coords)
-        for i, c in zip(alive, short):
-            v[i] = c
-        vectors.append(tuple(v))
-    return GradedPieceBasis(t, q, tuple(coords), tuple(vectors), ci)
+    classes = tuple(make_class(g, q, ci) for g in colon_piece(ci.forms, ci.ring, s, q))
+    return GradedPieceBasis(t, q, tuple(monomials_of_degree(ci.ring, s, below=q)), classes)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from fsing.cli import load_problem, main
 from fsing.errors import InternalError, ParseError, ResourceLimit
 from fsing.frobenius import FPOW_TERM_CAP
 from fsing.invariants import analyze
+from fsing.localcoh import InjectivityResult
 from fsing.ring import REGULAR_CHECK_CAP, RingDescriptor, parse_polynomial
 
 PROBLEMS = "problems"
@@ -196,6 +197,10 @@ def test_analyze_text(capsys):
     assert table["fpure_at_m"] == "false"
     assert table["tau_class"] == "isolated_non_f_pure_point"
     assert table["ell"] == "0"
+    # an absent value prints as none
+    assert main(["analyze", f"{PROBLEMS}/nonisolated_p3.ci"]) == 0
+    table = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert table["reg_s_mod_tau"] == table["ell"] == table["thmA_bound"] == "none"
 
 
 def test_analyze_bad_regular_sequence_exit_code(tmp_path, capsys):
@@ -541,6 +546,28 @@ def test_verify_json(capsys):
     assert "capped" not in payload
     assert [r["degree"] for r in payload["rows"]] == list(range(-3, 3))
     assert [r["dim_source"] for r in payload["rows"]] == [14, 10, 6, 3, 1, 0]
+
+
+def test_consistency_fails_on_rows_that_break_a_theorem(tmp_path):
+    # fabricated rows: the squares quartic's Theorem A bound is 1, the
+    # Fermat cubic over F_7 is F-pure (no thmA) and clears thmB's threshold 4
+    squares = load_problem(f"{PROBLEMS}/squares_p3.ci").ci
+    squares_tau = frobenius.compute_tau(squares)
+    for rows in ([InjectivityResult(0, 3, 1)], [InjectivityResult(1, 1, 0)]):
+        assert cli._consistency(squares, squares_tau, rows) == (False, ["thmA"])
+    text = "p = 7\nvars = x, y, z\ngens = x^3 + y^3 + z^3\n"
+    fermat = load_problem(write(tmp_path, "fermat_p7.ci", text)).ci
+    rows = [InjectivityResult(-1, 3, 1)]
+    assert cli._consistency(fermat, frobenius.compute_tau(fermat), rows) == (False, ["thmB"])
+
+
+def test_verify_reports_a_failed_consistency(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_injectivity", lambda ci, t, max_cols: InjectivityResult(t, 1, 0))
+    args = ["verify", f"{PROBLEMS}/squares_p3.ci", "--from", "1", "--to", "1"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "consistency: FAIL (thmA)"
+    assert main([*args, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["consistent"] is False
 
 
 def test_verify_unit_row_on_the_lead_of_an_image_row(tmp_path, capsys):

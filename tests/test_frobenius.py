@@ -25,7 +25,8 @@ from oracles import (
 
 from cases import SQUARES_QUARTIC, diagonal_ci, hypersurface, poly, ring, squares_ci
 
-from fsing import frobenius
+from fsing import frobenius, groebner
+from fsing.cli import load_problem
 from fsing.errors import RegularSequenceError, RingMismatch
 from fsing.frobenius import (
     CompleteIntersection,
@@ -328,6 +329,12 @@ def test_leads_that_share_a_variable_take_the_rank_check(monkeypatch):
     forms = (poly("x^2 + y^2 + z^2 + w^2", r), poly("x*y + z*w", r))
     assert CompleteIntersection(r, forms).degrees == (2, 2)
     assert len(ranked) == 5  # leads x^2 and x*y share x: degrees 0 to 4
+    # c = n+1: the Hilbert function 1, 2, 1 reaches 0 at d - n = 3, where
+    # the scan stops, so degree d = 4 is not ranked
+    ranked.clear()
+    r = ring(5, "xy")
+    assert CompleteIntersection(r, (poly("x^2 + y^2", r), poly("x*y", r))).d == 4
+    assert len(ranked) == 4
     with pytest.raises(
         RegularSequenceError,
         match=r"^not a regular sequence: quotient dimension 5 in degree 3, expected 4$",
@@ -419,6 +426,26 @@ def test_tau_of_monomial_hypersurface_is_unit():
     result = compute_tau(hypersurface(5, "x*y", names="xy"))
     assert result.kind is TauClass.EVERYWHERE_F_PURE
     assert result.ell is None
+
+
+def test_containment_self_checks_run_only_for_proper_tau(monkeypatch):
+    # the unit ideal contains the forms, and its bracket power f^(p-1), so
+    # neither check is run for it; Fedder's test runs for every tau
+    calls = collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or real(*a))
+
+    spy(frobenius, "bracket_power")
+    spy(groebner, "normal_form")
+    spy(frobenius, "fedder_test_at_m")
+    pure = load_problem("problems/monomial_xy_p5.ci").ci
+    assert compute_tau(pure).kind is TauClass.EVERYWHERE_F_PURE
+    assert calls == {"fedder_test_at_m": 1}
+    calls.clear()
+    assert compute_tau(load_problem("problems/squares_p3.ci").ci).ell == 0
+    assert calls["bracket_power"] == 1 and calls["fedder_test_at_m"] == 1
 
 
 def test_tau_of_diagonal_cubic_two_vars_p2():

@@ -17,7 +17,7 @@ from oracles import (
     tuple_map_rows,
 )
 
-from fsing import invariants, linalg, localcoh
+from fsing import frobenius, invariants, linalg, localcoh
 from fsing.cli import _consistency, load_problem, main
 from fsing.errors import RegularSequenceError, ResourceLimit
 from fsing.frobenius import (
@@ -126,25 +126,30 @@ def test_frobenius_degree_law_over_graded_pieces():
         p = ci.ring.p
         for t in range(-3, 2):
             basis = graded_piece_basis(ci, t)
-            for v in basis.vectors:
-                alpha = basis.class_for(v)
+            for alpha in basis.classes:
                 assert frobenius_action(alpha).degree == p * t
 
 
 def test_piece_basis_is_the_nullspace_on_every_coordinate(rng):
     # graded_piece_basis solves on the coordinates no unit row kills and
-    # puts 0 at the others: the vectors are those of the nullspace of the
-    # tuple oracle rows on every coordinate, where a killed column is a unit
-    # pivot, never free
+    # leaves the others out: written on every coordinate, ascending, the
+    # numerators are the nullspace of the tuple oracle rows, where a killed
+    # column is a unit pivot, never free, so it must be 0
     killed = 0
     cis = [load_problem(path).ci for path in sorted(glob.glob("problems/*.ci"))]
     for ci in cis + small_cis(rng, 12):
         top = a_invariant(ci)
         for t in range(top - 6, top + 1):
             basis = graded_piece_basis(ci, t, max_cols=5000)
-            coords, q = list(basis.coordinates), basis.q
-            rows = tuple_annihilation_rows(ci.forms, coords, q)
-            assert basis.vectors == tuple(linalg.nullspace(rows, len(coords), ci.ring.p))
+            ascending = list(reversed(basis.coordinates))
+            last = len(ascending) - 1
+            rows = tuple_annihilation_rows(ci.forms, list(basis.coordinates), basis.q)
+            rows = [{last - col: c for col, c in row.items()} for row in rows]
+            for alpha in basis.classes:
+                assert set(alpha.numerator.terms) <= set(ascending)
+            vectors = tuple(tuple(alpha.numerator.terms.get(m, 0) for m in ascending)
+                            for alpha in basis.classes)
+            assert vectors == tuple(linalg.nullspace(rows, len(ascending), ci.ring.p))
             killed += any(len(row) == 1 for row in rows) and basis.dim > 0
     assert killed >= 5
 
@@ -167,8 +172,7 @@ def test_kernel_criterion_matches_colon_membership():
     for t in range(-2, 2):
         basis = graded_piece_basis(SQUARES3, t)
         colon = m_bracket(R3, basis.q).colon(tau)
-        for v in basis.vectors:
-            alpha = basis.class_for(v)
+        for alpha in basis.classes:
             killed = is_zero(frobenius_action(alpha))
             assert killed == colon.contains(alpha.numerator)
 
@@ -198,7 +202,7 @@ def test_kernel_witness_scans_the_stable_q_once(monkeypatch):
     # witness
     calls = []
     monkeypatch.setattr(
-        invariants, "kernel_rows",
+        frobenius, "kernel_rows",
         lambda maps, nvars, s, q: calls.append(q) or kernel_rows(maps, nvars, s, q),
     )
     witness = kernel_witness(SQUARES3, compute_tau(SQUARES3))
@@ -274,8 +278,7 @@ def test_graded_piece_structure():
     for m in basis.coordinates:
         assert sum(m) == s
         assert max(m) < basis.q
-    for v in basis.vectors:
-        alpha = basis.class_for(v)
+    for alpha in basis.classes:
         assert alpha.degree == -1
         assert not is_zero(alpha)
 
@@ -427,8 +430,8 @@ def per_class_injectivity(ci, t):
     then the rank of the image numerators reduced modulo m^[pq]."""
     basis = graded_piece_basis(ci, t)
     columns, rows = {}, []
-    for v in basis.vectors:
-        image = frobenius_action(basis.class_for(v))
+    for alpha in basis.classes:
+        image = frobenius_action(alpha)
         rows.append({
             columns.setdefault(m, len(columns)): c
             for m, c in image.numerator.terms.items()
