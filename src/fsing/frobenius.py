@@ -16,7 +16,7 @@ import functools
 import math
 
 from dataclasses import dataclass, field
-from operator import floordiv, mod
+from operator import add, floordiv, mod
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
 from .groebner import Ideal, regularity_artinian
@@ -328,32 +328,96 @@ class TauResult:
 
 def compute_tau(ci: CompleteIntersection) -> TauResult:
     """The smallest ideal containing the forms whose p-th bracket power
-    contains f^(p-1): the defining forms plus the Frobenius root of f^(p-1).
-    Three self-checks follow: for proper tau, tau contains the forms and
-    tau^[p] contains f^(p-1); Fedder's test agrees with tau being the unit ideal.
+    contains f^(p-1): the defining forms plus the Frobenius root of f^(p-1),
+    so it contains the forms by construction.
+
+    Its class comes from certificates, cheapest first: a degree-0 generator
+    (the unit ideal); a coordinate point where every generator vanishes
+    (positive-dimensional); S/tau zero in some degree up to the largest
+    generator degree, by ranks (m-primary, and ell is one less).  Only when
+    none settles it is tau's reduced basis built.  Two self-checks follow:
+    for proper tau, tau^[p] contains f^(p-1) (groups_in_root); Fedder's test
+    agrees with tau being the unit ideal.
     """
     fpow = ci.fpow
     root = frobenius_root_principal(fpow)
     tau = Ideal(ci.ring, ci.forms + root.generators)
+    gens = [g.terms for g in tau.generators]
     ell = None
-    if tau.is_unit():
+    # forms have positive degree, so only the root can hold a constant
+    if any(g.degree() == 0 for g in root.generators):
         kind = TauClass.EVERYWHERE_F_PURE
+    elif zero_at_coordinate_point(gens, ci.ring.nvars):
+        kind = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+    elif (s := zero_degree(gens, ci.ring)) is not None:
+        kind, ell = TauClass.ISOLATED_NON_F_PURE_POINT, s - 1
     elif tau.is_zero_dimensional():
-        kind = TauClass.ISOLATED_NON_F_PURE_POINT
-        ell = regularity_artinian(tau)
+        kind, ell = TauClass.ISOLATED_NON_F_PURE_POINT, regularity_artinian(tau)
     else:
         kind = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
-    # re-check the defining conditions on proper tau; the unit ideal meets both
+    # the unit ideal's bracket power holds f^(p-1)
     unit = kind is TauClass.EVERYWHERE_F_PURE
-    if not unit and not all(tau.contains(g) for g in ci.forms):
-        raise InternalError("tau misses a defining form")
-    if not unit and not bracket_power(tau, ci.ring.p).contains(fpow):
+    if not unit and not groups_in_root(fpow, root):
         raise InternalError("tau^[p] misses f^(p-1)")
     # Fedder's test and the unit-tau verdict are independent computations
-    # of the same fact
+    # of the same fact: a constant root row is a term of f^(p-1) with every
+    # exponent below p, so this checks the root's grouping and elimination
     if fedder_test_at_m(ci) != unit:
         raise InternalError("Fedder's test and the unit-tau verdict disagree")
     return TauResult(tau=tau, kind=kind, ell=ell)
+
+
+def zero_degree(gens, ring: RingDescriptor) -> int | None:
+    """The least s at which the forms gens, as term dicts, span every
+    degree-s monomial, sought up to their largest degree D; None when there
+    is none.  The degree-s piece of (gens) is the echelon of x_i times each
+    pivot row of the degree s-1 piece, plus the generators of degree s.
+    Once it is all of S_s, so is every later piece, so S/(gens) is zero from
+    s on and nonzero in degree s - 1."""
+    nv = ring.nvars
+    by_degree: dict[int, list[dict]] = {}
+    for g in gens:
+        by_degree.setdefault(sum(next(iter(g))), []).append(g)
+    shifts = [tuple(int(i == j) for j in range(nv)) for i in range(nv)]
+    piece: list[dict] = []
+    for s in range(1, max(by_degree) + 1):
+        rows = [{tuple(map(add, m, e)): c for m, c in row.items()} for row in piece for e in shifts]
+        piece = echelon(by_degree.get(s, []) + rows, ring.p)
+        if len(piece) == math.comb(s + nv - 1, nv - 1):
+            return s
+    return None
+
+
+def zero_at_coordinate_point(gens, nvars: int) -> bool:
+    """Whether the forms gens, as term dicts, all vanish at some coordinate
+    point e_i: a form vanishes there exactly when it lacks x_i^deg."""
+    return len({i for g in gens for m in g for i, e in enumerate(m) if e == sum(m)}) < nvars
+
+
+def groups_in_root(h: Polynomial, root: Ideal) -> bool:
+    """Whether h lies in root^[p], by the stronger test that each g_eps of
+    h = sum over eps of (g_eps)^p * x^eps reduces to 0 on root's generators
+    as pivot rows, keyed by least monomial: S is free over S^p on the x^eps.
+    The grouping and the reduction are this loop's own, apart from
+    frobenius_root_principal's and from echelon."""
+    p = h.ring.p
+    ps = (p,) * h.ring.nvars
+    pivots = {min(g.terms): g.terms for g in root.generators}
+    groups: dict[Monomial, dict] = {}
+    for m, c in h.terms.items():
+        groups.setdefault(tuple(map(mod, m, ps)), {})[tuple(map(floordiv, m, ps))] = c
+    for row in groups.values():
+        while row:
+            col = min(row)
+            if col not in pivots:
+                return False
+            pivot = pivots[col]
+            factor = row[col] * pow(pivot[col], -1, p)
+            for c, e in pivot.items():
+                row[c] = e = (row.get(c, 0) - factor * e) % p
+                if not e:
+                    del row[c]
+    return True
 
 
 def fedder_test_at_m(ci: CompleteIntersection) -> bool:

@@ -21,17 +21,18 @@ from .frobenius import (
     TauResult,
     colon_piece,
     compute_tau,
+    zero_at_coordinate_point,
 )
-from .groebner import Ideal, _buchberger, regularity_artinian
+from .groebner import Ideal, _buchberger
 from .ring import Monomial, Polynomial, grevlex_desc, is_power_of
 
 DEFAULT_MAX_Q_EXPONENT = 6
 
 
-def stabilization_check(I: Ideal, q: int) -> Polynomial | None:
+def stabilization_check(I: Ideal, q: int, ell: int) -> Polynomial | None:
     """Certify (n+1)q - M_q(I) = reg(S/I) + (n+1) at this q, for m-primary
-    proper I; the certificate is I's least surviving generator at q, None
-    when the identity fails.
+    proper I with ell = reg(S/I); the certificate is I's least surviving
+    generator at q, None when the identity fails.
 
     Modulo m^[q] the colon (m^[q] : I) in degree t is the kernel of I's
     annihilation rows on the degree-t monomials below q, the annihilator of
@@ -46,15 +47,16 @@ def stabilization_check(I: Ideal, q: int) -> Polynomial | None:
     ring = I.ring
     if not is_power_of(q, ring.p):
         raise ValueError(f"{q} is not a power of {ring.p}")
-    s = ring.nvars * (q - 1) - regularity_artinian(I)
+    s = ring.nvars * (q - 1) - ell
     piece = colon_piece(I.generators, ring, s, q)
     return piece[-1] if piece else None
 
 
-def find_stable_q(I: Ideal, max_q: int | None = None) -> tuple[int, Polynomial]:
-    """Smallest q = p^e, e >= 1, certified stable, and its certificate.
+def find_stable_q(I: Ideal, ell: int, max_q: int | None = None) -> tuple[int, Polynomial]:
+    """Smallest q = p^e, e >= 1, certified stable for m-primary proper I
+    with ell = reg(S/I), and its certificate.
 
-    It is at most the least power of p above ell = reg(S/I): past ell,
+    It is at most the least power of p above ell: past ell,
     m^[q] is zero in degree ell, so by stabilization_check's duality the
     kernel at s has the dimension of (S/I)_ell, nonzero.  Hence the default
     cap p^6 refuses only when ell >= p^6."""
@@ -62,7 +64,7 @@ def find_stable_q(I: Ideal, max_q: int | None = None) -> tuple[int, Polynomial]:
     cap = max_q if max_q is not None else p**DEFAULT_MAX_Q_EXPONENT
     q = p
     while q <= cap:
-        if (generator := stabilization_check(I, q)) is not None:
+        if (generator := stabilization_check(I, q, ell)) is not None:
             return q, generator
         q *= p
     raise ResourceLimit(f"no stabilization certificate for any q <= {cap}")
@@ -94,11 +96,6 @@ def thmB_threshold(ci: CompleteIntersection) -> int:
     """Primes >= (n+1-c)*(d-c) give Frobenius injectivity in negative
     degrees for isolated singularities."""
     return (ci.n + 1 - ci.c) * (ci.d - ci.c)
-
-
-def jacobian_ideal(ci: CompleteIntersection) -> Ideal:
-    """Ideal of c x c minors of the Jacobian matrix (df_j/dx_i)."""
-    return Ideal(ci.ring, _jacobian_minors(ci))
 
 
 def _jacobian_minors(ci: CompleteIntersection) -> tuple[Polynomial, ...]:
@@ -136,7 +133,7 @@ def isolated_singularity_test(ci: CompleteIntersection) -> bool:
     """
     nv = ci.ring.nvars
     gens = [g.terms for g in _jacobian_minors(ci) + ci.forms]
-    if len({i for g in gens for m in g for i, e in enumerate(m) if e == sum(m)}) < nv:
+    if zero_at_coordinate_point(gens, nv):
         return False  # some e_i, and so the line through it, lies in V(C)
     pure: set[int] = set()
 

@@ -101,7 +101,7 @@ def kernel_witness(
     """
     if tau_result.ell is None:
         raise ValueError("kernel witness needs m-primary proper tau")
-    q, generator = find_stable_q(tau_result.tau, max_q)
+    q, generator = find_stable_q(tau_result.tau, tau_result.ell, max_q)
     witness = make_class(generator, q, ci)
     if is_zero(witness):
         raise InternalError("the witness class is zero")

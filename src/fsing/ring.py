@@ -245,9 +245,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return min(self.terms, key=grevlex_desc)
 
-    def leading_coefficient(self) -> int:
-        return self.terms[self.leading_monomial()]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):

@@ -4,10 +4,11 @@ Everything here works with explicit coefficient matrices over F_p: the
 degree-s piece of an ideal is the row space of all generator multiples of
 that degree, membership is a rank comparison, and colon pieces are kernels
 of rowspace constraints.  Slow and obviously correct, which is the point.
-The named ideals (`m_bracket`, `maximal_ideal`) and `power_containment` are
-the exception: test helpers built on fsing.groebner.Ideal.  So are the
-references that `src/` once used and replaced by a shorter route: the
-top-down kernel scan for M_q, cofactor expansion for Jacobian minors, binary
+The named ideals (`m_bracket`, `maximal_ideal`), `power_containment` and
+`jacobian_ideal` are the exception: test helpers built on
+fsing.groebner.Ideal.  So are the references that `src/` once used and
+replaced by a shorter route: the top-down kernel scan for M_q, cofactor
+expansion for Jacobian minors, tau's class by its reduced basis, binary
 powering, grevlex division and tuple-keyed rows.  Expression trees are the
 parser's reference.
 """
@@ -18,13 +19,20 @@ import math
 import numpy as np
 
 from fsing.errors import InternalError
-from fsing.groebner import Ideal, regularity_artinian
+from fsing.frobenius import TauClass, bracket_power
+from fsing.groebner import Ideal, normal_form, regularity_artinian
+from fsing.invariants import _jacobian_minors
 from fsing.ring import Polynomial, grevlex_desc, is_power_of, mono_divides, monomials_of_degree
 
 
 def monomial(ring, mono, c=1):
     """The polynomial c * x^mono."""
     return Polynomial(ring, {tuple(mono): c})
+
+
+def leading_coefficient(g):
+    """The coefficient of g's grevlex-leading monomial."""
+    return g.terms[g.leading_monomial()]
 
 
 def grevlex_key(m):
@@ -312,8 +320,14 @@ def scan_stabilization_check(I, q):
 
 
 # ---------------------------------------------------------------------------
-# Jacobian minors by cofactor expansion, the reference for
-# fsing.invariants.jacobian_ideal
+# Jacobian minors by cofactor expansion, the reference for the minors of
+# fsing.invariants.isolated_singularity_test
+
+
+def jacobian_ideal(ci):
+    """The ideal of the c x c minors of the Jacobian matrix (df_j/dx_i),
+    as fsing.invariants expands them."""
+    return Ideal(ci.ring, _jacobian_minors(ci))
 
 
 def cofactor_det(matrix):
@@ -350,6 +364,30 @@ def oracle_isolated_singularity(ci):
     gens = [g for g in cofactor_jacobian_minors(ci) if g] + list(ci.forms)
     top = ci.ring.nvars * (max(g.degree() for g in gens) - 1) + 1
     return oracle_quotient_dim(gens, top, ci.ring) == 0
+
+
+# ---------------------------------------------------------------------------
+# tau's class by its reduced basis, the reference for the certificates of
+# fsing.frobenius.compute_tau
+
+
+def tau_class_by_basis(ci, gens):
+    """(kind, ell, contains the forms, bracket power contains f^(p-1)) for
+    the ideal tau of the forms gens, by Buchberger: the unit ideal by its
+    basis, m-primary by pure powers among its leads, ell = reg(S/tau) by its
+    standard monomials; both containments by normal forms on its basis and
+    on the p-th powers of that basis."""
+    tau = Ideal(ci.ring, gens)
+    ell = None
+    if tau.is_unit():
+        kind = TauClass.EVERYWHERE_F_PURE
+    elif tau.is_zero_dimensional():
+        kind, ell = TauClass.ISOLATED_NON_F_PURE_POINT, regularity_artinian(tau)
+    else:
+        kind = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+    forms = not any(normal_form(g, tau) for g in ci.forms)
+    fpow = not normal_form(ci.fpow, bracket_power(tau, ci.ring.p))
+    return kind, ell, forms, fpow
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +472,7 @@ def _exact_divide(h, g):
     ArithmeticError when the division leaves a remainder."""
     p = h.ring.p
     glm = g.leading_monomial()
-    ginv = pow(g.leading_coefficient(), -1, p)
+    ginv = pow(leading_coefficient(g), -1, p)
     work = dict(h.terms)
     quotient = {}
     while work:

@@ -21,13 +21,14 @@ from oracles import (
     random_homogeneous,
     random_ideal_gens,
     rank,
+    tau_class_by_basis,
 )
 
 from cases import SQUARES_QUARTIC, diagonal_ci, hypersurface, poly, ring, squares_ci
 
 from fsing import frobenius, groebner
 from fsing.cli import load_problem
-from fsing.errors import RegularSequenceError, RingMismatch
+from fsing.errors import InternalError, RegularSequenceError, RingMismatch
 from fsing.frobenius import (
     CompleteIntersection,
     TauClass,
@@ -35,6 +36,7 @@ from fsing.frobenius import (
     compute_tau,
     fedder_test_at_m,
     frobenius_root_principal,
+    groups_in_root,
     hilbert_function,
 )
 from fsing.groebner import Ideal
@@ -429,23 +431,90 @@ def test_tau_of_monomial_hypersurface_is_unit():
 
 
 def test_containment_self_checks_run_only_for_proper_tau(monkeypatch):
-    # the unit ideal contains the forms, and its bracket power f^(p-1), so
-    # neither check is run for it; Fedder's test runs for every tau
+    # the unit ideal's bracket power contains f^(p-1), so only Fedder's test
+    # runs for it; an m-primary tau settled by ranks runs the root-membership
+    # check and Fedder's test, and builds no basis
     calls = collections.Counter()
 
-    def spy(module, name):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or real(*a))
+    def spy(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.update([name]) or real(*a))
 
-    spy(frobenius, "bracket_power")
-    spy(groebner, "normal_form")
+    spy(frobenius, "groups_in_root")
     spy(frobenius, "fedder_test_at_m")
+    spy(groebner.Ideal, "groebner")
     pure = load_problem("problems/monomial_xy_p5.ci").ci
     assert compute_tau(pure).kind is TauClass.EVERYWHERE_F_PURE
     assert calls == {"fedder_test_at_m": 1}
     calls.clear()
     assert compute_tau(load_problem("problems/squares_p3.ci").ci).ell == 0
-    assert calls["bracket_power"] == 1 and calls["fedder_test_at_m"] == 1
+    assert calls == {"groups_in_root": 1, "fedder_test_at_m": 1}
+
+
+def test_root_membership_check_needs_every_root_row(monkeypatch):
+    # groups_in_root groups f^(p-1) on its own and reduces each g_eps on the
+    # root's rows: with any one row dropped some g_eps is left over, and
+    # compute_tau reports the broken root as an internal error
+    for ci in (squares_ci(3), diagonal_ci(5, 3), hypersurface(3, "x^2*y^2", names="xy")):
+        rows = frobenius_root_principal(ci.fpow).generators
+        assert groups_in_root(ci.fpow, Ideal(ci.ring, rows))
+        for i in range(len(rows)):
+            assert not groups_in_root(ci.fpow, Ideal(ci.ring, rows[:i] + rows[i + 1:])), (ci.forms, i)
+    real = frobenius.frobenius_root_principal
+    monkeypatch.setattr(
+        frobenius, "frobenius_root_principal", lambda h: Ideal(h.ring, real(h).generators[1:])
+    )
+    with pytest.raises(InternalError, match=r"tau\^\[p\] misses f\^\(p-1\)"):
+        compute_tau(squares_ci(3))
+
+
+def test_tau_certificates_match_the_basis_route(rng, monkeypatch):
+    # compute_tau settles tau's class by a constant generator, by a
+    # coordinate point or by degree-wise ranks, and builds tau's basis only
+    # when none does: kind and ell against the Buchberger route, and the two
+    # containments that define tau on its basis (compute_tau checks only the
+    # second, and not on a basis).  The routes are told apart by the kind and
+    # by whether compute_tau built a basis; x^2*y + y^3 at p = 2 has tau
+    # (x + y), zero at (1:1) but at no coordinate point, and the pair at
+    # p = 2 has a positive-dimensional tau with no F_2 point
+    built = []
+    real = groebner.Ideal.groebner
+    monkeypatch.setattr(groebner.Ideal, "groebner", lambda self: built.append(self) or real(self))
+    pinned = {("x^2*y + y^3",): "basis", ("x^2 + z^2", "y^3 + z^3 + y*z^2"): "basis"}
+    cis = []
+    for forms in pinned:
+        r = ring(2, "xyz"[:len(forms) + 1])
+        cis.append(CompleteIntersection(r, tuple(poly(g, r) for g in forms)))
+    while len(cis) < 400:
+        p = rng.choice((2, 3, 5, 7))
+        nv = rng.randint(2, 4)
+        r = ring(p, "xyzw"[:nv])
+        top = {2: 4, 3: 3, 4: 3 if p < 5 else 2}[nv]
+        forms = tuple(
+            random_homogeneous(rng, r, rng.randint(2, top), rng.choice((0.3, 0.7)))
+            for _ in range(rng.randint(1, min(2, nv)))
+        )
+        try:
+            cis.append(CompleteIntersection(r, forms))
+        except RegularSequenceError:
+            continue
+    route_of_kind = {
+        TauClass.EVERYWHERE_F_PURE: "unit",
+        TauClass.ISOLATED_NON_F_PURE_POINT: "ranks",
+        TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL: "point",
+    }
+    routes = collections.Counter()
+    for k, ci in enumerate(cis):
+        built.clear()
+        result = compute_tau(ci)
+        route = "basis" if built else route_of_kind[result.kind]
+        kind, ell, forms, fpow = tau_class_by_basis(ci, result.tau.generators)
+        assert (result.kind, result.ell) == (kind, ell), ci.forms
+        assert forms and fpow, ci.forms
+        if k < len(pinned):
+            assert route == list(pinned.values())[k], ci.forms
+        routes[route] += 1
+    assert set(routes) == {"unit", "ranks", "point", "basis"}, routes
 
 
 def test_tau_of_diagonal_cubic_two_vars_p2():

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import (
     grevlex_key,
+    leading_coefficient,
     maximal_ideal,
     mono_lcm,
     mono_quotient,
@@ -57,7 +58,7 @@ def assert_reduced_basis(I: Ideal):
     keys = [grevlex_desc(l) for l in leads]
     assert keys == sorted(keys)
     for i, g in enumerate(I.groebner()):
-        assert g.leading_coefficient() == 1
+        assert leading_coefficient(g) == 1
         others = [l for j, l in enumerate(leads) if j != i]
         for m in g.terms:
             assert not any(mono_divides(l, m) for l in others)
@@ -122,7 +123,7 @@ def test_basis_is_a_tuple_of_monic_polynomials_with_descending_leads(rng):
         for _ in range(4):
             gb = Ideal(ring, random_ideal_gens(rng, ring, 3, 4)).groebner()
             assert isinstance(gb, tuple)
-            assert all(isinstance(g, Polynomial) and g.leading_coefficient() == 1 for g in gb)
+            assert all(isinstance(g, Polynomial) and leading_coefficient(g) == 1 for g in gb)
             keys = [grevlex_desc(g.leading_monomial()) for g in gb]
             assert all(a < b for a, b in zip(keys, keys[1:]))
 

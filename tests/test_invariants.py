@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     cofactor_jacobian_minors,
     evaluate,
+    jacobian_ideal,
     least_surviving_generator,
     m_bracket,
     m_q,
@@ -37,7 +38,6 @@ from fsing.invariants import (
     cor_bound,
     find_stable_q,
     isolated_singularity_test,
-    jacobian_ideal,
     stabilization_check,
     thmA_bound,
     thmB_threshold,
@@ -192,14 +192,15 @@ def test_least_generator_matches_groebner_colon(rng, p):
 def test_stabilization_examples():
     # a certified q hands back its certificate, the least surviving generator
     for I, q in ((maximal_ideal(R3), 3), (maximal_ideal(R3), 9)):
-        assert stabilization_check(I, q) == least_surviving_generator(I, q)
+        assert stabilization_check(I, q, 0) == least_surviving_generator(I, q)
     _, I5 = two_var_powers(5, 2, 3)
-    assert stabilization_check(I5, 5) == least_surviving_generator(I5, 5)
+    assert stabilization_check(I5, 5, regularity_artinian(I5)) == least_surviving_generator(I5, 5)
     _, I2 = two_var_powers(2, 2, 3)
-    assert stabilization_check(I2, 2) is None
-    assert stabilization_check(I2, 4) == least_surviving_generator(I2, 4)
+    reg2 = regularity_artinian(I2)
+    assert stabilization_check(I2, 2, reg2) is None
+    assert stabilization_check(I2, 4, reg2) == least_surviving_generator(I2, 4)
     with pytest.raises(ValueError, match="power"):
-        stabilization_check(maximal_ideal(R3), 6)
+        stabilization_check(maximal_ideal(R3), 6, 0)
 
 
 def test_stabilization_check_matches_the_scan(rng):
@@ -213,8 +214,9 @@ def test_stabilization_check_matches_the_scan(rng):
             qs = [q for q in (p, p**2, p**3) if q**nv <= 3000]
             for _ in range(30):
                 I = Ideal(r, random_m_primary_gens(rng, r, 4))
+                reg = regularity_artinian(I)
                 for q in qs:
-                    certificate = stabilization_check(I, q)
+                    certificate = stabilization_check(I, q, reg)
                     assert certificate == scan_stabilization_check(I, q), (I, q)
                     pairs += 1
                     uncertified += certificate is None
@@ -250,12 +252,14 @@ def test_kernel_below_the_predicted_degree_is_zero(rng):
 
 
 def test_find_stable_q():
-    tau = compute_tau(squares_ci(3)).tau
-    assert find_stable_q(tau) == (3, least_surviving_generator(tau, 3))
+    result = compute_tau(squares_ci(3))
+    tau = result.tau
+    assert find_stable_q(tau, result.ell) == (3, least_surviving_generator(tau, 3))
     _, I2 = two_var_powers(2, 2, 3)
-    assert find_stable_q(I2) == (4, least_surviving_generator(I2, 4))
+    reg2 = regularity_artinian(I2)
+    assert find_stable_q(I2, reg2) == (4, least_surviving_generator(I2, 4))
     with pytest.raises(ResourceLimit, match="no stabilization certificate"):
-        find_stable_q(I2, max_q=2)
+        find_stable_q(I2, reg2, max_q=2)
 
 
 def test_stable_q_is_at_most_the_least_power_above_ell(rng):
@@ -268,10 +272,11 @@ def test_stable_q_is_at_most_the_least_power_above_ell(rng):
         nv = rng.randint(2, 3)
         r = ring(p, "xyz"[:nv])
         I = Ideal(r, random_m_primary_gens(rng, r, rng.randint(1, 4 if nv == 2 else 3)))
+        reg = regularity_artinian(I)
         bound = p
-        while bound <= regularity_artinian(I):
+        while bound <= reg:
             bound *= p
-        q, _ = find_stable_q(I)
+        q, _ = find_stable_q(I, reg)
         assert q <= bound, (I, q, bound)
         later += q > p
         attained += q == bound > p
@@ -284,9 +289,9 @@ def test_containment_iff_m_q_bound(rng):
         p = rng.choice((2, 3, 5))
         r = ring(p, "xy")
         I = Ideal(r, random_m_primary_gens(rng, r, 4))
-        qs = [find_stable_q(I)[0]]
-        qs.append(qs[0] * p)
         reg = regularity_artinian(I)
+        qs = [find_stable_q(I, reg)[0]]
+        qs.append(qs[0] * p)
         values = {q: 2 * q - m_q(I, q) for q in qs}
         for ell in range(reg + 3):
             bound_holds = all(values[q] <= 1 + ell for q in qs)
@@ -299,9 +304,9 @@ def test_colon_reversal_iff_containment(rng):
         p = rng.choice((2, 3))
         r = ring(p, "xy")
         I = Ideal(r, random_m_primary_gens(rng, r, 3))
-        qs = [find_stable_q(I)[0]]
-        qs.append(qs[0] * p)
         reg = regularity_artinian(I)
+        qs = [find_stable_q(I, reg)[0]]
+        qs.append(qs[0] * p)
         for ell in range(1, reg + 3):
             reversed_all = all(
                 all(

@@ -7,6 +7,7 @@ import pytest
 from cases import diagonal_ci, hypersurface, poly, ring, squares_ci
 from oracles import (
     as_matrix,
+    jacobian_ideal,
     m_bracket,
     random_homogeneous,
     rank,
@@ -32,7 +33,6 @@ from fsing.invariants import (
     a_invariant,
     analyze,
     isolated_singularity_test,
-    jacobian_ideal,
     thmA_bound,
     thmB_threshold,
 )
@@ -209,7 +209,7 @@ def test_kernel_witness_scans_the_stable_q_once(monkeypatch):
     assert calls == [witness.q] == [3]
     calls.clear()
     r = ring(2, "xy")
-    assert invariants.find_stable_q(Ideal(r, (poly("x^2", r), poly("y^3", r))))[0] == 4
+    assert invariants.find_stable_q(Ideal(r, (poly("x^2", r), poly("y^3", r))), 3)[0] == 4
     assert calls == [2, 4]
 
 

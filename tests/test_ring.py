@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     _exact_divide,
     evaluate_expression,
+    leading_coefficient,
     mono_gcd,
     mono_lcm,
     mono_mul,
@@ -620,7 +621,7 @@ def test_degree_and_homogeneity():
 def test_leading_monomial():
     f = parse_polynomial("x*y + y^2 + z^2", R3)
     assert f.leading_monomial() == (1, 1, 0)
-    assert f.leading_coefficient() == 1
+    assert leading_coefficient(f) == 1
     with pytest.raises(ValueError):
         Polynomial.zero(R3).leading_monomial()
 
