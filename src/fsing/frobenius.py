@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from operator import add, floordiv, mod
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
-from .groebner import Ideal, regularity_artinian
+from .groebner import Ideal, artinian, zero_at_coordinate_point
 from .linalg import echelon, nullspace, rank
 from .ring import (
     EXPONENT_CAP,
@@ -333,11 +333,11 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
 
     Its class comes from certificates, cheapest first: a degree-0 generator
     (the unit ideal); a coordinate point where every generator vanishes
-    (positive-dimensional); S/tau zero in some degree up to the largest
-    generator degree, by ranks (m-primary, and ell is one less).  Only when
-    none settles it is tau's reduced basis built.  Two self-checks follow:
-    for proper tau, tau^[p] contains f^(p-1) (groups_in_root); Fedder's test
-    agrees with tau being the unit ideal.
+    (positive-dimensional); S/tau zero in some degree, by ranks (m-primary,
+    and ell is one less), where Buchberger runs, as far as artinian needs,
+    only if the ranks up to the largest generator degree do not settle it.
+    Two self-checks follow: for proper tau, tau^[p] contains f^(p-1)
+    (groups_in_root); Fedder's test agrees with tau being the unit ideal.
     """
     fpow = ci.fpow
     root = frobenius_root_principal(fpow)
@@ -351,8 +351,6 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
         kind = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
     elif (s := zero_degree(gens, ci.ring)) is not None:
         kind, ell = TauClass.ISOLATED_NON_F_PURE_POINT, s - 1
-    elif tau.is_zero_dimensional():
-        kind, ell = TauClass.ISOLATED_NON_F_PURE_POINT, regularity_artinian(tau)
     else:
         kind = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
     # the unit ideal's bracket power holds f^(p-1)
@@ -369,29 +367,29 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
 
 def zero_degree(gens, ring: RingDescriptor) -> int | None:
     """The least s at which the forms gens, as term dicts, span every
-    degree-s monomial, sought up to their largest degree D; None when there
-    is none.  The degree-s piece of (gens) is the echelon of x_i times each
-    pivot row of the degree s-1 piece, plus the generators of degree s.
-    Once it is all of S_s, so is every later piece, so S/(gens) is zero from
-    s on and nonzero in degree s - 1."""
+    degree-s monomial; None when there is none.  The degree-s piece of
+    (gens) is the echelon of x_i times each pivot row of the degree s-1
+    piece, plus the generators of degree s.  Once it is all of S_s, so is
+    every later piece, so S/(gens) is zero from s on and nonzero in degree
+    s - 1.  Such s exists exactly when S/(gens) is Artinian: past the largest
+    generator degree D the ranks go on only if artinian says so, and reach
+    that s by (n+1)(D-1)+1, as over the algebraic closure the degree-D piece
+    then holds a regular sequence of n+1 forms of degree D."""
     nv = ring.nvars
     by_degree: dict[int, list[dict]] = {}
     for g in gens:
         by_degree.setdefault(sum(next(iter(g))), []).append(g)
+    top = max(by_degree)
     shifts = [tuple(int(i == j) for j in range(nv)) for i in range(nv)]
     piece: list[dict] = []
-    for s in range(1, max(by_degree) + 1):
+    for s in range(1, nv * (top - 1) + 2):
         rows = [{tuple(map(add, m, e)): c for m, c in row.items()} for row in piece for e in shifts]
         piece = echelon(by_degree.get(s, []) + rows, ring.p)
         if len(piece) == math.comb(s + nv - 1, nv - 1):
             return s
-    return None
-
-
-def zero_at_coordinate_point(gens, nvars: int) -> bool:
-    """Whether the forms gens, as term dicts, all vanish at some coordinate
-    point e_i: a form vanishes there exactly when it lacks x_i^deg."""
-    return len({i for g in gens for m in g for i, e in enumerate(m) if e == sum(m)}) < nvars
+        if s == top and not artinian(gens, ring):
+            return None
+    raise InternalError("artinian and the ranks disagree: S/(gens) is nonzero past (n+1)(D-1)+1")
 
 
 def groups_in_root(h: Polynomial, root: Ideal) -> bool:

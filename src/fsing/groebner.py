@@ -6,7 +6,8 @@ reduced basis.  Inputs are taken in turn, each when the queue reaches its
 lead, and reduced against the basis so far first: one that reduces to zero
 makes no pairs.  The ambient order is always grevlex; intersections and
 colons go through one auxiliary variable under a block order that
-eliminates it.
+eliminates it.  `artinian` runs the engine only until it can say whether
+S/I is finite-dimensional.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import heapq
 
 from bisect import insort
+from itertools import chain
 from operator import add, le, sub
 
 from .errors import RingMismatch
@@ -176,6 +178,35 @@ def _buchberger(inputs: list, desc, p: int, stop=None) -> list | None:
     return basis_terms if stop else _interreduce(basis_terms, basis_leads, desc, p)
 
 
+def pure_powers(monomials) -> set[int]:
+    """The i for which some monomial is a power of x_i; 1 is a power of each."""
+    return {i for m in monomials for i, e in enumerate(m) if e == sum(m)}
+
+
+def zero_at_coordinate_point(gens, nvars: int) -> bool:
+    """Whether the forms gens, as term dicts, all vanish at some coordinate
+    point e_i: a form vanishes there exactly when it lacks x_i^deg."""
+    return len(pure_powers(chain.from_iterable(gens))) < nvars
+
+
+def artinian(gens: list, ring: RingDescriptor) -> bool:
+    """Whether S/(gens) is finite-dimensional, the zero ring included, for
+    forms gens as term dicts.  No if they all vanish at some e_i, and so on
+    the line through it.  Else Buchberger runs until its leads hold a power
+    of every variable (1 is a power of each): yes.  Such powers in the
+    lead-term ideal are multiples of leads that are powers too, so a basis
+    completed without them answers no."""
+    if zero_at_coordinate_point(gens, ring.nvars):
+        return False
+    pure: set[int] = set()
+
+    def holds_every_power(lead: Monomial) -> bool:
+        pure.update(pure_powers([lead]))
+        return len(pure) == ring.nvars
+
+    return _buchberger(gens, grevlex_desc, ring.p, holds_every_power) is None
+
+
 # ---------------------------------------------------------------------------
 # public types
 
@@ -303,9 +334,7 @@ class Ideal:
         """
         if self.is_unit():
             raise ValueError("unit ideal: the quotient is the zero ring")
-        # a lead is a pure power exactly when its largest exponent is its degree
-        pure = {lm.index(max(lm)) for lm in self.leading_monomials() if max(lm) == sum(lm)}
-        return len(pure) == self.ring.nvars
+        return len(pure_powers(self.leading_monomials())) == self.ring.nvars
 
     def standard_monomials(self) -> list[Monomial]:
         """Monomials outside the lead-term ideal, by degree then order."""
@@ -324,12 +353,6 @@ class Ideal:
                 return out
             out.extend(level)
             s += 1
-
-
-def regularity_artinian(I: Ideal) -> int:
-    """Top degree in which S/I is nonzero, for m-primary proper I;
-    standard_monomials raises ValueError for any other I."""
-    return max(map(sum, I.standard_monomials()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,9 @@ import itertools
 from dataclasses import asdict, dataclass
 
 from .errors import InternalError, ResourceLimit
-from .frobenius import (
-    CompleteIntersection,
-    TauClass,
-    TauResult,
-    colon_piece,
-    compute_tau,
-    zero_at_coordinate_point,
-)
-from .groebner import Ideal, _buchberger
-from .ring import Monomial, Polynomial, grevlex_desc, is_power_of
+from .frobenius import CompleteIntersection, TauClass, TauResult, colon_piece, compute_tau
+from .groebner import Ideal, artinian
+from .ring import Polynomial, is_power_of
 
 DEFAULT_MAX_Q_EXPONENT = 6
 
@@ -122,26 +115,8 @@ def _jacobian_minors(ci: CompleteIntersection) -> tuple[Polynomial, ...]:
 
 def isolated_singularity_test(ci: CompleteIntersection) -> bool:
     """Whether the Jacobian ideal plus the forms, C, cuts out at most the
-    origin: C is the unit ideal or S/C is finite-dimensional.
-
-    g vanishes at the coordinate point e_i exactly when it lacks the term
-    x_i^deg(g); if every generator does, the line through e_i lies in V(C).
-    Else Buchberger runs only until its leads hold a power of every variable
-    (1 is a power of each), whence S/C is finite-dimensional; such powers in
-    LT(C) are multiples of leads that are powers too, so a basis completed
-    without them answers no.
-    """
-    nv = ci.ring.nvars
-    gens = [g.terms for g in _jacobian_minors(ci) + ci.forms]
-    if zero_at_coordinate_point(gens, nv):
-        return False  # some e_i, and so the line through it, lies in V(C)
-    pure: set[int] = set()
-
-    def holds_every_power(lead: Monomial) -> bool:
-        pure.update(i for i, e in enumerate(lead) if e == sum(lead))
-        return len(pure) == nv
-
-    return _buchberger(gens, grevlex_desc, ci.ring.p, holds_every_power) is None
+    origin: C is the unit ideal or S/C is finite-dimensional."""
+    return artinian([g.terms for g in _jacobian_minors(ci) + ci.forms], ci.ring)
 
 
 def isolated_singularity(ci: CompleteIntersection, tau_result: TauResult) -> bool:

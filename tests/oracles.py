@@ -8,9 +8,9 @@ The named ideals (`m_bracket`, `maximal_ideal`), `power_containment` and
 `jacobian_ideal` are the exception: test helpers built on
 fsing.groebner.Ideal.  So are the references that `src/` once used and
 replaced by a shorter route: the top-down kernel scan for M_q, cofactor
-expansion for Jacobian minors, tau's class by its reduced basis, binary
-powering, grevlex division and tuple-keyed rows.  Expression trees are the
-parser's reference.
+expansion for Jacobian minors, tau's class by its reduced basis, reg(S/I)
+by standard monomials, binary powering, grevlex division and tuple-keyed
+rows.  Expression trees are the parser's reference.
 """
 
 import itertools
@@ -20,7 +20,7 @@ import numpy as np
 
 from fsing.errors import InternalError
 from fsing.frobenius import TauClass, bracket_power
-from fsing.groebner import Ideal, normal_form, regularity_artinian
+from fsing.groebner import Ideal, normal_form
 from fsing.invariants import _jacobian_minors
 from fsing.ring import Polynomial, grevlex_desc, is_power_of, mono_divides, monomials_of_degree
 
@@ -50,8 +50,13 @@ def as_matrix(rows, ncols):
 
 
 def rows_matrix(rows, ncols):
-    """The dense (len(rows), ncols) matrix of sparse {column: entry} rows."""
-    return as_matrix([[row.get(c, 0) for c in range(ncols)] for row in rows], ncols)
+    """The dense (len(rows), ncols) matrix of sparse {column: entry} rows,
+    filled in place by index."""
+    rows = list(rows)
+    matrix = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        matrix[i, list(row)] = list(row.values())
+    return matrix
 
 
 def rref(matrix, p):
@@ -369,6 +374,13 @@ def oracle_isolated_singularity(ci):
 # ---------------------------------------------------------------------------
 # tau's class by its reduced basis, the reference for the certificates of
 # fsing.frobenius.compute_tau
+
+
+def regularity_artinian(I):
+    """Top degree in which S/I is nonzero, for m-primary proper I, by its
+    standard monomials, the reference for fsing.frobenius.zero_degree;
+    standard_monomials raises ValueError for any other I."""
+    return max(map(sum, I.standard_monomials()))
 
 
 def tau_class_by_basis(ci, gens):

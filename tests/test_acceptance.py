@@ -23,12 +23,13 @@ from oracles import (
     random_ideal_gens,
     random_m_primary_gens,
     rank,
+    regularity_artinian,
 )
 
 from cases import diagonal_ci, ring, squares_ci
 
 from fsing.frobenius import TauClass, bracket_power, compute_tau, frobenius_root_principal
-from fsing.groebner import Ideal, regularity_artinian
+from fsing.groebner import Ideal
 from fsing.invariants import (
     a_invariant,
     analyze,

@@ -470,20 +470,26 @@ def test_root_membership_check_needs_every_root_row(monkeypatch):
 
 def test_tau_certificates_match_the_basis_route(rng, monkeypatch):
     # compute_tau settles tau's class by a constant generator, by a
-    # coordinate point or by degree-wise ranks, and builds tau's basis only
-    # when none does: kind and ell against the Buchberger route, and the two
-    # containments that define tau on its basis (compute_tau checks only the
-    # second, and not on a basis).  The routes are told apart by the kind and
-    # by whether compute_tau built a basis; x^2*y + y^3 at p = 2 has tau
-    # (x + y), zero at (1:1) but at no coordinate point, and the pair at
-    # p = 2 has a positive-dimensional tau with no F_2 point
+    # coordinate point or by degree-wise ranks, and runs Buchberger only
+    # when none does: kind and ell against the route by tau's reduced basis,
+    # and the two containments that define tau on its basis (compute_tau
+    # checks only the second, and not on a basis).  The routes are told
+    # apart by the kind and by whether compute_tau ran Buchberger; x^2*y +
+    # y^3 at p = 2 has tau (x + y), zero at (1:1) but at no coordinate
+    # point, the pair at p = 2 a positive-dimensional tau with no F_2 point,
+    # and the pair at p = 3 an m-primary tau generated in degrees 3-4 with
+    # ell = 4, which its ranks up to degree 4 cannot settle
     built = []
-    real = groebner.Ideal.groebner
-    monkeypatch.setattr(groebner.Ideal, "groebner", lambda self: built.append(self) or real(self))
-    pinned = {("x^2*y + y^3",): "basis", ("x^2 + z^2", "y^3 + z^3 + y*z^2"): "basis"}
+    real = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda *args: built.append(args) or real(*args))
+    pinned = [
+        (2, "xy", ("x^2*y + y^3",)),
+        (2, "xyz", ("x^2 + z^2", "y^3 + z^3 + y*z^2")),
+        (3, "xy", ("x^3 + y^3", "x^4 + x^3*y + x*y^3")),
+    ]
     cis = []
-    for forms in pinned:
-        r = ring(2, "xyz"[:len(forms) + 1])
+    for p, names, forms in pinned:
+        r = ring(p, names)
         cis.append(CompleteIntersection(r, tuple(poly(g, r) for g in forms)))
     while len(cis) < 400:
         p = rng.choice((2, 3, 5, 7))
@@ -512,9 +518,24 @@ def test_tau_certificates_match_the_basis_route(rng, monkeypatch):
         assert (result.kind, result.ell) == (kind, ell), ci.forms
         assert forms and fpow, ci.forms
         if k < len(pinned):
-            assert route == list(pinned.values())[k], ci.forms
+            assert route == "basis", ci.forms
+        if k == 2:  # the m-primary pin
+            assert (result.kind, result.ell) == (TauClass.ISOLATED_NON_F_PURE_POINT, 4)
         routes[route] += 1
     assert set(routes) == {"unit", "ranks", "point", "basis"}, routes
+
+
+def test_ranks_past_the_top_degree_stop_at_the_macaulay_bound(monkeypatch):
+    # past the largest generator degree D the ranks go on only where
+    # artinian says yes, and an Artinian S/tau is zero by (n+1)(D-1)+1: a
+    # wrong yes on this positive-dimensional tau, which has no coordinate
+    # zero, ends as an internal error, not a search without end
+    r = ring(2, "xyz")
+    ci = CompleteIntersection(r, (poly("x^2 + z^2", r), poly("y^3 + z^3 + y*z^2", r)))
+    assert compute_tau(ci).kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+    monkeypatch.setattr(frobenius, "artinian", lambda gens, ring: True)
+    with pytest.raises(InternalError, match="artinian and the ranks disagree"):
+        compute_tau(ci)
 
 
 def test_tau_of_diagonal_cubic_two_vars_p2():

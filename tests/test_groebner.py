@@ -1,5 +1,7 @@
 import itertools
 
+from collections import Counter
+
 import pytest
 
 from oracles import (
@@ -14,6 +16,7 @@ from oracles import (
     random_ideal_gens,
     ideal_piece_matrix,
     degree_index,
+    evaluate,
     rank,
     monomial,
 )
@@ -24,7 +27,9 @@ from fsing.frobenius import CompleteIntersection, bracket_power, compute_tau
 from fsing.groebner import (
     Ideal,
     _block_desc,
+    artinian,
     normal_form,
+    zero_at_coordinate_point,
 )
 from fsing.ring import (
     Polynomial,
@@ -440,6 +445,36 @@ def test_zero_dimensional_needs_every_variable():
     # mixed leads: a pure power can be hidden behind a reduction
     I = ideal(R5_2, "x^2 + y^2", "x*y")
     assert I.is_zero_dimensional()
+
+
+def test_artinian_and_coordinate_zeros_match_the_basis(rng):
+    # artinian against the complete reduced basis, zero_at_coordinate_point
+    # against evaluation at each e_i, on seeded homogeneous ideals of four
+    # kinds: the unit ideal (a constant generator), forms that all vanish at
+    # some e_i, forms that hold every x_i^deg between them yet cut out more
+    # than the origin, and Artinian ones
+    seen = Counter()
+    while len(seen) < 4 or min(seen.values()) < 40:
+        p = rng.choice((2, 3, 5, 7))
+        nv = rng.randint(2, 4)
+        r = RingDescriptor(p, tuple("xyzw"[:nv]))
+        gens = list(random_ideal_gens(rng, r, nv + 1, 3 if nv < 4 else 2))
+        if rng.random() < 0.5:
+            d = gens[0].degree()
+            powers = {tuple(d * (j == i) for j in range(nv)): rng.randrange(1, p) for i in range(nv)}
+            gens[0] = Polynomial(r, gens[0].terms | powers)
+        if rng.random() < 0.1:
+            gens.append(Polynomial.constant(r, rng.randrange(1, p)))
+        I = Ideal(r, tuple(gens))
+        terms = [g.terms for g in I.generators]
+        axes = [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
+        on_axis = any(not any(evaluate(g, e) for g in I.generators) for e in axes)
+        assert zero_at_coordinate_point(terms, nv) == on_axis, gens
+        unit = I.is_unit()
+        expected = unit or I.is_zero_dimensional()
+        assert artinian(terms, r) == expected, gens
+        assert not (on_axis and expected), gens
+        seen["unit" if unit else "coordinate zero" if on_axis else "Artinian" if expected else "positive-dimensional"] += 1
 
 
 def test_standard_monomials_examples():

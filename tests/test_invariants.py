@@ -21,6 +21,7 @@ from oracles import (
     random_homogeneous,
     random_ideal_gens,
     random_m_primary_gens,
+    regularity_artinian,
     rows_matrix,
     scan_stabilization_check,
     tuple_annihilation_rows,
@@ -28,10 +29,10 @@ from oracles import (
 
 from cases import diagonal_ci, hypersurface, poly, report_from_json, ring, squares_ci
 
-from fsing import invariants
+from fsing import groebner
 from fsing.errors import InternalError, RegularSequenceError, ResourceLimit
 from fsing.frobenius import CompleteIntersection, TauClass, compute_tau, hilbert_function
-from fsing.groebner import Ideal, regularity_artinian
+from fsing.groebner import Ideal
 from fsing.invariants import (
     a_invariant,
     analyze,
@@ -484,14 +485,14 @@ def test_isolated_singularity_test_matches_the_dense_oracle(rng, monkeypatch):
     # the route is the one the generators call for: a coordinate point
     # exactly when every minor and form vanishes at some e_i, else the basis
     # stopped at pure-power leads exactly when the answer is yes
-    real, routes = invariants._buchberger, []
+    real, routes = groebner._buchberger, []
 
     def spy(*args):
         basis = real(*args)
         routes.append("pure powers" if basis is None else "complete basis")
         return basis
 
-    monkeypatch.setattr(invariants, "_buchberger", spy)
+    monkeypatch.setattr(groebner, "_buchberger", spy)
     seen = Counter()
     while len(seen) < 3 or min(seen.values()) < 25:
         p = rng.choice((2, 3, 5, 7))
