@@ -331,28 +331,22 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
     contains f^(p-1): the defining forms plus the Frobenius root of f^(p-1),
     so it contains the forms by construction.
 
-    Its class comes from certificates, cheapest first: a degree-0 generator
-    (the unit ideal); a coordinate point where every generator vanishes
-    (positive-dimensional); S/tau zero in some degree, by ranks (m-primary,
-    and ell is one less), where Buchberger runs, as far as artinian needs,
-    only if the ranks up to the largest generator degree do not settle it.
-    Two self-checks follow: for proper tau, tau^[p] contains f^(p-1)
-    (groups_in_root); Fedder's test agrees with tau being the unit ideal.
+    Its class is read off zero_degree, the least degree from which S/tau is
+    zero: 0 for the unit ideal, None for a positive-dimensional tau, else s
+    for an m-primary one, with ell = s - 1.  Two self-checks follow: for
+    proper tau, tau^[p] contains f^(p-1) (groups_in_root); Fedder's test
+    agrees with tau being the unit ideal.
     """
     fpow = ci.fpow
     root = frobenius_root_principal(fpow)
     tau = Ideal(ci.ring, ci.forms + root.generators)
-    gens = [g.terms for g in tau.generators]
-    ell = None
-    # forms have positive degree, so only the root can hold a constant
-    if any(g.degree() == 0 for g in root.generators):
-        kind = TauClass.EVERYWHERE_F_PURE
-    elif zero_at_coordinate_point(gens, ci.ring.nvars):
-        kind = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
-    elif (s := zero_degree(gens, ci.ring)) is not None:
-        kind, ell = TauClass.ISOLATED_NON_F_PURE_POINT, s - 1
+    s = zero_degree([g.terms for g in tau.generators], ci.ring)
+    if s == 0:
+        kind, ell = TauClass.EVERYWHERE_F_PURE, None
+    elif s is None:
+        kind, ell = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL, None
     else:
-        kind = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+        kind, ell = TauClass.ISOLATED_NON_F_PURE_POINT, s - 1
     # the unit ideal's bracket power holds f^(p-1)
     unit = kind is TauClass.EVERYWHERE_F_PURE
     if not unit and not groups_in_root(fpow, root):
@@ -367,18 +361,25 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
 
 def zero_degree(gens, ring: RingDescriptor) -> int | None:
     """The least s at which the forms gens, as term dicts, span every
-    degree-s monomial; None when there is none.  The degree-s piece of
-    (gens) is the echelon of x_i times each pivot row of the degree s-1
-    piece, plus the generators of degree s.  Once it is all of S_s, so is
-    every later piece, so S/(gens) is zero from s on and nonzero in degree
-    s - 1.  Such s exists exactly when S/(gens) is Artinian: past the largest
-    generator degree D the ranks go on only if artinian says so, and reach
-    that s by (n+1)(D-1)+1, as over the algebraic closure the degree-D piece
-    then holds a regular sequence of n+1 forms of degree D."""
+    degree-s monomial; None when there is none.  Once the degree-s piece of
+    (gens) is all of S_s, so is every later piece, so S/(gens) is zero from
+    s on and nonzero in degree s - 1.  Such s exists exactly when S/(gens)
+    is Artinian.  Certificates, cheapest first: a constant generator gives
+    0 (the unit ideal); a coordinate point where every generator vanishes
+    gives None; then the degree-s pieces are ranked, each the echelon of
+    x_i times each pivot row of the degree s-1 piece, plus the generators
+    of degree s.  Past the largest generator degree D the ranks go on only
+    if artinian says so, and reach that s by (n+1)(D-1)+1, as over the
+    algebraic closure the degree-D piece then holds a regular sequence of
+    n+1 forms of degree D."""
     nv = ring.nvars
     by_degree: dict[int, list[dict]] = {}
     for g in gens:
         by_degree.setdefault(sum(next(iter(g))), []).append(g)
+    if 0 in by_degree:
+        return 0
+    if zero_at_coordinate_point(gens, nv):
+        return None
     top = max(by_degree)
     shifts = [tuple(int(i == j) for j in range(nv)) for i in range(nv)]
     piece: list[dict] = []

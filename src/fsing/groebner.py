@@ -53,11 +53,6 @@ def _normal_form_dict(target: dict, leads: list, polys: list, desc, p: int) -> d
     """Full normal form of target against monic divisors with cached leads."""
     if not leads or not target:
         return dict(target)
-    if all(len(t) == 1 for t in polys):
-        # monomial divisors only delete monomials, never create them
-        return {
-            m: c for m, c in target.items() if not any(all(map(le, l, m)) for l in leads)
-        }
     divisors = list(zip(leads, polys))
     work = dict(target)
     get, pop, push, heappop = work.get, work.pop, heapq.heappush, heapq.heappop

@@ -111,11 +111,30 @@ def nullspace(matrix, p):
 
 
 def rank(matrix, p) -> int:
-    """Dense rank by rref, the reference for the sparse fsing.linalg.rank."""
-    m = np.asarray(matrix)
+    """Dense rank by forward elimination, the reference for the sparse
+    fsing.linalg.rank: each pivot clears only the rows below it, on the
+    columns from its own on, where rref also reduces the rows above.
+    Entries stay in [0, p), as in rref."""
+    m = np.array(matrix, dtype=np.int64) % p
     if m.size == 0:
         return 0
-    return len(rref(m, p)[1])
+    nrows, ncols = m.shape
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        below = r + 1 + np.nonzero(m[r + 1:, c])[0]
+        if below.size:
+            factors = m[below, c] * pow(int(m[r, c]), -1, p) % p
+            m[below, c:] = (m[below, c:] - np.outer(factors, m[r, c:])) % p
+        r += 1
+    return r
 
 
 def in_row_space(matrix, vector, p) -> bool:

@@ -5,7 +5,10 @@ emitted outside capture so they always show.
 """
 
 import random
+import re
 import time
+
+from pathlib import Path
 
 from oracles import (
     colon_piece_kernel,
@@ -343,3 +346,12 @@ def test_squares_quartic_at_large_primes():
     # an m-primary tau with ell = 0 is m itself
     report = analyze(squares_ci(61))
     assert (report.tau_class.value, report.ell) == ("isolated_non_f_pure_point", 0)
+
+
+def test_readme_python_example_runs():
+    # the README's Python API example names only what exists, and runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(block, {})

@@ -44,6 +44,45 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+# problem files the suite writes, for routes and regimes no shipped problem takes
+WRITTEN = {
+    # positive-dimensional taus with no coordinate zero, so Buchberger
+    # decides them: tau = (x + y) vanishes at the F_2 point (1:1), the
+    # pair's tau at no F_2 point
+    "point_p2.ci": "p = 2\nvars = x, y\ngens = x^2*y + y^3\n",
+    "fallback_p2.ci": "p = 2\nvars = x, y, z\ngens = x^2 + z^2, y^3 + z^3 + y*z^2\n",
+    # an m-primary tau generated in degrees 3-4 with ell = 4 = D, so its
+    # ranks settle it only past D
+    "artinian_p3.ci": "p = 3\nvars = x, y\ngens = x^3 + y^3, x^4 + x^3*y + x*y^3\n",
+    # leads x^2 and x*y share x, so the regular-sequence ranks run and
+    # accept, in 4 variables and, with c = n+1, in 2
+    "ci22_p5.ci": "p = 5\nvars = x, y, z, w\ngens = x^2 + y^2 + z^2 + w^2, x*y + z*w\n",
+    "binary_p5.ci": "p = 5\nvars = x, y\ngens = x^2 + y^2, x*y\n",
+    # a c = 2 witness: its stabilization certificate builds its rows from
+    # one map per generator of tau
+    "c2_p5.ci": "p = 5\nvars = x, y, z, w\ngens = x^2 + y*z + w^2, y^3 + z^3 + x*w^2\n",
+    # a witness certified only past q = p: the binary septic's tau fails
+    # the certificate at q = 3 and passes it at q = 9
+    "septic_p3.ci": "p = 3\nvars = x, y\ngens = x^7 + y^7\n",
+    # large p, where f^(p-1) = f^p / f
+    "squares_p101.ci": "p = 101\nvars = x, y, z\ngens = x^2*y^2 + y^2*z^2 + z^2*x^2\n",
+    "cubic_p61.ci": "p = 61\nvars = x, y, z\ngens = x^3 + x*y*z + y^2*z + z^3 + x^2*y\n",
+    "cubic_p101.ci": "p = 101\nvars = x, y, z\ngens = x^3 + x*y*z + y^2*z + z^3 + x^2*y\n",
+    # the Fermat cubic is not F-pure at p = 101 (p = 2 mod 3), with an
+    # isolated non-F-pure point, and is F-pure at p = 103 (p = 1 mod 3)
+    "fermat_p101.ci": "p = 101\nvars = x, y, z\ngens = x^3 + y^3 + z^3\n",
+    "fermat_p103.ci": "p = 103\nvars = x, y, z\ngens = x^3 + y^3 + z^3\n",
+}
+
+
+def problem(tmp_path, name):
+    """The path of the problem file name: written under tmp_path if WRITTEN
+    holds it, else shipped in problems/."""
+    if name in WRITTEN:
+        return write(tmp_path, name, WRITTEN[name])
+    return f"{PROBLEMS}/{name}"
+
+
 # ---------------------------------------------------------------------------
 # problem files
 
@@ -203,10 +242,48 @@ def test_analyze_text(capsys):
     assert table["reg_s_mod_tau"] == table["ell"] == table["thmA_bound"] == "none"
 
 
+# analyze --json fields pinned per problem, each within 10 s
+ANALYZED = {
+    "nonisolated_p3.ci": {"tau_class": "non_f_pure_locus_positive_dimensional", "isolated_singularity": False},
+    # ell is set exactly for an isolated point
+    "monomial_xy_p5.ci": {"tau_class": "everywhere_f_pure", "ell": None},
+    # the Fermat cubic's partials 3x^2, 3y^2, 3z^2 are pure-power leads
+    "fermat_cubic_p5.ci": {"isolated_singularity": True},
+    # a positive-dimensional tau settles isolated_singularity without the
+    # Jacobian basis
+    "point_p2.ci": {"tau_class": "non_f_pure_locus_positive_dimensional", "isolated_singularity": False},
+    "fallback_p2.ci": {"tau_class": "non_f_pure_locus_positive_dimensional", "isolated_singularity": False},
+    "artinian_p3.ci": {"ell": 4, "thmA_bound": 1},
+    "ci22_p5.ci": {"tau_class": "everywhere_f_pure"},
+    "binary_p5.ci": {"a_invariant": 2},
+    "squares_p101.ci": {"tau_class": "isolated_non_f_pure_point"},
+    "cubic_p61.ci": {"tau_class": "everywhere_f_pure"},
+    "cubic_p101.ci": {"tau_class": "everywhere_f_pure"},
+    "fermat_p101.ci": {"fpure_at_m": False, "tau_class": "isolated_non_f_pure_point"},
+    "fermat_p103.ci": {"tau_class": "everywhere_f_pure"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZED))
+def test_analyze_json_fields_are_frozen(name, tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(["analyze", problem(tmp_path, name), "--json"]) == 0
+    assert time.perf_counter() - start < 10
+    report = json.loads(capsys.readouterr().out)
+    assert {k: report[k] for k in ANALYZED[name]} == ANALYZED[name]
+
+
 def test_analyze_bad_regular_sequence_exit_code(tmp_path, capsys):
     path = write(tmp_path, "notci.ci", "p = 3\nvars = x, y, z\ngens = x*y, y*z\n")
     assert main(["analyze", path]) == 3
     assert capsys.readouterr().err.startswith("not a complete intersection:")
+    # a shared factor is refused at the first degree whose quotient is too large
+    path = write(tmp_path, "shared_p5.ci", "p = 5\nvars = x, y, z\ngens = x*y, x*z\n")
+    assert main(["analyze", path, "--json"]) == 3
+    assert capsys.readouterr().err == (
+        "not a complete intersection: not a regular sequence: "
+        "quotient dimension 5 in degree 3, expected 4\n"
+    )
 
 
 @pytest.mark.parametrize("gens, named", [("x^2, 1", "form 2 (1)"), ("0, x", "form 1 (0)")])
@@ -430,14 +507,22 @@ def test_witness_refused_when_f_pure(capsys):
     assert "tau =" not in err
 
 
-def test_witness_refused_when_locus_positive_dimensional(capsys):
-    assert main(["witness", f"{PROBLEMS}/nonisolated_p3.ci"]) == 5
-    err = capsys.readouterr().err
-    assert "non_f_pure_locus_positive_dimensional" in err
-    assert "tau = (x*y)" in err
+def test_witness_refused_when_locus_positive_dimensional(tmp_path, capsys):
+    # witness prints tau's reduced basis, also where Buchberger decided its class
+    for name, tau in (
+        ("nonisolated_p3.ci", "(x*y)"),
+        ("point_p2.ci", "(x + y)"),
+        ("fallback_p2.ci", "(y^3 + y*z^2 + z^3, x^2 + z^2, x*y + y*z, x*z + z^2)"),
+    ):
+        assert main(["witness", problem(tmp_path, name)]) == 5
+        assert capsys.readouterr().err == (
+            "no witness: tau is not m-primary proper (non_f_pure_locus_positive_dimensional)\n"
+            f"tau = {tau}\n"
+        )
 
 
-# witness --json on every shipped problem: (exit code, numerator, q, degree)
+# witness --json on every shipped problem and some written ones:
+# (exit code, numerator, q, degree)
 WITNESSES = {
     "diag_cubic_2vars_p2.ci": (0, "x*y", 2, 1),
     "fermat_cubic_p2.ci": (0, "x*y*z", 2, 0),
@@ -446,17 +531,21 @@ WITNESSES = {
     "nonisolated_p3.ci": (5, None, None, None),
     "squares_p3.ci": (0, "x^2*y^2*z^2", 3, 1),
     "squares_p5.ci": (0, "x^4*y^4*z^4", 5, 1),
+    "artinian_p3.ci": (0, "x^7*y^5 + x^6*y^6 + 2*x^4*y^8", 9, 1),
+    "c2_p5.ci": (0, "x^4*y^4*z^4*w^3", 5, 0),
+    "septic_p3.ci": (0, "x^7*y^5", 9, 1),
 }
 
 
 def test_witness_covers_every_problem():
-    assert sorted(WITNESSES) == sorted(p.name for p in Path(PROBLEMS).glob("*.ci"))
+    shipped = sorted(WITNESSES.keys() - WRITTEN.keys())
+    assert shipped == sorted(p.name for p in Path(PROBLEMS).glob("*.ci"))
 
 
 @pytest.mark.parametrize("name", sorted(WITNESSES))
-def test_witness_json_is_frozen(name, capsys):
+def test_witness_json_is_frozen(name, tmp_path, capsys):
     code, numerator, q, degree = WITNESSES[name]
-    assert main(["witness", f"{PROBLEMS}/{name}", "--json"]) == code
+    assert main(["witness", problem(tmp_path, name), "--json"]) == code
     expected = "" if code else (
         f'{{\n  "numerator": "{numerator}",\n  "q": {q},\n  "degree": {degree},\n'
         '  "frobenius_image_is_zero": true\n}\n'
