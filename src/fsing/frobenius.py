@@ -162,7 +162,7 @@ def bracket_power(I: Ideal, q: int) -> Ideal:
     if not is_power_of(q, I.ring.p):
         raise ValueError(f"{q} is not a power of {I.ring.p}")
     powers = tuple(g.frobenius_power(q) for g in I.groebner())
-    return Ideal._with_basis(I.ring, powers)
+    return Ideal._raw(I.ring, powers, powers)
 
 
 def frobenius_root_principal(h: Polynomial) -> Ideal:
@@ -339,8 +339,8 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
     """
     fpow = ci.fpow
     root = frobenius_root_principal(fpow)
-    tau = Ideal(ci.ring, ci.forms + root.generators)
-    s = zero_degree([g.terms for g in tau.generators], ci.ring)
+    tau = Ideal._raw(ci.ring, ci.forms + root.generators)
+    s = zero_degree(tau)
     if s == 0:
         kind, ell = TauClass.EVERYWHERE_F_PURE, None
     elif s is None:
@@ -359,11 +359,11 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
     return TauResult(tau=tau, kind=kind, ell=ell)
 
 
-def zero_degree(gens, ring: RingDescriptor) -> int | None:
-    """The least s at which the forms gens, as term dicts, span every
-    degree-s monomial; None when there is none.  Once the degree-s piece of
-    (gens) is all of S_s, so is every later piece, so S/(gens) is zero from
-    s on and nonzero in degree s - 1.  Such s exists exactly when S/(gens)
+def zero_degree(ideal: Ideal) -> int | None:
+    """The least s at which the ideal's generators span every degree-s
+    monomial; None when there is none.  Once the degree-s piece of the
+    ideal is all of S_s, so is every later piece, so S/ideal is zero from
+    s on and nonzero in degree s - 1.  Such s exists exactly when S/ideal
     is Artinian.  Certificates, cheapest first: a constant generator gives
     0 (the unit ideal); a coordinate point where every generator vanishes
     gives None; then the degree-s pieces are ranked, each the echelon of
@@ -372,6 +372,7 @@ def zero_degree(gens, ring: RingDescriptor) -> int | None:
     if artinian says so, and reach that s by (n+1)(D-1)+1, as over the
     algebraic closure the degree-D piece then holds a regular sequence of
     n+1 forms of degree D."""
+    ring, gens = ideal.ring, [g.terms for g in ideal.generators]
     nv = ring.nvars
     by_degree: dict[int, list[dict]] = {}
     for g in gens:
@@ -388,9 +389,9 @@ def zero_degree(gens, ring: RingDescriptor) -> int | None:
         piece = echelon(by_degree.get(s, []) + rows, ring.p)
         if len(piece) == math.comb(s + nv - 1, nv - 1):
             return s
-        if s == top and not artinian(gens, ring):
+        if s == top and not artinian(ideal):
             return None
-    raise InternalError("artinian and the ranks disagree: S/(gens) is nonzero past (n+1)(D-1)+1")
+    raise InternalError("artinian and the ranks disagree: S/ideal is nonzero past (n+1)(D-1)+1")
 
 
 def groups_in_root(h: Polynomial, root: Ideal) -> bool:

@@ -104,7 +104,7 @@ def _interreduce(terms_list: list, leads: list, desc, p: int) -> list:
 
 def _buchberger(inputs: list, desc, p: int, stop=None) -> list | None:
     """Reduced Groebner basis of the ideal spanned by `inputs` (term dicts);
-    with stop, None once it holds for a new element's lead, else the basis unreduced."""
+    None once stop, if given, holds for a new element's lead."""
     seeds = [t for t in inputs if t]
     basis_terms: list[dict] = []
     basis_leads: list[Monomial] = []
@@ -170,7 +170,7 @@ def _buchberger(inputs: list, desc, p: int, stop=None) -> list | None:
         if h and insert(h):
             return None
 
-    return basis_terms if stop else _interreduce(basis_terms, basis_leads, desc, p)
+    return _interreduce(basis_terms, basis_leads, desc, p)
 
 
 def pure_powers(monomials) -> set[int]:
@@ -184,22 +184,23 @@ def zero_at_coordinate_point(gens, nvars: int) -> bool:
     return len(pure_powers(chain.from_iterable(gens))) < nvars
 
 
-def artinian(gens: list, ring: RingDescriptor) -> bool:
-    """Whether S/(gens) is finite-dimensional, the zero ring included, for
-    forms gens as term dicts.  No if they all vanish at some e_i, and so on
-    the line through it.  Else Buchberger runs until its leads hold a power
-    of every variable (1 is a power of each): yes.  Such powers in the
-    lead-term ideal are multiples of leads that are powers too, so a basis
-    completed without them answers no."""
-    if zero_at_coordinate_point(gens, ring.nvars):
-        return False
+def artinian(ideal: "Ideal") -> bool:
+    """Whether S/ideal is finite-dimensional, the zero ring included: yes
+    once Buchberger's leads hold a power of every variable (1 is a power of
+    each).  Such powers in the lead-term ideal are multiples of leads that
+    are powers too, so a basis completed without them answers no, and is
+    kept as the ideal's reduced basis."""
+    ring = ideal.ring
     pure: set[int] = set()
 
     def holds_every_power(lead: Monomial) -> bool:
         pure.update(pure_powers([lead]))
         return len(pure) == ring.nvars
 
-    return _buchberger(gens, grevlex_desc, ring.p, holds_every_power) is None
+    basis = _buchberger([g.terms for g in ideal.generators], grevlex_desc, ring.p, holds_every_power)
+    if basis is not None:
+        ideal._gb = tuple(Polynomial._raw(ring, d) for d in basis)
+    return basis is None
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +249,14 @@ class Ideal:
         return cls(ring, ())
 
     @classmethod
-    def _with_basis(cls, ring, elements: tuple[Polynomial, ...]) -> "Ideal":
-        # elements must already be the reduced basis, as groebner() gives it
-        ideal = cls(ring, elements)
-        ideal._gb = ideal.generators
+    def _raw(cls, ring, generators: tuple[Polynomial, ...], basis=None) -> "Ideal":
+        # internal: generators must already be nonzero forms of ring, and
+        # basis, if given, their reduced basis as groebner() gives it
+        ideal = cls.__new__(cls)
+        ideal.ring = ring
+        ideal.generators = generators
+        ideal._gb = basis
+        ideal._leads = None
         return ideal
 
     def __repr__(self):
@@ -263,9 +268,7 @@ class Ideal:
     def groebner(self) -> tuple[Polynomial, ...]:
         """The reduced basis: monic elements, leads descending."""
         if self._gb is None:
-            dicts = _buchberger(
-                [dict(g.terms) for g in self.generators], grevlex_desc, self.ring.p
-            )
+            dicts = _buchberger([g.terms for g in self.generators], grevlex_desc, self.ring.p)
             self._gb = tuple(Polynomial._raw(self.ring, d) for d in dicts)
         return self._gb
 

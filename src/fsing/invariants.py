@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import InternalError, ResourceLimit
 from .frobenius import CompleteIntersection, TauClass, TauResult, colon_piece, compute_tau
-from .groebner import Ideal, artinian
+from .groebner import Ideal, artinian, zero_at_coordinate_point
 from .ring import Polynomial, is_power_of
 
 DEFAULT_MAX_Q_EXPONENT = 6
@@ -115,8 +115,12 @@ def _jacobian_minors(ci: CompleteIntersection) -> tuple[Polynomial, ...]:
 
 def isolated_singularity_test(ci: CompleteIntersection) -> bool:
     """Whether the Jacobian ideal plus the forms, C, cuts out at most the
-    origin: C is the unit ideal or S/C is finite-dimensional."""
-    return artinian([g.terms for g in _jacobian_minors(ci) + ci.forms], ci.ring)
+    origin: C is the unit ideal or S/C is finite-dimensional.  No if they
+    all vanish at some e_i, and so on the line through it; else artinian."""
+    gens = _jacobian_minors(ci) + ci.forms
+    if zero_at_coordinate_point([g.terms for g in gens], ci.ring.nvars):
+        return False
+    return artinian(Ideal(ci.ring, gens))
 
 
 def isolated_singularity(ci: CompleteIntersection, tau_result: TauResult) -> bool:
@@ -154,7 +158,7 @@ class AnalysisReport:
             raise InternalError("Theorem A bound below the corollary bound")
 
     def to_json_dict(self) -> dict:
-        data = {"a_invariant": self.a_invariant, "reg_s_mod_tau": self.ell} | asdict(self)
+        data = {"a_invariant": self.a_invariant, "reg_s_mod_tau": self.ell} | vars(self)
         data["tau_class"] = self.tau_class.value
         return data
 

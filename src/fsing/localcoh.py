@@ -19,7 +19,7 @@ builder, frobenius.kernel_rows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import InternalError, ResourceLimit
 from .frobenius import (
@@ -189,7 +189,7 @@ class InjectivityResult:
         return self.dim_kernel == 0
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def verify_injectivity(

@@ -13,7 +13,7 @@ import pytest
 
 from cases import report_from_json
 
-from fsing import cli, frobenius
+from fsing import cli, frobenius, groebner
 from fsing.cli import load_problem, main
 from fsing.errors import InternalError, ParseError, ResourceLimit
 from fsing.frobenius import FPOW_TERM_CAP
@@ -519,6 +519,17 @@ def test_witness_refused_when_locus_positive_dimensional(tmp_path, capsys):
             "no witness: tau is not m-primary proper (non_f_pure_locus_positive_dimensional)\n"
             f"tau = {tau}\n"
         )
+
+
+def test_witness_runs_one_buchberger_on_a_fallback_tau(tmp_path, capsys, monkeypatch):
+    # artinian completes the basis that decides this tau and keeps it, so
+    # the tau = (...) line reads it from the cache
+    runs, real = [], groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda *args: runs.append(args) or real(*args))
+    assert main(["witness", problem(tmp_path, "fallback_p2.ci")]) == 5
+    assert len(runs) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "tau = (y^3 + y*z^2 + z^3, x^2 + z^2, x*y + y*z, x*z + z^2)"
 
 
 # witness --json on every shipped problem and some written ones:

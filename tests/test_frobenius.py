@@ -525,17 +525,44 @@ def test_tau_certificates_match_the_basis_route(rng, monkeypatch):
     assert set(routes) == {"unit", "ranks", "point", "basis"}, routes
 
 
+def fallback_ci():
+    # a positive-dimensional tau with no coordinate zero, which only
+    # Buchberger decides
+    r = ring(2, "xyz")
+    return CompleteIntersection(r, (poly("x^2 + z^2", r), poly("y^3 + z^3 + y*z^2", r)))
+
+
 def test_ranks_past_the_top_degree_stop_at_the_macaulay_bound(monkeypatch):
     # past the largest generator degree D the ranks go on only where
     # artinian says yes, and an Artinian S/tau is zero by (n+1)(D-1)+1: a
     # wrong yes on this positive-dimensional tau, which has no coordinate
     # zero, ends as an internal error, not a search without end
-    r = ring(2, "xyz")
-    ci = CompleteIntersection(r, (poly("x^2 + z^2", r), poly("y^3 + z^3 + y*z^2", r)))
+    ci = fallback_ci()
     assert compute_tau(ci).kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
-    monkeypatch.setattr(frobenius, "artinian", lambda gens, ring: True)
+    monkeypatch.setattr(frobenius, "artinian", lambda ideal: True)
     with pytest.raises(InternalError, match="artinian and the ranks disagree"):
         compute_tau(ci)
+
+
+def test_compute_tau_tests_the_coordinate_points_once(monkeypatch):
+    # zero_degree tries them before its ranks; artinian, which decides
+    # this tau, does not try them again
+    ci = fallback_ci()
+    calls, real = [], groebner.zero_at_coordinate_point
+    for module in (frobenius, groebner):
+        monkeypatch.setattr(module, "zero_at_coordinate_point", lambda *args: calls.append(args) or real(*args))
+    assert compute_tau(ci).kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+    assert len(calls) == 1
+
+
+def test_compute_tau_validates_one_ideal(monkeypatch):
+    # the Frobenius root's Ideal is validated at frobenius_root_principal;
+    # tau, the checked forms plus the root's rows, is built without checks
+    ci = fallback_ci()
+    built, real = [], Ideal.__init__
+    monkeypatch.setattr(Ideal, "__init__", lambda self, *args: built.append(args) or real(self, *args))
+    assert compute_tau(ci).kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+    assert len(built) == 1
 
 
 def test_tau_of_diagonal_cubic_two_vars_p2():

@@ -452,7 +452,7 @@ def test_artinian_and_coordinate_zeros_match_the_basis(rng):
     # against evaluation at each e_i, on seeded homogeneous ideals of four
     # kinds: the unit ideal (a constant generator), forms that all vanish at
     # some e_i, forms that hold every x_i^deg between them yet cut out more
-    # than the origin, and Artinian ones
+    # than the origin, and Artinian ones; a no keeps the completed basis
     seen = Counter()
     while len(seen) < 4 or min(seen.values()) < 40:
         p = rng.choice((2, 3, 5, 7))
@@ -472,7 +472,10 @@ def test_artinian_and_coordinate_zeros_match_the_basis(rng):
         assert zero_at_coordinate_point(terms, nv) == on_axis, gens
         unit = I.is_unit()
         expected = unit or I.is_zero_dimensional()
-        assert artinian(terms, r) == expected, gens
+        fresh = Ideal(r, tuple(gens))
+        assert artinian(fresh) == expected, gens
+        if not expected:
+            assert fresh._gb == I.groebner(), gens
         assert not (on_axis and expected), gens
         seen["unit" if unit else "coordinate zero" if on_axis else "Artinian" if expected else "positive-dimensional"] += 1
 
