@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from operator import add, floordiv, mod
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
 from .groebner import Ideal, artinian, zero_at_coordinate_point
-from .linalg import echelon, nullspace, rank
+from .linalg import echelon, nullspace
 from .ring import (
     EXPONENT_CAP,
     REGULAR_CHECK_CAP,
@@ -52,8 +53,7 @@ def kernel_rows(maps, nvars: int, s: int, q: int, max_images: int | None = None)
     lists, ascending, the positions in monomials_of_degree(ring, s, below=q)
     of the coordinates that no unit row kills; rows holds each map's other
     rows in turn, on alive's indices, none empty.  The kernel of the maps
-    together has dimension len(alive) - rank(rows).  q is any positive
-    integer: _check_regular_sequence takes one above a quotient degree.
+    together has dimension len(alive) - rank(rows).
 
     A unit row, an image monomial one coordinate alone reaches, forces that
     coordinate to 0 in every kernel vector: its column is struck from every
@@ -197,13 +197,13 @@ class CompleteIntersection:
     """A graded complete intersection R = S/(f_1, ..., f_c) over F_p.
 
     Construction validates the shape (1 <= c <= n+1, homogeneous forms of
-    positive degree) and that the forms are a regular sequence: for c >= 2 by
-    comparing quotient dimensions degree by degree against hilbert_function
-    up to degree d = sum d_j.  By graded local duality (Bruns-Herzog,
-    Cohen-Macaulay Rings, ch. 3) the same function sizes the top local
-    cohomology: its degree-t piece has dimension HF_R(a(R) - t), a(R) = d - (n+1).
-    Derived fields: degrees d_j, their sum d, and the product form f;
-    fpow = f^(p-1) is computed on first use.
+    positive degree) and that the forms are a regular sequence: for c >= 2
+    forms, two of whose grevlex leads share a variable, quotient_dims must
+    equal hilbert_function up to degree d = sum d_j.  By graded local
+    duality (Bruns-Herzog, Cohen-Macaulay Rings, ch. 3) the same function
+    sizes the top local cohomology: its degree-t piece has dimension
+    HF_R(a(R) - t), a(R) = d - (n+1).  Derived fields: degrees d_j, their
+    sum d, and the product form f; fpow = f^(p-1) is computed on first use.
     """
 
     ring: RingDescriptor
@@ -293,22 +293,30 @@ def _check_regular_sequence(ring, forms, degrees):
     leads = [g.leading_monomial() for g in forms]
     if not any(any(map(min, a, b)) for k, a in enumerate(leads) for b in leads[:k]):
         return
-    # otherwise quotient dimensions up to degree d: m^[s+1] is zero in degree
-    # s, so by the duality of stabilization_check's docstring (S/J)_s has the
-    # dimension of the forms' annihilator modulo m^[s+1] in degree (nv-1)s,
-    # for any J.  Only c = n+1 expects 0, at d - n, and then S/J, generated in
-    # degree 0, is Artinian; c < n+1 is not argued, a Krull-dimension test guards it
-    for s in range(top + 1):
-        alive, rows = kernel_rows([(g, 1) for g in forms], nv, (nv - 1) * s, s + 1)
-        dim = len(alive) - rank(rows, ring.p)
+    # otherwise the quotient dimensions up to degree d.  Only c = n+1 expects
+    # 0, at d - n, and then S/J, generated in degree 0, is Artinian
+    for s, dim in quotient_dims([g.terms for g in forms], nv, ring.p):
         expected = hilbert_function(degrees, nv, s)
         if dim != expected:
-            raise RegularSequenceError(
-                f"not a regular sequence: quotient dimension {dim} in degree {s}, "
-                f"expected {expected}"
-            )
-        if not expected:
+            raise RegularSequenceError(f"not a regular sequence: quotient dimension {dim} "
+                                       f"in degree {s}, expected {expected}")
+        if not expected or s == top:
             return
+
+
+def quotient_dims(gens, nvars: int, p: int):
+    """(s, dim (S/I)_s) for s = 0, 1, 2, ..., I generated over F_p by the
+    homogeneous {monomial: coefficient} dicts gens: I_s is the echelon of x_i
+    times each pivot row of I_(s-1), plus the generators of degree s."""
+    by_degree: dict[int, list[dict]] = {}
+    for g in gens:
+        by_degree.setdefault(sum(next(iter(g))), []).append(g)
+    shifts = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    piece: list[dict] = []
+    for s in itertools.count():
+        rows = [{tuple(map(add, m, e)): c for m, c in row.items()} for row in piece for e in shifts]
+        piece = echelon(by_degree.get(s, []) + rows, p)
+        yield s, math.comb(s + nvars - 1, nvars - 1) - len(piece)
 
 
 @dataclass(frozen=True)
@@ -366,28 +374,20 @@ def zero_degree(ideal: Ideal) -> int | None:
     s on and nonzero in degree s - 1.  Such s exists exactly when S/ideal
     is Artinian.  Certificates, cheapest first: a constant generator gives
     0 (the unit ideal); a coordinate point where every generator vanishes
-    gives None; then the degree-s pieces are ranked, each the echelon of
-    x_i times each pivot row of the degree s-1 piece, plus the generators
-    of degree s.  Past the largest generator degree D the ranks go on only
-    if artinian says so, and reach that s by (n+1)(D-1)+1, as over the
-    algebraic closure the degree-D piece then holds a regular sequence of
-    n+1 forms of degree D."""
+    gives None; then s is quotient_dims' first 0 from degree 1 on.  Past
+    the largest generator degree D it is read on only if artinian says so,
+    and reaches 0 by (n+1)(D-1)+1, as over the algebraic closure the
+    degree-D piece then holds a regular sequence of n+1 forms of degree D."""
     ring, gens = ideal.ring, [g.terms for g in ideal.generators]
-    nv = ring.nvars
-    by_degree: dict[int, list[dict]] = {}
-    for g in gens:
-        by_degree.setdefault(sum(next(iter(g))), []).append(g)
-    if 0 in by_degree:
+    degrees = [sum(next(iter(g))) for g in gens]
+    if 0 in degrees:
         return 0
-    if zero_at_coordinate_point(gens, nv):
+    if zero_at_coordinate_point(gens, ring.nvars):
         return None
-    top = max(by_degree)
-    shifts = [tuple(int(i == j) for j in range(nv)) for i in range(nv)]
-    piece: list[dict] = []
-    for s in range(1, nv * (top - 1) + 2):
-        rows = [{tuple(map(add, m, e)): c for m, c in row.items()} for row in piece for e in shifts]
-        piece = echelon(by_degree.get(s, []) + rows, ring.p)
-        if len(piece) == math.comb(s + nv - 1, nv - 1):
+    top = max(degrees)
+    dims = quotient_dims(gens, ring.nvars, ring.p)
+    for s, dim in itertools.islice(dims, 1, ring.nvars * (top - 1) + 2):
+        if not dim:
             return s
         if s == top and not artinian(ideal):
             return None

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import math
 import re
 import time
 
@@ -308,7 +309,7 @@ def test_coprime_leads_construct_without_a_rank(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("the regular-sequence check took a rank")
 
-    monkeypatch.setattr(frobenius, "rank", refuse)
+    monkeypatch.setattr(frobenius, "quotient_dims", refuse)
     for _ in range(40):
         p = rng.choice((2, 3, 5, 7))
         nv = rng.randint(2, 4)
@@ -321,13 +322,14 @@ def test_coprime_leads_construct_without_a_rank(rng, monkeypatch):
 
 def test_leads_that_share_a_variable_take_the_rank_check(monkeypatch):
     r = ring(5, "xyzw")
-    real, ranked = frobenius.rank, []
+    real, ranked = frobenius.quotient_dims, []
 
-    def counted(rows, p):
-        ranked.append(len(rows))
-        return real(rows, p)
+    def counted(*args):
+        for s, dim in real(*args):
+            ranked.append(s)
+            yield s, dim
 
-    monkeypatch.setattr(frobenius, "rank", counted)
+    monkeypatch.setattr(frobenius, "quotient_dims", counted)
     forms = (poly("x^2 + y^2 + z^2 + w^2", r), poly("x*y + z*w", r))
     assert CompleteIntersection(r, forms).degrees == (2, 2)
     assert len(ranked) == 5  # leads x^2 and x*y share x: degrees 0 to 4
@@ -342,6 +344,28 @@ def test_leads_that_share_a_variable_take_the_rank_check(monkeypatch):
         match=r"^not a regular sequence: quotient dimension 5 in degree 3, expected 4$",
     ):
         CompleteIntersection(R3, (poly("x*y", R3), poly("x*z", R3)))
+
+
+def test_quotient_dims_match_the_dense_oracle(rng):
+    # the one count of dim (S/I)_s against dense ranks in every degree up to
+    # d, on sparse and dense forms in 2-6 variables with c from 1 to n+1,
+    # c = n+1 in every third draw; a degree is added to a random form while
+    # d < 3c and S has fewer than 300 monomials of degree at most d
+    swept = collections.Counter()
+    for draw in range(35):
+        nv = 2 + draw % 5
+        r = ring(rng.choice((2, 3, 5, 7)), "xyzwuv"[:nv])
+        c = nv if draw % 3 == 0 else rng.randint(1, nv - 1)
+        degrees = [1] * c
+        while sum(degrees) < 3 * c and math.comb(sum(degrees) + nv, nv) < 300:
+            degrees[rng.randrange(c)] += 1
+        density = 0.9 if draw % 2 else 2 / math.comb(nv + 1, 2)
+        forms = tuple(random_homogeneous(rng, r, e, density) for e in degrees)
+        dims = frobenius.quotient_dims([g.terms for g in forms], nv, r.p)
+        for s, dim in itertools.islice(dims, sum(degrees) + 1):
+            assert dim == oracle_quotient_dim(forms, s, r), (forms, s)
+        swept[nv, c == nv] += 1
+    assert all(swept[nv, True] and swept[nv, False] for nv in range(2, 7))
 
 
 def krull_dimension(forms, r):
@@ -369,13 +393,12 @@ def non_regular_draw(rng, r, c, family):
 
 
 def test_regular_sequence_check_matches_krull_dimension(rng, monkeypatch):
-    # the check compares Hilbert functions up to degree d = sum d_j; its
-    # comment argues the bound for c = n+1, and these draws, most with
-    # c < n+1, guard it there: refused exactly when dim S/J > nv - c, at the
-    # first degree where the dense quotient dimension leaves the complete
-    # intersection's Hilbert function
-    real, ranked = frobenius.rank, []
-    monkeypatch.setattr(frobenius, "rank", lambda rows, p: ranked.append(1) or real(rows, p))
+    # the check compares Hilbert functions up to degree d = sum d_j, and
+    # these draws, most with c < n+1, guard that bound: refused exactly when
+    # dim S/J > nv - c, at the first degree where the dense quotient
+    # dimension leaves the complete intersection's Hilbert function
+    real, ranked = frobenius.quotient_dims, []
+    monkeypatch.setattr(frobenius, "quotient_dims", lambda *args: ranked.append(1) or real(*args))
     message = re.compile(r"^not a regular sequence: quotient dimension (\d+) in degree (\d+), expected (\d+)$")
     verdicts = collections.Counter()
     for draw in range(330):

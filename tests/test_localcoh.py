@@ -729,6 +729,11 @@ def test_theorems_a_and_b_over_every_degree(rng):
         rows = tuple_annihilation_rows(ci.forms, coords, q) + tuple_frobenius_rows(ci, coords, q)
         return n - dense_rank(rows, n, ci.ring.p)
 
+    def sweep_theorem_a(ci, report):
+        for t in range(report.cor_bound, report.thmA_bound + 1):
+            kernel = frobenius_kernel(ci, t)
+            assert kernel >= 1 if t == report.thmA_bound else kernel == 0, (ci.forms, t)
+
     swept = {"thmA": [], "thmB": []}
     while min(map(len, swept.values())) < 16:
         # f^(p-1) and Phi grow with p, d and the variables: in 4, p <= 3 and quadrics
@@ -742,9 +747,7 @@ def test_theorems_a_and_b_over_every_degree(rng):
             continue
         report = analyze(ci)
         if report.thmA_bound is not None and len(swept["thmA"]) < 16:
-            for t in range(report.cor_bound, report.thmA_bound + 1):
-                kernel = frobenius_kernel(ci, t)
-                assert kernel >= 1 if t == report.thmA_bound else kernel == 0, (forms, t)
+            sweep_theorem_a(ci, report)
             swept["thmA"].append(report.ell)
         if report.isolated_singularity and r.p >= report.thmB_threshold and len(swept["thmB"]) < 16:
             for t in range(report.cor_bound, 0):
@@ -753,6 +756,21 @@ def test_theorems_a_and_b_over_every_degree(rng):
     # tau other than m puts the Theorem A bound below a(R), and Theorem B is
     # tested where R is not F-pure, so that Frobenius has a kernel somewhere
     assert any(swept["thmA"]) and not all(swept["thmB"])
+    # three quadrics in 3 variables (c = n+1): R is Artinian and nonzero in
+    # degree a(R) = 3, so not F-pure, and Theorem A's kernel sits at
+    # a(R) - reg(S/tau) with more than 2 variables
+    artinian = []
+    while len(artinian) < 8:
+        r = ring(rng.choice((2, 3, 5)), "xyz")
+        try:
+            ci = CompleteIntersection(r, tuple(random_homogeneous(rng, r, 2, density=0.5) for _ in range(3)))
+        except RegularSequenceError:
+            continue
+        report = analyze(ci)
+        assert report.thmA_bound is not None, ci.forms
+        sweep_theorem_a(ci, report)
+        artinian.append(r.p)
+    assert set(artinian) == {2, 3, 5}
 
 
 def report_consistency(ci, report, rows):
