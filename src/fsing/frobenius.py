@@ -146,6 +146,8 @@ def colon_piece(gens, ring: RingDescriptor, s: int, q: int) -> list[Polynomial]:
     alive, rows = kernel_rows([(g, 1) for g in gens], ring.nvars, s, q)
     last = len(alive) - 1
     kernel = nullspace([{last - col: c for col, c in row.items()} for row in rows], last + 1, ring.p)
+    if not kernel:
+        return []
     coords = monomials_of_degree(ring, s, below=q)
     columns = [coords[i] for i in reversed(alive)]
     return [Polynomial._raw(ring, {m: c for m, c in zip(columns, v) if c}) for v in kernel]
@@ -156,13 +158,13 @@ def bracket_power(I: Ideal, q: int) -> Ideal:
 
     Because q-th power is a ring endomorphism in characteristic p, the result
     does not depend on the chosen generating set.  It is also flat (Kunz), and
-    it sends leads and S-polynomials to their q-th powers, so the q-th powers
-    of the reduced basis of I are the reduced basis of I^[q].
+    it sends leads and S-polynomials to their q-th powers, so the reduced
+    basis of I^[q], which Buchberger computes on first use, is the q-th
+    powers of the reduced basis of I.
     """
     if not is_power_of(q, I.ring.p):
         raise ValueError(f"{q} is not a power of {I.ring.p}")
-    powers = tuple(g.frobenius_power(q) for g in I.groebner())
-    return Ideal._raw(I.ring, powers, powers)
+    return Ideal._raw(I.ring, tuple(g.frobenius_power(q) for g in I.generators))
 
 
 def frobenius_root_principal(h: Polynomial) -> Ideal:
@@ -293,7 +295,7 @@ def _check_regular_sequence(ring, forms, degrees):
     leads = [g.leading_monomial() for g in forms]
     if not any(any(map(min, a, b)) for k, a in enumerate(leads) for b in leads[:k]):
         return
-    # otherwise the quotient dimensions up to degree d.  Only c = n+1 expects
+    # otherwise the quotient dimensions from degree 1 to d.  Only c = n+1 expects
     # 0, at d - n, and then S/J, generated in degree 0, is Artinian
     for s, dim in quotient_dims([g.terms for g in forms], nv, ring.p):
         expected = hilbert_function(degrees, nv, s)
@@ -305,15 +307,16 @@ def _check_regular_sequence(ring, forms, degrees):
 
 
 def quotient_dims(gens, nvars: int, p: int):
-    """(s, dim (S/I)_s) for s = 0, 1, 2, ..., I generated over F_p by the
-    homogeneous {monomial: coefficient} dicts gens: I_s is the echelon of x_i
-    times each pivot row of I_(s-1), plus the generators of degree s."""
+    """(s, dim (S/I)_s) for s = 1, 2, 3, ..., I generated over F_p by the
+    homogeneous {monomial: coefficient} dicts gens, all of positive degree,
+    so that (S/I)_0 = F_p: I_s is the echelon of x_i times each pivot row of
+    I_(s-1), plus the generators of degree s."""
     by_degree: dict[int, list[dict]] = {}
     for g in gens:
         by_degree.setdefault(sum(next(iter(g))), []).append(g)
     shifts = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     piece: list[dict] = []
-    for s in itertools.count():
+    for s in itertools.count(1):
         rows = [{tuple(map(add, m, e)): c for m, c in row.items()} for row in piece for e in shifts]
         piece = echelon(by_degree.get(s, []) + rows, p)
         yield s, math.comb(s + nvars - 1, nvars - 1) - len(piece)
@@ -386,7 +389,7 @@ def zero_degree(ideal: Ideal) -> int | None:
         return None
     top = max(degrees)
     dims = quotient_dims(gens, ring.nvars, ring.p)
-    for s, dim in itertools.islice(dims, 1, ring.nvars * (top - 1) + 2):
+    for s, dim in itertools.islice(dims, ring.nvars * (top - 1) + 1):
         if not dim:
             return s
         if s == top and not artinian(ideal):

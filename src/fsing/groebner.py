@@ -223,11 +223,12 @@ class Ideal:
     """Homogeneous ideal given by generators, with a cached reduced basis.
 
     Generators must be homogeneous and share the ambient ring; zero
-    generators are dropped.  Equality (`==`) is ideal equality, decided by
-    comparing reduced bases, so Ideal is deliberately unhashable.
+    generators are dropped.  `Ideal._raw(ring, generators)` skips those
+    checks.  Equality (`==`) is ideal equality, decided by comparing
+    reduced bases, so Ideal is deliberately unhashable.
     """
 
-    __slots__ = ("ring", "generators", "_gb", "_leads")
+    __slots__ = ("ring", "generators", "_gb")
 
     def __init__(self, ring: RingDescriptor, generators=()):
         gens = []
@@ -242,21 +243,18 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = None
-        self._leads = None
 
     @classmethod
     def zero(cls, ring) -> "Ideal":
         return cls(ring, ())
 
     @classmethod
-    def _raw(cls, ring, generators: tuple[Polynomial, ...], basis=None) -> "Ideal":
-        # internal: generators must already be nonzero forms of ring, and
-        # basis, if given, their reduced basis as groebner() gives it
+    def _raw(cls, ring, generators: tuple[Polynomial, ...]) -> "Ideal":
+        # internal: generators must already be nonzero forms of ring
         ideal = cls.__new__(cls)
         ideal.ring = ring
         ideal.generators = generators
-        ideal._gb = basis
-        ideal._leads = None
+        ideal._gb = None
         return ideal
 
     def __repr__(self):
@@ -273,10 +271,8 @@ class Ideal:
         return self._gb
 
     def leading_monomials(self) -> list[Monomial]:
-        """The leads of the reduced basis, in its order."""
-        if self._leads is None:
-            self._leads = [g.leading_monomial() for g in self.groebner()]
-        return self._leads
+        """The leads of the reduced basis, in its order, found on each call."""
+        return [g.leading_monomial() for g in self.groebner()]
 
     def contains(self, g: Polynomial) -> bool:
         return not normal_form(g, self)

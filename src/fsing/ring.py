@@ -172,7 +172,7 @@ class Polynomial:
     polynomials are equal exactly when their term dicts are.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingDescriptor, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -187,7 +187,6 @@ class Polynomial:
             acc[mono] = (acc.get(mono, 0) + coeff) % p
         self.ring = ring
         self.terms = {m: c for m, c in acc.items() if c}
-        self._hash = None
 
     @classmethod
     def _raw(cls, ring, clean: dict) -> "Polynomial":
@@ -195,7 +194,6 @@ class Polynomial:
         poly = cls.__new__(cls)
         poly.ring = ring
         poly.terms = clean
-        poly._hash = None
         return poly
 
     @classmethod
@@ -223,9 +221,7 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def degree(self) -> int | None:
         """Total degree; None for the zero polynomial."""
@@ -248,13 +244,11 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.ring != self.ring:
-                raise RingMismatch(f"{self.ring} vs {other.ring}")
-            return other
-        if isinstance(other, int):
-            return Polynomial.constant(self.ring, other)
-        return None
+        if not isinstance(other, Polynomial):
+            return None
+        if other.ring != self.ring:
+            raise RingMismatch(f"{self.ring} vs {other.ring}")
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -270,8 +264,6 @@ class Polynomial:
                 out.pop(m, None)
         return Polynomial._raw(self.ring, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         p = self.ring.p
         return Polynomial._raw(self.ring, {m: p - c for m, c in self.terms.items()})
@@ -281,12 +273,6 @@ class Polynomial:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -305,8 +291,6 @@ class Polynomial:
                 mm = tuple(map(add, ma, mb))
                 acc[mm] = get(mm, 0) + ca * cb
         return Polynomial._raw(self.ring, {m: v % p for m, v in acc.items() if v % p})
-
-    __rmul__ = __mul__
 
     def frobenius_power(self, q: int) -> "Polynomial":
         """self^q for q a power of p: scale every exponent, keep coefficients.

@@ -407,7 +407,7 @@ def tau_class_by_basis(ci, gens):
     the ideal tau of the forms gens, by Buchberger: the unit ideal by its
     basis, m-primary by pure powers among its leads, ell = reg(S/tau) by its
     standard monomials; both containments by normal forms on its basis and
-    on the p-th powers of that basis."""
+    on the basis of tau^[p]."""
     tau = Ideal(ci.ring, gens)
     ell = None
     if tau.is_unit():

@@ -61,6 +61,20 @@ def test_m_bracket_examples():
             m_bracket(R3, bad)
 
 
+def test_colon_piece_lists_no_coordinates_for_an_empty_kernel(monkeypatch):
+    # x is outside m^[2], so (m^[2] : x) has no degree-0 piece; in degree 1
+    # only x*x lies in m^[2]
+    x = (poly("x", R3),)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coordinates listed for an empty kernel")
+
+    monkeypatch.setattr(frobenius, "monomials_of_degree", refuse)
+    assert frobenius.colon_piece(x, R3, 0, 2) == []
+    monkeypatch.undo()
+    assert frobenius.colon_piece(x, R3, 1, 2) == list(x)
+
+
 def test_bracket_power_of_principal_ideal():
     r = ring(2, "xy")
     I = Ideal(r, (poly("x + y", r),))
@@ -332,13 +346,13 @@ def test_leads_that_share_a_variable_take_the_rank_check(monkeypatch):
     monkeypatch.setattr(frobenius, "quotient_dims", counted)
     forms = (poly("x^2 + y^2 + z^2 + w^2", r), poly("x*y + z*w", r))
     assert CompleteIntersection(r, forms).degrees == (2, 2)
-    assert len(ranked) == 5  # leads x^2 and x*y share x: degrees 0 to 4
+    assert ranked == [1, 2, 3, 4]  # leads x^2 and x*y share x: degrees 1 to 4
     # c = n+1: the Hilbert function 1, 2, 1 reaches 0 at d - n = 3, where
     # the scan stops, so degree d = 4 is not ranked
     ranked.clear()
     r = ring(5, "xy")
     assert CompleteIntersection(r, (poly("x^2 + y^2", r), poly("x*y", r))).d == 4
-    assert len(ranked) == 4
+    assert ranked == [1, 2, 3]
     with pytest.raises(
         RegularSequenceError,
         match=r"^not a regular sequence: quotient dimension 5 in degree 3, expected 4$",
@@ -347,8 +361,8 @@ def test_leads_that_share_a_variable_take_the_rank_check(monkeypatch):
 
 
 def test_quotient_dims_match_the_dense_oracle(rng):
-    # the one count of dim (S/I)_s against dense ranks in every degree up to
-    # d, on sparse and dense forms in 2-6 variables with c from 1 to n+1,
+    # the one count of dim (S/I)_s against dense ranks in every degree from
+    # 1 to d, on sparse and dense forms in 2-6 variables with c from 1 to n+1,
     # c = n+1 in every third draw; a degree is added to a random form while
     # d < 3c and S has fewer than 300 monomials of degree at most d
     swept = collections.Counter()
@@ -362,7 +376,7 @@ def test_quotient_dims_match_the_dense_oracle(rng):
         density = 0.9 if draw % 2 else 2 / math.comb(nv + 1, 2)
         forms = tuple(random_homogeneous(rng, r, e, density) for e in degrees)
         dims = frobenius.quotient_dims([g.terms for g in forms], nv, r.p)
-        for s, dim in itertools.islice(dims, sum(degrees) + 1):
+        for s, dim in itertools.islice(dims, sum(degrees)):
             assert dim == oracle_quotient_dim(forms, s, r), (forms, s)
         swept[nv, c == nv] += 1
     assert all(swept[nv, True] and swept[nv, False] for nv in range(2, 7))

@@ -21,6 +21,7 @@ from oracles import (
     random_homogeneous,
     random_ideal_gens,
     random_m_primary_gens,
+    rank,
     regularity_artinian,
     rows_matrix,
     scan_stabilization_check,
@@ -546,6 +547,48 @@ def test_positive_dimensional_tau_is_never_an_isolated_singularity(rng):
         classes.add(report.tau_class)
         isolated.add(full)
     assert classes == set(TauClass)
+    assert isolated == {True, False}
+
+
+def change_coordinates(g, matrix):
+    """g(Ax): each x_i goes to sum_j A[i][j] x_j, scalars as constants."""
+    r = g.ring
+    images = [sum((Polynomial.constant(r, a) * Polynomial.variable(r, j) for j, a in enumerate(row)),
+                  Polynomial.zero(r)) for row in matrix]
+    total = Polynomial.zero(r)
+    for m, c in g.terms.items():
+        term = Polynomial.constant(r, c)
+        for image, e in zip(images, m):
+            term = term * image**e
+        total = total + term
+    return total
+
+
+def test_analyze_is_unchanged_by_a_linear_change_of_coordinates(rng):
+    # every invariant of the report is one of R up to graded isomorphism; a
+    # general change of coordinates, unlike the benchmark's diagonal ones,
+    # takes Buchberger, the Frobenius root and the coordinate points of tau
+    # and of the Jacobian test down other paths
+    classes, isolated, draws = set(), set(), 0
+    while draws < 100:
+        nv = rng.randint(2, 4)
+        r = ring(rng.choice((2, 3, 5, 7)), "xyzw"[:nv])
+        forms = tuple(random_homogeneous(rng, r, rng.randint(1, 3 if nv < 4 else 2), rng.choice((0.3, 0.7)))
+                      for _ in range(rng.randint(1, 2)))
+        matrix = [[rng.randrange(r.p) for _ in range(nv)] for _ in range(nv)]
+        if rank(matrix, r.p) < nv:
+            continue
+        try:
+            ci = CompleteIntersection(r, forms)
+        except RegularSequenceError:
+            continue
+        report = analyze(ci).to_json_dict()
+        moved = CompleteIntersection(r, tuple(change_coordinates(g, matrix) for g in forms))
+        assert analyze(moved).to_json_dict() == report, (forms, matrix)
+        classes.add(report["tau_class"])
+        isolated.add(report["isolated_singularity"])
+        draws += 1
+    assert classes == {kind.value for kind in TauClass}
     assert isolated == {True, False}
 
 
