@@ -5,7 +5,10 @@ Each tree runs in one subprocess of its own, every call through
 fsing.cli.main in-process: every call of the three benchmark workloads of
 bench/workloads.py at each seed (their problem files written to a fresh
 directory), `analyze`, `witness` and `verify`, text and --json, on every
-problems/*.ci, and `batch problems/`, text and --json.  Per call it
+problems/*.ci, `batch problems/`, text and --json, and `analyze` and
+`witness`, text and --json, on five large-p inputs written to the same
+directory: f^(p-1) packs in 32-bit fields for the first three and in
+64-bit fields for the last two.  Per call it
 compares stdout, stderr and the exit code, or the type of the exception the
 call raised; each tree's work directory reads as <workdir> in both streams.
 Prints the key of every call that differs, with the fields that differ,
@@ -33,6 +36,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
 COMMANDS = ("analyze", "witness", "verify")
+LARGE_P = {
+    "squares_p101.ci": "p = 101\nvars = x, y, z\ngens = x^2*y^2 + y^2*z^2 + z^2*x^2\n",
+    "cubic_p101.ci": "p = 101\nvars = x, y, z\ngens = x^3 + x*y*z + y^2*z + z^3 + x^2*y\n",
+    "quartic_xy_p1009.ci": "p = 1009\nvars = x, y\ngens = x^3*y + x*y^3\n",
+    "cube_p715827883.ci": "p = 715827883\nvars = x\ngens = x^3\n",
+    "cubic_p15013.ci": "p = 15013\nvars = x, y\ngens = x^3 + x*y^2 + y^3\n",
+}
 
 
 def calls(workdir: Path, seeds):
@@ -53,6 +63,12 @@ def calls(workdir: Path, seeds):
             yield f"problems/{path.name}/{command} --json", [command, str(path), "--json"]
     yield "problems/batch", ["batch", str(PROBLEMS)]
     yield "problems/batch --json", ["batch", str(PROBLEMS), "--json"]
+    for name, text in LARGE_P.items():
+        path = workdir / name
+        path.write_text(text)
+        for command in ("analyze", "witness"):
+            yield f"large-p/{name}/{command}", [command, str(path)]
+            yield f"large-p/{name}/{command} --json", [command, str(path), "--json"]
 
 
 def run(main, argv, workdir: Path) -> dict:

@@ -16,8 +16,11 @@ import functools
 import itertools
 import math
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from operator import add, floordiv, mod
+from itertools import repeat
+from operator import add, and_, mul, rshift, sub
+from typing import NamedTuple
 
 from .errors import InternalError, RegularSequenceError, ResourceLimit, RingMismatch
 from .groebner import Ideal, artinian, zero_at_coordinate_point
@@ -36,8 +39,9 @@ from .ring import (
 
 # monomials of degree d(p-1) that f^(p-1) may span: a bound, not the true
 # term count, whose cap would refuse other inputs.  At p = 101 the squares
-# quartic spans 80,601 (`analyze` 0.24 s on a 2-core machine) and
-# x^3 + x*y*z + y^2*z + z^3 + x^2*y 45,451 (0.42 s)
+# quartic spans 80,601 (`analyze` 0.11 s, best of seven fresh processes on
+# a shared 2-core machine, 0.09 s of it start and imports) and
+# x^3 + x*y*z + y^2*z + z^3 + x^2*y 45,451 (0.23 s)
 FPOW_TERM_CAP = 10**5
 
 
@@ -167,24 +171,85 @@ def bracket_power(I: Ideal, q: int) -> Ideal:
     return Ideal._raw(I.ring, tuple(g.frobenius_power(q) for g in I.generators))
 
 
-def frobenius_root_principal(h: Polynomial) -> Ideal:
-    """The smallest ideal K with h in K^[p], for homogeneous h.
+class Split(NamedTuple):
+    """The packed keys of exponent vectors with entries at most some degree
+    b over F_p, in fields wide enough to split every entry e = p*floor + eps
+    by whole-int operations: floor = e*M >> s, M = 2^s // p + 1, 2^s > b*p
+    (T. Granlund, P. Montgomery, "Division by invariant integers using
+    multiplication", PLDI 1994: the error e*(M*p - 2^s) / (p*2^s) stays
+    below 1/p).  The keys are packing(nvars, top, p)'s, top = max(b*M, 2^s),
+    so each e*M fits in its w-bit field and s + 1 < w; as 2^s > b*p, the
+    fields hold f^p for f of degree b/(p-1), and offset and guard are
+    packing's for q = p.  high holds bits s..w-1 of every field."""
+
+    pack: Callable[[Sequence[int]], int]
+    unpack: Callable[[int], tuple[int, ...]]
+    offset: int
+    guard: int
+    s: int
+    M: int
+    high: int
+
+    def floors(self, keys) -> list[int]:
+        """The key of floor for each key: ((k*M) & high) >> s."""
+        return list(map(rshift, map(and_, map(mul, keys, repeat(self.M)), repeat(self.high)),
+                        repeat(self.s)))
+
+
+@functools.lru_cache(maxsize=64)
+def split_layout(nvars: int, degree: int, p: int) -> Split:
+    """The Split of forms of degree at most `degree` in nvars variables over
+    F_p; cached, so the forms of one shape build their layout once."""
+    s = (degree * p).bit_length()
+    M = (1 << s) // p + 1
+    top = max(degree * M, 1 << s)
+    pack, unpack, offset, guard = packing(nvars, top, p)
+    w = guard.bit_length() // nvars
+    return Split(pack, unpack, offset, guard, s, M, ((1 << w) - (1 << s)) * (guard >> w - 1))
+
+
+class PackedForm(NamedTuple):
+    """A form on packed keys: terms maps the key of each exponent vector
+    under split, a split_layout, to its coefficient, nonzero mod p."""
+
+    ring: RingDescriptor
+    split: Split
+    terms: dict[int, int]
+
+    def polynomial(self) -> Polynomial:
+        return Polynomial.from_packed(self.ring, self.terms, self.split.unpack)
+
+
+def frobenius_root_principal(h: PackedForm) -> Ideal:
+    """The smallest ideal K with h in K^[p], for a homogeneous form h.
 
     Write each exponent vector as p*floor + eps with eps in {0..p-1}^(n+1)
     and group terms by eps; then h = sum over eps of (g_eps)^p * x^eps, and
-    the g_eps generate K.  Coefficients carry over unchanged since c^p = c
-    on F_p.  The generators returned are an echelon basis of the F_p-span of
-    the g_eps, reduced shortest first; forms of different degrees share no
-    monomial, so the one elimination reduces each degree on its own.
+    the g_eps generate K.  Each key splits by whole-int operations, the
+    same for every field width: floor by Split.floors, eps = k - p*floor.
+    The floors are unpacked once each, so the elimination's columns are
+    exponent tuples in their own order.  Coefficients carry over
+    unchanged since c^p = c on F_p.  The generators returned are an echelon
+    basis of the F_p-span of the g_eps, on exponent tuples, reduced shortest
+    first; forms of different degrees share no monomial, so the one
+    elimination reduces each degree on its own.
     """
-    ring = h.ring
-    p = ring.p
-    ps = (p,) * ring.nvars
-    groups: dict[Monomial, dict] = {}
-    for m, c in h.terms.items():
-        # (eps, floor) determines m, so no accumulation is needed
-        groups.setdefault(tuple(map(mod, m, ps)), {})[tuple(map(floordiv, m, ps))] = c
-    rows = echelon(sorted(groups.values(), key=len), p)
+    ring, p, split = h.ring, h.ring.p, h.split
+    floors = split.floors(h.terms)
+    eps = list(map(sub, h.terms, map(mul, floors, repeat(p))))
+    # each distinct floor unpacks once; of degree at most deg(h)/p, they are few
+    columns = {k: split.unpack(k) for k in set(floors)}
+    if len(set(eps)) == len(eps):
+        # every class is one term c*x^floor, a unit row, of which echelon
+        # keeps one per floor, in order of appearance
+        rows = [{columns[k]: 1} for k in dict.fromkeys(floors)]
+    else:
+        groups: dict[int, dict] = {}
+        for e, k, c in zip(eps, floors, h.terms.values()):
+            # (eps, floor) determines the key, so no accumulation is needed
+            groups.setdefault(e, {})[columns[k]] = c
+        rows = sorted(groups.values(), key=len)
+    rows = echelon(rows, p)
     return Ideal(ring, tuple(Polynomial._raw(ring, r) for r in rows))
 
 
@@ -205,7 +270,9 @@ class CompleteIntersection:
     duality (Bruns-Herzog, Cohen-Macaulay Rings, ch. 3) the same function
     sizes the top local cohomology: its degree-t piece has dimension
     HF_R(a(R) - t), a(R) = d - (n+1).  Derived fields: degrees d_j, their
-    sum d, and the product form f; fpow = f^(p-1) is computed on first use.
+    sum d, and the product form f; f^(p-1) is computed on first use, as
+    packed_fpow on packed keys for tau and as fpow on exponent tuples for
+    localcoh.
     """
 
     ring: RingDescriptor
@@ -237,9 +304,13 @@ class CompleteIntersection:
         object.__setattr__(self, "f", product)
 
     @functools.cached_property
-    def fpow(self) -> Polynomial:
-        ring = self.ring
-        degree = self.d * (ring.p - 1)
+    def packed_fpow(self) -> PackedForm:
+        """f^(p-1) on split_layout's keys, for tau, f packed once.  f^p is a
+        term map of f, so f^(p-1) = f^p / f; at p <= 3 it is f, or one
+        product, which costs less, and a single term's power is a term map,
+        whose f^p may pass the cap."""
+        ring, f, p = self.ring, self.f, self.ring.p
+        degree = self.d * (p - 1)
         # in one variable the monomial count below is 1, whatever the degree
         if degree > EXPONENT_CAP:
             raise ResourceLimit(f"f^(p-1) has degree {degree}, above the exponent cap {EXPONENT_CAP}")
@@ -249,12 +320,19 @@ class CompleteIntersection:
                 f"f^(p-1) spans {size} monomials of degree {degree}, "
                 f"cap {FPOW_TERM_CAP}"
             )
-        # f^p is a term map of f, so f^(p-1) = f^p / f; one product (p <= 3) costs
-        # less, and a single term's power is a term map, whose f^p may pass the cap
-        f, p = self.f, ring.p
-        if p <= 3 or len(f.terms) == 1:
-            return f ** (p - 1)
-        return exact_quotient(f.frobenius_power(p), f)
+        split = split_layout(ring.nvars, degree, p)
+        if len(f.terms) == 1:
+            terms = {split.pack(m) * (p - 1): pow(c, p - 1, p) for m, c in f.terms.items()}
+        elif p <= 3:
+            terms = {split.pack(m): c for m, c in (f if p == 2 else f * f).terms.items()}
+        else:
+            terms = exact_quotient(f.frobenius_power(p), f, split.pack, split.guard)
+        return PackedForm(ring, split, terms)
+
+    @functools.cached_property
+    def fpow(self) -> Polynomial:
+        """f^(p-1) on exponent tuples, for localcoh: packed_fpow unpacked."""
+        return self.packed_fpow.polynomial()
 
     @property
     def c(self) -> int:
@@ -348,7 +426,7 @@ def compute_tau(ci: CompleteIntersection) -> TauResult:
     proper tau, tau^[p] contains f^(p-1) (groups_in_root); Fedder's test
     agrees with tau being the unit ideal.
     """
-    fpow = ci.fpow
+    fpow = ci.packed_fpow
     root = frobenius_root_principal(fpow)
     tau = Ideal._raw(ci.ring, ci.forms + root.generators)
     s = zero_degree(tau)
@@ -397,26 +475,55 @@ def zero_degree(ideal: Ideal) -> int | None:
     raise InternalError("artinian and the ranks disagree: S/ideal is nonzero past (n+1)(D-1)+1")
 
 
-def groups_in_root(h: Polynomial, root: Ideal) -> bool:
+def shifted_floors(split: Split, p: int, keys) -> list[int]:
+    """groups_in_root's decode of the key of floor for each key, apart from
+    Split.floors: it shifts before it masks, with the multiplier for s + 1,
+    floor = ((k*M') >> (s+1)) & low, M' = 2^(s+1) // p + 1.  The bound
+    b*M' <= 2*b*M <= 2*top < 2^w (split_layout's top) keeps each product in
+    its w-bit field, and
+    the guard's least bit, w - 1, gives w."""
+    w = (split.guard & -split.guard).bit_length()
+    s = split.s + 1
+    M = (1 << s) // p + 1
+    low = ((1 << w - s) - 1) * (split.guard >> w - 1)
+    return list(map(and_, map(rshift, map(mul, keys, repeat(M)), repeat(s)), repeat(low)))
+
+
+def groups_in_root(h: PackedForm, root: Ideal) -> bool:
     """Whether h lies in root^[p], by the stronger test that each g_eps of
-    h = sum over eps of (g_eps)^p * x^eps reduces to 0 on root's generators
-    as pivot rows, keyed by least monomial: S is free over S^p on the x^eps.
-    The grouping and the reduction are this loop's own, apart from
-    frobenius_root_principal's and from echelon."""
+    h = sum over eps of (g_eps)^p * x^eps reduces to 0 on root's generators:
+    S is free over S^p on the x^eps.  The decode (shifted_floors), the
+    grouping and the reduction are this function's own, apart from
+    frobenius_root_principal's and from echelon.  Its columns stay packed
+    keys, so the root's generators are packed and eliminated again here, in
+    the order of the keys, each pivot monic at its least key, before the
+    g_eps are reduced."""
     p = h.ring.p
-    ps = (p,) * h.ring.nvars
-    pivots = {min(g.terms): g.terms for g in root.generators}
-    groups: dict[Monomial, dict] = {}
-    for m, c in h.terms.items():
-        groups.setdefault(tuple(map(mod, m, ps)), {})[tuple(map(floordiv, m, ps))] = c
-    for row in groups.values():
+    floors = shifted_floors(h.split, p, h.terms)
+    eps = list(map(sub, h.terms, map(mul, floors, repeat(p))))
+    if len(set(eps)) == len(eps):
+        # each g_eps is one term, in the span iff its monomial is: each
+        # monomial is checked once
+        checks = [{k: 1} for k in set(floors)]
+    else:
+        groups: dict[int, dict] = {}
+        for e, k, c in zip(eps, floors, h.terms.values()):
+            groups.setdefault(e, {})[k] = c
+        checks = groups.values()
+    pack = h.split.pack
+    rows = [{pack(m): c for m, c in g.terms.items()} for g in root.generators]
+    pivots: dict[int, dict] = {}
+    for i, row in enumerate(itertools.chain(rows, checks)):
         while row:
             col = min(row)
             if col not in pivots:
-                return False
-            pivot = pivots[col]
-            factor = row[col] * pow(pivot[col], -1, p)
-            for c, e in pivot.items():
+                if i >= len(rows):
+                    return False  # a g_eps outside the root's span
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: e * inv % p for c, e in row.items()}
+                break
+            factor = row[col]
+            for c, e in pivots[col].items():
                 row[c] = e = (row.get(c, 0) - factor * e) % p
                 if not e:
                     del row[c]
@@ -424,6 +531,8 @@ def groups_in_root(h: Polynomial, root: Ideal) -> bool:
 
 
 def fedder_test_at_m(ci: CompleteIntersection) -> bool:
-    """F-purity at the maximal ideal: f^(p-1) outside (x_0^p, ..., x_n^p)."""
-    return not in_m_bracket(ci.fpow, ci.ring.p)
-
+    """F-purity at the maximal ideal: f^(p-1) outside (x_0^p, ..., x_n^p),
+    that is, some key of f^(p-1) with every entry below p: one add and one
+    mask per key, with packing's offset and guard for q = p."""
+    h = ci.packed_fpow
+    return not all(map(and_, map(add, h.terms, repeat(h.split.offset)), repeat(h.split.guard)))

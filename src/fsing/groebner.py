@@ -27,6 +27,7 @@ from .ring import (
     grevlex_desc,
     mono_divides,
     monomials_of_degree,
+    packing,
 )
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,11 @@ class Ideal:
         if g.degree() == 0:
             return self
         meet = self.intersection(Ideal(self.ring, (g,)))
-        return Ideal(self.ring, tuple(exact_quotient(h, g) for h in meet.generators))
+        quotients = []
+        for h in meet.generators:
+            pack, unpack, _, guard = packing(self.ring.nvars, h.degree() or 0)
+            quotients.append(Polynomial.from_packed(self.ring, exact_quotient(h, g, pack, guard), unpack))
+        return Ideal(self.ring, tuple(quotients))
 
     # -- dimension-zero structure ----------------------------------------------
 

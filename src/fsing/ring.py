@@ -5,10 +5,11 @@ Monomial orders are realized as sort keys on exponent tuples.  Everything in
 the package uses graded reverse lexicographic order with the first declared
 variable largest; `grevlex_desc` is that order's one key, largest first.
 
-Monomials are tuples wherever a caller sees them; `exact_quotient` and
-`frobenius.kernel_rows` pack each into one int, a whole byte field per
-exponent (`packing`), so a product is one add, "all exponents below q" one
-mask, and unpacking one `struct` call.
+Monomials are tuples wherever a caller sees them.  Three layers pack each
+into one int, a whole byte field per exponent (`packing`), so a product is
+one add, "all exponents below q" one mask, and unpacking one `struct` call:
+`exact_quotient`, `frobenius.kernel_rows`, and f^(p-1) through tau's
+pipeline in `frobenius`, which is unpacked only for `localcoh`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import struct
 
 from dataclasses import dataclass
-from operator import add, le, lshift
+from operator import add, le
 
 from .errors import InternalError, ParseError, ResourceLimit, RingMismatch
 
@@ -148,12 +149,11 @@ def packing(nvars: int, top: int, q: int = 0):
     2^(w-1) - q to each field, guard holds each field's top bit.  Packed ints
     compare as lex with the last variable most significant, a monomial order."""
     w = max(8, 1 << max(top, q).bit_length().bit_length())
-    shifts = range(0, w * nvars, w)
-    ones = sum(1 << s for s in shifts)
+    ones = sum(1 << s for s in range(0, w * nvars, w))
     fields = struct.Struct(f"<{nvars}{'BHIQ'[w.bit_length() - 4]}")
 
     def pack(m):
-        return sum(map(lshift, m, shifts))
+        return int.from_bytes(fields.pack(*m), "little")
 
     def unpack(k):
         return fields.unpack(k.to_bytes(fields.size, "little"))
@@ -195,6 +195,12 @@ class Polynomial:
         poly.ring = ring
         poly.terms = clean
         return poly
+
+    @classmethod
+    def from_packed(cls, ring, terms: dict, unpack) -> "Polynomial":
+        """The polynomial of {key: coefficient} terms whose keys a packing's
+        unpack reads, coefficients already reduced mod p and nonzero."""
+        return cls._raw(ring, {unpack(k): c for k, c in terms.items()})
 
     @classmethod
     def zero(cls, ring) -> "Polynomial":
@@ -367,12 +373,14 @@ class Polynomial:
         return f"<{self} over {self.ring!r}>"
 
 
-def exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
-    """h / g for forms g | h on packed keys, largest remainder key first from a
-    heap (Johnson 1974; Monagan-Pearce 2011), g's lead its largest key.  A key the
-    lead does not divide borrows into a guard bit (& is two's complement): InternalError."""
+def exact_quotient(h: Polynomial, g: Polynomial, pack, guard: int) -> dict[int, int]:
+    """h / g for forms g | h as {key: coefficient}, on the keys of a packing
+    (pack and guard) whose fields hold deg h; the caller keeps the matching
+    unpack.  Largest remainder key first from a heap (Johnson 1974;
+    Monagan-Pearce 2011), g's lead its largest key, so the quotient's keys
+    come largest first.  A key the lead does not divide borrows into a guard
+    bit (& is two's complement): InternalError."""
     p = h.ring.p
-    pack, unpack, _, guard = packing(h.ring.nvars, h.degree() or 0)
     divisor = {pack(m): c for m, c in g.terms.items()}
     lead = max(divisor)
     inv = pow(divisor.pop(lead), -1, p)
@@ -390,13 +398,13 @@ def exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
         shift = k - lead
         if shift & guard:
             raise InternalError("exact division left a remainder")
-        quotient[unpack(shift)] = c
+        quotient[shift] = c
         for d, cd in rest:
             key = k + d
             if (old := get(key)) is None:
                 push(heap, -key)
             work[key] = (old or 0) - c * cd
-    return Polynomial._raw(h.ring, quotient)
+    return quotient
 
 
 # ---------------------------------------------------------------------------

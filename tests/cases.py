@@ -4,7 +4,7 @@ The squares quartic x^2y^2 + y^2z^2 + x^2z^2 recurs everywhere: tau = m at
 every prime, so it exercises the sharp-bound machinery end to end.
 """
 
-from fsing.frobenius import CompleteIntersection, TauClass
+from fsing.frobenius import CompleteIntersection, PackedForm, TauClass, split_layout
 from fsing.invariants import AnalysisReport
 from fsing.ring import RingDescriptor, parse_polynomial
 
@@ -17,6 +17,14 @@ def ring(p, names="xyz"):
 
 def poly(text, r):
     return parse_polynomial(text, r)
+
+
+def packed(h):
+    """The form h on the packed keys frobenius_root_principal and
+    groups_in_root read."""
+    r = h.ring
+    split = split_layout(r.nvars, h.degree() or 0, r.p)
+    return PackedForm(r, split, {split.pack(m): c for m, c in h.terms.items()})
 
 
 def hypersurface(p, text, names="xyz"):

@@ -29,7 +29,7 @@ from oracles import (
     regularity_artinian,
 )
 
-from cases import diagonal_ci, ring, squares_ci
+from cases import diagonal_ci, packed, ring, squares_ci
 
 from fsing.frobenius import TauClass, bracket_power, compute_tau, frobenius_root_principal
 from fsing.groebner import Ideal
@@ -274,7 +274,7 @@ def test_criterion_08_frobenius_root_property(capsys):
             if h is None:
                 h = random_homogeneous(rng, r, rng.randint(1, 6))
             member = bracket_power(K, p).contains(h)
-            root_inside = all(K.contains(g) for g in frobenius_root_principal(h).generators)
+            root_inside = all(K.contains(g) for g in frobenius_root_principal(packed(h)).generators)
             assert member == root_inside
             inside += member
             outside += not member

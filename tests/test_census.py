@@ -42,6 +42,24 @@ def test_theorem_a_on_every_plane_cubic_over_f2():
     }
 
 
+def test_theorem_a_at_ell_2_on_every_binary_quintic_over_f3():
+    # Theorem A where tau is not m: every m-primary tau of a binary quintic
+    # over F_3 has ell = 2, so the bound a(R) - ell sits two degrees below
+    # a(R), where a scan that took ell one degree off would miss the kernel
+    classes = Counter()
+    for f in forms_up_to_scaling(ring(3, "xy"), 5):
+        ci = CompleteIntersection(f.ring, (f,))
+        report = analyze(ci)
+        classes[report.tau_class.value, report.ell] += 1
+        if report.thmA_bound is not None:
+            assert verify_injectivity(ci, report.thmA_bound).dim_kernel >= 1, f
+            assert verify_injectivity(ci, report.thmA_bound - 1).dim_kernel == 0, f
+    assert classes == {
+        ("non_f_pure_locus_positive_dimensional", None): 148,
+        ("isolated_non_f_pure_point", 2): 216,
+    }
+
+
 def test_theorem_b_on_every_binary_quartic_over_f5():
     # Theorem B: an isolated singularity with p >= (n+1-c)(d-c) = 3 has
     # Frobenius injective in every negative degree from -(n+1-c)d on

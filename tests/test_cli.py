@@ -72,6 +72,10 @@ WRITTEN = {
     # isolated non-F-pure point, and is F-pure at p = 103 (p = 1 mod 3)
     "fermat_p101.ci": "p = 101\nvars = x, y, z\ngens = x^3 + y^3 + z^3\n",
     "fermat_p103.ci": "p = 103\nvars = x, y, z\ngens = x^3 + y^3 + z^3\n",
+    # f^(p-1) packs in 64-bit fields: a single term one below the exponent cap,
+    # and the exact division on 45,037 monomials
+    "cube_p715827883.ci": "p = 715827883\nvars = x\ngens = x^3\n",
+    "cubic_p15013.ci": "p = 15013\nvars = x, y\ngens = x^3 + x*y^2 + y^3\n",
 }
 
 
@@ -261,6 +265,8 @@ ANALYZED = {
     "cubic_p101.ci": {"tau_class": "everywhere_f_pure"},
     "fermat_p101.ci": {"fpure_at_m": False, "tau_class": "isolated_non_f_pure_point"},
     "fermat_p103.ci": {"tau_class": "everywhere_f_pure"},
+    "cube_p715827883.ci": {"fpure_at_m": False, "tau_class": "isolated_non_f_pure_point", "ell": 1},
+    "cubic_p15013.ci": {"fpure_at_m": False, "tau_class": "isolated_non_f_pure_point", "ell": 0},
 }
 
 

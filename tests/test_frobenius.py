@@ -25,12 +25,13 @@ from oracles import (
     tau_class_by_basis,
 )
 
-from cases import SQUARES_QUARTIC, diagonal_ci, hypersurface, poly, ring, squares_ci
+from cases import SQUARES_QUARTIC, diagonal_ci, hypersurface, packed, poly, ring, squares_ci
 
 from fsing import frobenius, groebner
 from fsing.cli import load_problem
 from fsing.errors import InternalError, RegularSequenceError, RingMismatch
 from fsing.frobenius import (
+    FPOW_TERM_CAP,
     CompleteIntersection,
     TauClass,
     bracket_power,
@@ -39,12 +40,18 @@ from fsing.frobenius import (
     frobenius_root_principal,
     groups_in_root,
     hilbert_function,
+    shifted_floors,
+    split_layout,
 )
 from fsing.groebner import Ideal
-from fsing.ring import Polynomial, monomials_of_degree
+from fsing.ring import EXPONENT_CAP, Polynomial, monomials_of_degree
 
 R3 = ring(3)
 R5_2 = ring(5, "xy")
+
+
+def root_of(h):
+    return frobenius_root_principal(packed(h))
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +127,17 @@ def test_bracket_power_basis_matches_fresh_buchberger(rng):
 
 
 def test_root_examples():
-    assert frobenius_root_principal(poly("x^3", R3)) == Ideal(R3, (poly("x", R3),))
-    assert frobenius_root_principal(poly("x^2*y", R3)).is_unit()
-    assert frobenius_root_principal(poly("x^7*y^5", R3)) == Ideal(
+    assert root_of(poly("x^3", R3)) == Ideal(R3, (poly("x", R3),))
+    assert root_of(poly("x^2*y", R3)).is_unit()
+    assert root_of(poly("x^7*y^5", R3)) == Ideal(
         R3, (poly("x^2*y", R3),)
     )
     f = poly(SQUARES_QUARTIC, R3)
-    assert frobenius_root_principal(f**2) == maximal_ideal(R3)
+    assert root_of(f**2) == maximal_ideal(R3)
 
 
 def test_root_of_zero():
-    assert frobenius_root_principal(Polynomial.zero(R3)).is_zero()
+    assert root_of(Polynomial.zero(R3)).is_zero()
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -138,7 +145,7 @@ def test_root_reduces_its_rows_shortest_first(p):
     # the root's generators are tau's Buchberger inputs; reduced in input
     # order, the same 9 generators would carry 14 terms at p = 7, 15 at 11
     f = poly("x^3 + x*y*z + y^2*z + z^3 + x^2*y", ring(p))
-    generators = frobenius_root_principal(f ** (p - 1)).generators
+    generators = root_of(f ** (p - 1)).generators
     assert len(generators) == 9
     assert sum(len(g.terms) for g in generators) == 13
 
@@ -148,7 +155,7 @@ def test_root_satisfies_defining_containment(rng):
         p = rng.choice((2, 3, 5))
         r = ring(p, rng.choice(("xy", "xyz")))
         h = random_homogeneous(rng, r, rng.randint(1, 6))
-        root = frobenius_root_principal(h)
+        root = root_of(h)
         assert bracket_power(root, p).contains(h)
 
 
@@ -167,7 +174,7 @@ def test_root_is_minimal_over_constructed_memberships(rng):
         if not h:
             continue
         I = Ideal(r, gens)
-        assert all(I.contains(g) for g in frobenius_root_principal(h).generators)
+        assert all(I.contains(g) for g in root_of(h).generators)
 
 
 def test_span_root_matches_the_per_eps_root(rng):
@@ -187,7 +194,7 @@ def test_span_root_matches_the_per_eps_root(rng):
         except RegularSequenceError:
             continue
         raw = per_eps_root(ci.fpow)
-        span = frobenius_root_principal(ci.fpow).generators
+        span = frobenius_root_principal(ci.packed_fpow).generators
         assert (
             Ideal(r, ci.forms + span).groebner()
             == Ideal(r, ci.forms + raw).groebner()
@@ -197,6 +204,52 @@ def test_span_root_matches_the_per_eps_root(rng):
             rows = [poly_vector(g, index) for g in raw if g.degree() == s]
             assert sum(g.degree() == s for g in span) == rank(rows, p)
         checked += 1
+
+
+@pytest.mark.parametrize("p", [257, 1009])
+def test_span_root_matches_the_per_eps_root_on_wide_fields(p, rng):
+    # in 2 variables d(p-1) >= 256, so the split's fields are 32 bits wide;
+    # the span basis has, degree by degree, as many elements as the raw
+    # per-class roots have rank, and lies in their span
+    r = ring(p, "xy")
+    for d in (1, 2, 3, 3):
+        ci = CompleteIntersection(r, (random_homogeneous(rng, r, d),))
+        raw = per_eps_root(ci.fpow)
+        span = frobenius_root_principal(ci.packed_fpow).generators
+        for s in {g.degree() for g in raw + span}:
+            _, index = degree_index(r, s)
+            rows = [poly_vector(g, index) for g in raw if g.degree() == s]
+            basis = [poly_vector(g, index) for g in span if g.degree() == s]
+            assert len(basis) == rank(rows, p) == rank(rows + basis, p), (ci.forms, s)
+
+
+def test_both_decodes_agree_with_divmod_at_every_field_width(rng):
+    # the root's Split.floors and groups_in_root's shifted_floors against
+    # divmod on every entry, for f^(p-1) of degree b = d(p-1) in as many
+    # variables as FPOW_TERM_CAP lets b reach: the exponent cap in one
+    # variable, then the largest b whose degree has at most the cap's
+    # monomials; every field width the split can pack is met.  Forms of
+    # degree below p - 1, which the tests pack, split as well
+    widths = set()
+    for nvars, cap in ((1, EXPONENT_CAP), (2, 99_999), (3, 445), (4, 82)):
+        if nvars > 1:
+            assert math.comb(cap + nvars - 1, nvars - 1) <= FPOW_TERM_CAP < math.comb(cap + nvars, nvars - 1)
+        for p in (2, 3, 5, 7, 101, 257, 1009, 65537, EXPONENT_CAP):
+            if p - 1 > cap:
+                continue
+            top_d = cap // (p - 1)
+            for b in sorted({1, 3} | {d * (p - 1) for d in (1, min(2, top_d), rng.randint(1, top_d), top_d)}):
+                split = split_layout(nvars, b, p)
+                widths.add((split.guard & -split.guard).bit_length())
+                edges = [e for e in (0, 1, b, p - 1, p, p + 1, b - b % p, b - b % p - 1) if 0 <= e <= b]
+                vectors = [tuple(rng.choice(edges) if rng.random() < 0.4 else rng.randint(0, b)
+                                 for _ in range(nvars)) for _ in range(30)]
+                keys = [split.pack(m) for m in vectors]
+                for floors in (split.floors(keys), shifted_floors(split, p, keys)):
+                    for m, k, floor in zip(vectors, keys, floors):
+                        assert split.unpack(floor) == tuple(e // p for e in m), (nvars, b, p, m)
+                        assert split.unpack(k - p * floor) == tuple(e % p for e in m), (nvars, b, p, m)
+    assert widths == {8, 16, 32, 64}
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +546,10 @@ def test_root_membership_check_needs_every_root_row(monkeypatch):
     # root's rows: with any one row dropped some g_eps is left over, and
     # compute_tau reports the broken root as an internal error
     for ci in (squares_ci(3), diagonal_ci(5, 3), hypersurface(3, "x^2*y^2", names="xy")):
-        rows = frobenius_root_principal(ci.fpow).generators
-        assert groups_in_root(ci.fpow, Ideal(ci.ring, rows))
+        rows = frobenius_root_principal(ci.packed_fpow).generators
+        assert groups_in_root(ci.packed_fpow, Ideal(ci.ring, rows))
         for i in range(len(rows)):
-            assert not groups_in_root(ci.fpow, Ideal(ci.ring, rows[:i] + rows[i + 1:])), (ci.forms, i)
+            assert not groups_in_root(ci.packed_fpow, Ideal(ci.ring, rows[:i] + rows[i + 1:])), (ci.forms, i)
     real = frobenius.frobenius_root_principal
     monkeypatch.setattr(
         frobenius, "frobenius_root_principal", lambda h: Ideal(h.ring, real(h).generators[1:])
@@ -652,7 +705,7 @@ def test_tau_minimality_probe():
     for ci in (squares_ci(3), diagonal_ci(2, 3, names="xy"), diagonal_ci(5, 3)):
         p = ci.ring.p
         fpow = ci.f ** (p - 1)
-        root = frobenius_root_principal(fpow)
+        root = root_of(fpow)
         tau = Ideal(ci.ring, ci.forms + root.generators)
         for i in range(len(root.generators)):
             kept = root.generators[:i] + root.generators[i + 1 :]
