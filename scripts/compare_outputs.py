@@ -6,9 +6,13 @@ fsing.cli.main in-process: every call of the three benchmark workloads of
 bench/workloads.py at each seed (their problem files written to a fresh
 directory), `analyze`, `witness` and `verify`, text and --json, on every
 problems/*.ci, `batch problems/`, text and --json, and `analyze` and
-`witness`, text and --json, on five large-p inputs written to the same
-directory: f^(p-1) packs in 32-bit fields for the first three and in
-64-bit fields for the last two.  Per call it
+`witness`, text and --json, on inputs written to the same directory: five
+at large p, where f^(p-1) packs in 32-bit fields for the first three and
+in 64-bit fields for the last two, and three positive-dimensional taus,
+one for each way frobenius.zero_degree decides them without a coordinate
+point (fewer generators than variables, fewer minimal generators than
+variables, Buchberger), whose `witness` prints tau's reduced basis.  Per
+call it
 compares stdout, stderr and the exit code, or the type of the exception the
 call raised; each tree's work directory reads as <workdir> in both streams.
 Prints the key of every call that differs, with the fields that differ,
@@ -43,6 +47,11 @@ LARGE_P = {
     "cube_p715827883.ci": "p = 715827883\nvars = x\ngens = x^3\n",
     "cubic_p15013.ci": "p = 15013\nvars = x, y\ngens = x^3 + x*y^2 + y^3\n",
 }
+ROUTES = {
+    "fermat_surface_p3.ci": "p = 3\nvars = x, y, z, w\ngens = x^3 + y^3 + z^3 + w^3\n",
+    "point_p2.ci": "p = 2\nvars = x, y\ngens = x^2*y + y^3\n",
+    "fallback_p2.ci": "p = 2\nvars = x, y, z\ngens = x^2 + z^2, y^3 + z^3 + y*z^2\n",
+}
 
 
 def calls(workdir: Path, seeds):
@@ -63,12 +72,13 @@ def calls(workdir: Path, seeds):
             yield f"problems/{path.name}/{command} --json", [command, str(path), "--json"]
     yield "problems/batch", ["batch", str(PROBLEMS)]
     yield "problems/batch --json", ["batch", str(PROBLEMS), "--json"]
-    for name, text in LARGE_P.items():
-        path = workdir / name
-        path.write_text(text)
-        for command in ("analyze", "witness"):
-            yield f"large-p/{name}/{command}", [command, str(path)]
-            yield f"large-p/{name}/{command} --json", [command, str(path), "--json"]
+    for group, inputs in (("large-p", LARGE_P), ("tau-routes", ROUTES)):
+        for name, text in inputs.items():
+            path = workdir / name
+            path.write_text(text)
+            for command in ("analyze", "witness"):
+                yield f"{group}/{name}/{command}", [command, str(path)]
+                yield f"{group}/{name}/{command} --json", [command, str(path), "--json"]
 
 
 def run(main, argv, workdir: Path) -> dict:

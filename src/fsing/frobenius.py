@@ -375,7 +375,7 @@ def _check_regular_sequence(ring, forms, degrees):
         return
     # otherwise the quotient dimensions from degree 1 to d.  Only c = n+1 expects
     # 0, at d - n, and then S/J, generated in degree 0, is Artinian
-    for s, dim in quotient_dims([g.terms for g in forms], nv, ring.p):
+    for s, dim, _ in quotient_dims([g.terms for g in forms], nv, ring.p):
         expected = hilbert_function(degrees, nv, s)
         if dim != expected:
             raise RegularSequenceError(f"not a regular sequence: quotient dimension {dim} "
@@ -385,19 +385,23 @@ def _check_regular_sequence(ring, forms, degrees):
 
 
 def quotient_dims(gens, nvars: int, p: int):
-    """(s, dim (S/I)_s) for s = 1, 2, 3, ..., I generated over F_p by the
-    homogeneous {monomial: coefficient} dicts gens, all of positive degree,
-    so that (S/I)_0 = F_p: I_s is the echelon of x_i times each pivot row of
-    I_(s-1), plus the generators of degree s."""
+    """(s, dim (S/I)_s, mu_s) for s = 1, 2, 3, ..., I generated over F_p by
+    the homogeneous {monomial: coefficient} dicts gens, all of positive
+    degree, so that (S/I)_0 = F_p.  (m*I)_s is the echelon of x_i times each
+    pivot row of I_(s-1), and I_s that echelon with the generators of degree
+    s added; mu_s = dim I_s - dim (m*I)_s is the number of degree-s elements
+    of a minimal generating set of I (graded Nakayama), and 0 past the
+    largest generator degree."""
     by_degree: dict[int, list[dict]] = {}
     for g in gens:
         by_degree.setdefault(sum(next(iter(g))), []).append(g)
     shifts = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     piece: list[dict] = []
     for s in itertools.count(1):
-        rows = [{tuple(map(add, m, e)): c for m, c in row.items()} for row in piece for e in shifts]
-        piece = echelon(by_degree.get(s, []) + rows, p)
-        yield s, math.comb(s + nvars - 1, nvars - 1) - len(piece)
+        shifted = echelon([{tuple(map(add, m, e)): c for m, c in row.items()}
+                           for row in piece for e in shifts], p)
+        piece = echelon(shifted + by_degree[s], p) if s in by_degree else shifted
+        yield s, math.comb(s + nvars - 1, nvars - 1) - len(piece), len(piece) - len(shifted)
 
 
 @dataclass(frozen=True)
@@ -453,24 +457,35 @@ def zero_degree(ideal: Ideal) -> int | None:
     monomial; None when there is none.  Once the degree-s piece of the
     ideal is all of S_s, so is every later piece, so S/ideal is zero from
     s on and nonzero in degree s - 1.  Such s exists exactly when S/ideal
-    is Artinian.  Certificates, cheapest first: a constant generator gives
-    0 (the unit ideal); a coordinate point where every generator vanishes
-    gives None; then s is quotient_dims' first 0 from degree 1 on.  Past
-    the largest generator degree D it is read on only if artinian says so,
-    and reaches 0 by (n+1)(D-1)+1, as over the algebraic closure the
-    degree-D piece then holds a regular sequence of n+1 forms of degree D."""
+    is Artinian.  Certificates, cheapest first, with D the largest
+    generator degree:
+
+    1. a constant generator gives 0 (the unit ideal);
+    2. fewer generators than variables give None: by Krull's height
+       theorem (Eisenbud, Commutative Algebra, Thm 10.2) a proper ideal
+       with k generators has height at most k, and m has height n+1;
+    3. a coordinate point where every generator vanishes gives None;
+    4. quotient_dims' first 0 from degree 1 to D gives s;
+    5. at D, a minimal generator count mu = sum over s <= D of
+       dim I_s - dim (m*I)_s below n+1 gives None, by the same theorem;
+    6. else artinian decides: no gives None, yes reads the ranks on past D,
+       and they reach 0 by (n+1)(D-1)+1, as over the algebraic closure the
+       degree-D piece then holds a regular sequence of n+1 forms of degree
+       D."""
     ring, gens = ideal.ring, [g.terms for g in ideal.generators]
     degrees = [sum(next(iter(g))) for g in gens]
     if 0 in degrees:
         return 0
-    if zero_at_coordinate_point(gens, ring.nvars):
+    nvars = ring.nvars
+    if len(gens) < nvars or zero_at_coordinate_point(gens, nvars):
         return None
-    top = max(degrees)
-    dims = quotient_dims(gens, ring.nvars, ring.p)
-    for s, dim in itertools.islice(dims, ring.nvars * (top - 1) + 1):
+    top, mu = max(degrees), 0
+    dims = quotient_dims(gens, nvars, ring.p)
+    for s, dim, new in itertools.islice(dims, nvars * (top - 1) + 1):
         if not dim:
             return s
-        if s == top and not artinian(ideal):
+        mu += new
+        if s == top and (mu < nvars or not artinian(ideal)):
             return None
     raise InternalError("artinian and the ranks disagree: S/ideal is nonzero past (n+1)(D-1)+1")
 

@@ -237,6 +237,19 @@ def oracle_quotient_dim(gens, s, ring):
     return len(basis) - rank(ideal_piece_matrix(gens, s, ring), ring.p)
 
 
+def oracle_minimal_generators(gens, ring):
+    """The size of a minimal generating set of the ideal of the homogeneous
+    gens, by dense ranks (graded Nakayama): in each generator degree s,
+    dim I_s less the dimension of (m*I)_s, the part the generators of lower
+    degree span, the reference for the count fsing.frobenius.quotient_dims
+    reads off its echelons."""
+    total = 0
+    for s in {g.degree() for g in gens}:
+        lower = [g for g in gens if g.degree() < s]
+        total += rank(ideal_piece_matrix(gens, s, ring), ring.p) - rank(ideal_piece_matrix(lower, s, ring), ring.p)
+    return total
+
+
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 

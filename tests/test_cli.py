@@ -46,11 +46,15 @@ def write(tmp_path, name, text):
 
 # problem files the suite writes, for routes and regimes no shipped problem takes
 WRITTEN = {
-    # positive-dimensional taus with no coordinate zero, so Buchberger
-    # decides them: tau = (x + y) vanishes at the F_2 point (1:1), the
-    # pair's tau at no F_2 point
+    # positive-dimensional taus with no coordinate zero: tau = (x + y)
+    # vanishes at the F_2 point (1:1), and its one minimal generator
+    # decides it; the pair's tau, at no F_2 point, has four minimal
+    # generators in three variables, so Buchberger decides it
     "point_p2.ci": "p = 2\nvars = x, y\ngens = x^2*y + y^3\n",
     "fallback_p2.ci": "p = 2\nvars = x, y, z\ngens = x^2 + z^2, y^3 + z^3 + y*z^2\n",
+    # a tau of two generators in four variables, which Krull's height
+    # theorem settles with no rank: f = (x + y + z + w)^3 at p = 3
+    "fermat_surface_p3.ci": "p = 3\nvars = x, y, z, w\ngens = x^3 + y^3 + z^3 + w^3\n",
     # an m-primary tau generated in degrees 3-4 with ell = 4 = D, so its
     # ranks settle it only past D
     "artinian_p3.ci": "p = 3\nvars = x, y\ngens = x^3 + y^3, x^4 + x^3*y + x*y^3\n",
@@ -514,7 +518,7 @@ def test_witness_refused_when_f_pure(capsys):
 
 
 def test_witness_refused_when_locus_positive_dimensional(tmp_path, capsys):
-    # witness prints tau's reduced basis, also where Buchberger decided its class
+    # witness prints tau's reduced basis, however its class was decided
     for name, tau in (
         ("nonisolated_p3.ci", "(x*y)"),
         ("point_p2.ci", "(x + y)"),
@@ -536,6 +540,18 @@ def test_witness_runs_one_buchberger_on_a_fallback_tau(tmp_path, capsys, monkeyp
     assert len(runs) == 1
     last = capsys.readouterr().err.splitlines()[-1]
     assert last == "tau = (y^3 + y*z^2 + z^3, x^2 + z^2, x*y + y*z, x*z + z^2)"
+
+
+def test_witness_runs_one_buchberger_on_a_tau_the_count_settles(tmp_path, capsys, monkeypatch):
+    # the Fermat cubic surface's tau at p = 3 has two generators in four
+    # variables, so compute_tau builds no basis, and the tau = (...) line
+    # runs the one Buchberger
+    runs, real = [], groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda *args: runs.append(args) or real(*args))
+    assert main(["witness", problem(tmp_path, "fermat_surface_p3.ci")]) == 5
+    assert len(runs) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "tau = (x^2 + 2*x*y + y^2 + 2*x*z + 2*y*z + z^2 + 2*x*w + 2*y*w + 2*z*w + w^2)"
 
 
 # witness --json on every shipped problem and some written ones:

@@ -15,12 +15,14 @@ from oracles import (
     maximal_ideal,
     monomial,
     non_f_pure_at,
+    oracle_minimal_generators,
     oracle_quotient_dim,
     per_eps_root,
     poly_vector,
     projective_points,
     random_homogeneous,
     random_ideal_gens,
+    random_m_primary_gens,
     rank,
     tau_class_by_basis,
 )
@@ -392,9 +394,9 @@ def test_leads_that_share_a_variable_take_the_rank_check(monkeypatch):
     real, ranked = frobenius.quotient_dims, []
 
     def counted(*args):
-        for s, dim in real(*args):
+        for s, dim, mu in real(*args):
             ranked.append(s)
-            yield s, dim
+            yield s, dim, mu
 
     monkeypatch.setattr(frobenius, "quotient_dims", counted)
     forms = (poly("x^2 + y^2 + z^2 + w^2", r), poly("x*y + z*w", r))
@@ -429,7 +431,7 @@ def test_quotient_dims_match_the_dense_oracle(rng):
         density = 0.9 if draw % 2 else 2 / math.comb(nv + 1, 2)
         forms = tuple(random_homogeneous(rng, r, e, density) for e in degrees)
         dims = frobenius.quotient_dims([g.terms for g in forms], nv, r.p)
-        for s, dim in itertools.islice(dims, sum(degrees)):
+        for s, dim, _ in itertools.islice(dims, sum(degrees)):
             assert dim == oracle_quotient_dim(forms, s, r), (forms, s)
         swept[nv, c == nv] += 1
     assert all(swept[nv, True] and swept[nv, False] for nv in range(2, 7))
@@ -558,30 +560,10 @@ def test_root_membership_check_needs_every_root_row(monkeypatch):
         compute_tau(squares_ci(3))
 
 
-def test_tau_certificates_match_the_basis_route(rng, monkeypatch):
-    # compute_tau settles tau's class by a constant generator, by a
-    # coordinate point or by degree-wise ranks, and runs Buchberger only
-    # when none does: kind and ell against the route by tau's reduced basis,
-    # and the two containments that define tau on its basis (compute_tau
-    # checks only the second, and not on a basis).  The routes are told
-    # apart by the kind and by whether compute_tau ran Buchberger; x^2*y +
-    # y^3 at p = 2 has tau (x + y), zero at (1:1) but at no coordinate
-    # point, the pair at p = 2 a positive-dimensional tau with no F_2 point,
-    # and the pair at p = 3 an m-primary tau generated in degrees 3-4 with
-    # ell = 4, which its ranks up to degree 4 cannot settle
-    built = []
-    real = groebner._buchberger
-    monkeypatch.setattr(groebner, "_buchberger", lambda *args: built.append(args) or real(*args))
-    pinned = [
-        (2, "xy", ("x^2*y + y^3",)),
-        (2, "xyz", ("x^2 + z^2", "y^3 + z^3 + y*z^2")),
-        (3, "xy", ("x^3 + y^3", "x^4 + x^3*y + x*y^3")),
-    ]
-    cis = []
-    for p, names, forms in pinned:
-        r = ring(p, names)
-        cis.append(CompleteIntersection(r, tuple(poly(g, r) for g in forms)))
-    while len(cis) < 400:
+def random_cis(rng):
+    """Seeded complete intersections without end: one or two forms of
+    degree 2-4 in 2-4 variables over F_p, p <= 7, sparse or dense."""
+    while True:
         p = rng.choice((2, 3, 5, 7))
         nv = rng.randint(2, 4)
         r = ring(p, "xyzw"[:nv])
@@ -591,28 +573,66 @@ def test_tau_certificates_match_the_basis_route(rng, monkeypatch):
             for _ in range(rng.randint(1, min(2, nv)))
         )
         try:
-            cis.append(CompleteIntersection(r, forms))
+            yield CompleteIntersection(r, forms)
         except RegularSequenceError:
             continue
+
+
+def test_tau_certificates_match_the_basis_route(rng, monkeypatch):
+    # compute_tau settles tau's class by a constant generator, by a
+    # coordinate point, by degree-wise ranks or by a generator count below
+    # n+1 (Krull's height theorem), and runs Buchberger only when none does:
+    # kind and ell against the route by tau's reduced basis, and the two
+    # containments that define tau on its basis (compute_tau checks only
+    # the second, and not on a basis).  The routes are told apart by the
+    # kind, by whether compute_tau ran Buchberger and, for a
+    # positive-dimensional tau, by whether its generators vanish at a
+    # coordinate point.  x^2*y + y^3 at p = 2 has tau (x^2*y + y^3, x + y):
+    # two generators in two variables, but one minimal generator, and zero
+    # at (1:1) but at no coordinate point.  The pair at p = 2 has a
+    # positive-dimensional tau with four minimal generators in three
+    # variables and no F_2 point, and the pair at p = 3 an m-primary tau
+    # generated in degrees 3-4 with ell = 4, which its ranks up to degree 4
+    # cannot settle
+    built = []
+    real = groebner._buchberger
+    monkeypatch.setattr(groebner, "_buchberger", lambda *args: built.append(args) or real(*args))
+    pinned = [
+        ((2, "xy", ("x^2*y + y^3",)), "count"),
+        ((2, "xyz", ("x^2 + z^2", "y^3 + z^3 + y*z^2")), "basis"),
+        ((3, "xy", ("x^3 + y^3", "x^4 + x^3*y + x*y^3")), "basis"),
+    ]
+    cis = []
+    for (p, names, forms), _ in pinned:
+        r = ring(p, names)
+        cis.append(CompleteIntersection(r, tuple(poly(g, r) for g in forms)))
+    cis += itertools.islice(random_cis(rng), 400 - len(cis))
     route_of_kind = {
         TauClass.EVERYWHERE_F_PURE: "unit",
         TauClass.ISOLATED_NON_F_PURE_POINT: "ranks",
-        TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL: "point",
     }
     routes = collections.Counter()
     for k, ci in enumerate(cis):
         built.clear()
         result = compute_tau(ci)
-        route = "basis" if built else route_of_kind[result.kind]
-        kind, ell, forms, fpow = tau_class_by_basis(ci, result.tau.generators)
+        gens = result.tau.generators
+        if built:
+            route = "basis"
+        elif result.kind is TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL:
+            on_axis = groebner.zero_at_coordinate_point([g.terms for g in gens], ci.ring.nvars)
+            route = "point" if on_axis else "count"
+        else:
+            route = route_of_kind[result.kind]
+        kind, ell, forms, fpow = tau_class_by_basis(ci, gens)
         assert (result.kind, result.ell) == (kind, ell), ci.forms
         assert forms and fpow, ci.forms
         if k < len(pinned):
-            assert route == "basis", ci.forms
+            assert route == pinned[k][1], ci.forms
+        else:
+            routes[route] += 1
         if k == 2:  # the m-primary pin
             assert (result.kind, result.ell) == (TauClass.ISOLATED_NON_F_PURE_POINT, 4)
-        routes[route] += 1
-    assert set(routes) == {"unit", "ranks", "point", "basis"}, routes
+    assert set(routes) == {"unit", "ranks", "point", "count", "basis"}, routes
 
 
 def fallback_ci():
@@ -620,6 +640,81 @@ def fallback_ci():
     # Buchberger decides
     r = ring(2, "xyz")
     return CompleteIntersection(r, (poly("x^2 + z^2", r), poly("y^3 + z^3 + y*z^2", r)))
+
+
+def fermat_surface_ci():
+    # at p = 3 the Fermat cubic surface is l^3, l = x + y + z + w, and its
+    # tau (f, l^2) has two generators in four variables
+    r = ring(3, "xyzw")
+    return CompleteIntersection(r, (poly("x^3 + y^3 + z^3 + w^3", r),))
+
+
+def test_generator_counts_settle_tau_without_buchberger(monkeypatch):
+    # by Krull's height theorem, fewer generators than variables settle the
+    # Fermat cubic surface's tau before any rank, and the one minimal
+    # generator of x^2*y + y^3's tau at p = 2 settles it at its largest
+    # generator degree 3; neither runs Buchberger
+    steps = []
+    real_dims, real_buchberger = frobenius.quotient_dims, groebner._buchberger
+
+    def dims(*args):
+        for step in real_dims(*args):
+            steps.append(step[0])
+            yield step
+
+    monkeypatch.setattr(frobenius, "quotient_dims", dims)
+    monkeypatch.setattr(groebner, "_buchberger", lambda *args: steps.append("buchberger") or real_buchberger(*args))
+    positive = TauClass.NON_F_PURE_LOCUS_POSITIVE_DIMENSIONAL
+    assert compute_tau(fermat_surface_ci()).kind is positive
+    assert steps == []
+    r = ring(2, "xy")
+    assert compute_tau(CompleteIntersection(r, (poly("x^2*y + y^3", r),))).kind is positive
+    assert steps == [1, 2, 3]
+
+
+def test_minimal_generator_count_matches_dense_ranks(rng):
+    # the count mu that quotient_dims reads off its echelons, summed up to
+    # the largest generator degree D, against dense ranks, on taus in 2-4
+    # variables at p <= 7, the Fermat cubic surface at p = 3 first; where a
+    # count is below n+1, raw or minimal, tau is positive-dimensional
+    # (Krull), so the dense Hilbert function of S/tau is nonzero at the
+    # Macaulay bound (n+1)(D-1)+1
+    fired = collections.Counter()
+    for ci in itertools.chain([fermat_surface_ci()], random_cis(rng)):
+        if sum(fired.values()) == 100:
+            break
+        r, nv = ci.ring, ci.ring.nvars
+        gens = compute_tau(ci).tau.generators
+        degrees = [g.degree() for g in gens]
+        if 0 in degrees:
+            continue  # the unit ideal
+        D = max(degrees)
+        dims = frobenius.quotient_dims([g.terms for g in gens], nv, r.p)
+        mu = sum(new for _, _, new in itertools.islice(dims, D))
+        assert mu == oracle_minimal_generators(gens, r), ci.forms
+        raw, minimal = len(gens) < nv, mu < nv
+        if raw or minimal:
+            assert oracle_quotient_dim(gens, nv * (D - 1) + 1, r), ci.forms
+        fired[raw, minimal] += 1
+    # each count fires, and the minimal one alone
+    assert fired[True, True] and fired[False, True] and fired[False, False], fired
+
+
+def test_zero_degree_of_an_m_primary_ideal_with_n_plus_1_generators(rng):
+    # Krull's height theorem leaves height n+1 open to n+1 generators, so
+    # neither count may settle these: pure powers x_i^(a_i), n+1 generators
+    # all minimal, are zero from degree sum(a_i - 1) + 1 on, past the
+    # largest generator degree; with a few forms added, zero_degree is the
+    # first degree where the dense quotient dimension is 0
+    for _ in range(30):
+        nv = rng.randint(2, 3)
+        r = ring(rng.choice((2, 3, 5, 7)), "xyz"[:nv])
+        exponents = [rng.randint(2, 4) for _ in range(nv)]
+        powers = tuple(monomial(r, tuple(a * (i == j) for j in range(nv))) for i, a in enumerate(exponents))
+        assert frobenius.zero_degree(Ideal(r, powers)) == sum(exponents) - nv + 1, powers
+        gens = random_m_primary_gens(rng, r, 3)
+        s = frobenius.zero_degree(Ideal(r, gens))
+        assert oracle_quotient_dim(gens, s, r) == 0 < oracle_quotient_dim(gens, s - 1, r), gens
 
 
 def test_ranks_past_the_top_degree_stop_at_the_macaulay_bound(monkeypatch):
